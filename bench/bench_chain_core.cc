@@ -2,6 +2,8 @@
 // difficulty, PoA sealing, and full block validation. The PoW sweep shows
 // the expected 2^bits growth; PoA sealing is constant — the quantitative
 // backing for the paper's private-chain recommendation (Section IV-3).
+// BM_FindTransaction shows canonical-history lookups staying flat in the
+// history length.
 //
 // The *_Threaded variants run the same work on a worker pool (the pool size
 // is the benchmark argument) and report `speedup_vs_serial`, measured
@@ -181,6 +183,42 @@ void BM_ChainAppendAndIntegrity(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ChainAppendAndIntegrity)->Range(8, 128);
+
+// Canonical-history lookup, as gossip and block building do per message:
+// the chain indexes its canonical transactions, so the cost per lookup stays
+// flat as the history grows instead of re-hashing every transaction.
+void BM_FindTransaction(benchmark::State& state) {
+  constexpr size_t kTxsPerBlock = 16;
+  const size_t history = static_cast<size_t>(state.range(0));
+  auto key = std::make_shared<crypto::KeyPair>(
+      crypto::KeyPair::FromSeed("authority"));
+  PoaSealer sealer({key->address()}, key);
+  Blockchain chain(Blockchain::MakeGenesis(0), &sealer);
+  std::vector<crypto::Hash256> ids;
+  for (uint64_t h = 1; ids.size() < history; ++h) {
+    Block block;
+    block.header.height = h;
+    block.header.parent = chain.head_hash();
+    block.header.timestamp = static_cast<Micros>(h);
+    for (size_t i = 0; i < kTxsPerBlock && ids.size() < history; ++i) {
+      block.transactions.push_back(MakeTx(ids.size()));
+      ids.push_back(block.transactions.back().Id());
+    }
+    block.header.merkle_root = block.ComputeMerkleRoot();
+    IgnoreStatusForTest(sealer.Seal(&block));
+    IgnoreStatusForTest(chain.AddBlock(std::move(block)));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    const Transaction* tx = nullptr;
+    uint64_t height = 0;
+    benchmark::DoNotOptimize(chain.FindTransaction(ids[next], &tx, &height));
+    benchmark::DoNotOptimize(tx);
+    next = (next + 1) % ids.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FindTransaction)->Arg(64)->Arg(1024)->Arg(16384);
 
 // ---------------------------------------------------------------------------
 // Threaded variants. Argument = worker-pool size; `speedup_vs_serial` is the

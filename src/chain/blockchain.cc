@@ -1,6 +1,8 @@
 #include "chain/blockchain.h"
 
+#include <algorithm>
 #include <cassert>
+#include <set>
 
 #include "common/strings.h"
 #include "common/threading/thread_pool.h"
@@ -22,11 +24,11 @@ Blockchain::Blockchain(Block genesis, const Sealer* sealer,
     : sealer_(sealer), conflict_key_(std::move(conflict_key)), pool_(pool),
       lane_(genesis.header.lane) {
   assert(genesis.header.height == 0);
-  genesis_hash_ = genesis.header.Hash();
-  head_hash_ = genesis_hash_;
-  Node node;
+  const crypto::Hash256 hash = genesis.header.Hash();
+  Node& node = blocks_[hash];
   node.block = std::move(genesis);
-  blocks_.emplace(genesis_hash_.ToHex(), std::move(node));
+  node.hash = hash;
+  canonical_.push_back(&node);
 }
 
 void Blockchain::set_metrics(metrics::MetricsRegistry* registry) {
@@ -92,21 +94,23 @@ Status Blockchain::ValidateStructureImpl(const Block& block) const {
   return Status::OK();
 }
 
-bool Blockchain::TxInAncestry(const crypto::Hash256& start_hash,
-                              const std::string& tx_id) const {
-  std::string cursor = start_hash.ToHex();
-  while (true) {
-    auto it = blocks_.find(cursor);
-    if (it == blocks_.end()) return false;
-    if (it->second.tx_ids.count(tx_id) > 0) return true;
-    if (it->second.block.header.height == 0) return false;
-    cursor = it->second.block.header.parent.ToHex();
+bool Blockchain::TxInAncestry(const Node* start,
+                              const crypto::Hash256& tx_id) const {
+  const Node* cursor = start;
+  while (!OnCanonical(cursor)) {
+    const std::vector<crypto::Hash256>& ids = cursor->tx_ids;
+    if (std::find(ids.begin(), ids.end(), tx_id) != ids.end()) return true;
+    cursor = cursor->parent;
   }
+  auto it = canonical_txs_.find(tx_id);
+  return it != canonical_txs_.end() &&
+         it->second.block->header.height <= cursor->block.header.height;
 }
 
 Status Blockchain::AddBlock(Block block) {
-  const std::string hash_hex = block.header.Hash().ToHex();
-  if (blocks_.count(hash_hex) > 0) {
+  const crypto::Hash256 hash = block.header.Hash();
+  const std::string hash_hex = hash.ToHex();
+  if (blocks_.count(hash) > 0) {
     return Status::AlreadyExists(StrCat("block ", hash_hex.substr(0, 8),
                                         " already known"));
   }
@@ -115,63 +119,85 @@ Status Blockchain::AddBlock(Block block) {
         StrCat("block ", hash_hex.substr(0, 8), " is stamped for lane ",
                block.header.lane, " but this chain seals lane ", lane_));
   }
-  auto parent_it = blocks_.find(block.header.parent.ToHex());
+  auto parent_it = blocks_.find(block.header.parent);
   if (parent_it == blocks_.end()) {
     return Status::NotFound(StrCat("parent of block ", hash_hex.substr(0, 8),
                                    " unknown (orphan)"));
   }
-  const Block& parent = parent_it->second.block;
-  if (block.header.height != parent.header.height + 1) {
+  const Node* parent = &parent_it->second;
+  if (block.header.height != parent->block.header.height + 1) {
     return Status::InvalidArgument(
         StrCat("block height ", block.header.height,
-               " does not follow parent height ", parent.header.height));
+               " does not follow parent height ",
+               parent->block.header.height));
   }
-  if (block.header.timestamp < parent.header.timestamp) {
+  if (block.header.timestamp < parent->block.header.timestamp) {
     return Status::InvalidArgument("block timestamp precedes its parent");
   }
   MEDSYNC_RETURN_IF_ERROR(ValidateStructure(block));
 
-  Node node;
+  std::vector<crypto::Hash256> tx_ids;
+  tx_ids.reserve(block.transactions.size());
   for (const Transaction& tx : block.transactions) {
-    std::string tx_id = tx.Id().ToHex();
-    if (TxInAncestry(block.header.parent, tx_id)) {
+    crypto::Hash256 tx_id = tx.Id();
+    if (TxInAncestry(parent, tx_id)) {
       return Status::AlreadyExists(
-          StrCat("transaction ", tx_id.substr(0, 8),
+          StrCat("transaction ", tx_id.ShortHex(),
                  " already included in an ancestor block"));
     }
-    node.tx_ids.insert(std::move(tx_id));
+    tx_ids.push_back(tx_id);
   }
 
-  uint64_t new_height = block.header.height;
   metrics::Inc(blocks_accepted_);
   metrics::Observe(block_txs_, block.transactions.size());
+  Node& node = blocks_[hash];
   node.block = std::move(block);
-  blocks_.emplace(hash_hex, std::move(node));
+  node.hash = hash;
+  node.parent = parent;
+  node.tx_ids = std::move(tx_ids);
 
   // Longest-chain fork choice; ties break toward the smaller hash so every
   // node picks the same head given the same block set.
-  const Block& current_head = head();
-  if (new_height > current_head.header.height ||
-      (new_height == current_head.header.height &&
-       hash_hex < head_hash_.ToHex())) {
-    bool ok = false;
-    head_hash_ = crypto::Hash256::FromHex(hash_hex, &ok);
-    assert(ok);
+  const Node* head = canonical_.back();
+  const uint64_t new_height = node.block.header.height;
+  if (new_height > head->block.header.height ||
+      (new_height == head->block.header.height && hash < head->hash)) {
+    SetHead(&node);
   }
   return Status::OK();
 }
 
-const Block& Blockchain::genesis() const {
-  return blocks_.at(genesis_hash_.ToHex()).block;
+void Blockchain::SetHead(const Node* new_head) {
+  std::vector<const Node*> branch;  // adopted blocks, head first
+  const Node* fork = new_head;
+  while (!OnCanonical(fork)) {
+    branch.push_back(fork);
+    fork = fork->parent;
+  }
+  // Unindex before indexing: a transaction carried by both branches must
+  // end up pointing into the adopted block.
+  while (canonical_.back() != fork) {
+    for (const crypto::Hash256& tx_id : canonical_.back()->tx_ids) {
+      canonical_txs_.erase(tx_id);
+    }
+    canonical_.pop_back();
+  }
+  for (auto it = branch.rbegin(); it != branch.rend(); ++it) {
+    const Node* node = *it;
+    canonical_.push_back(node);
+    for (size_t i = 0; i < node->tx_ids.size(); ++i) {
+      canonical_txs_[node->tx_ids[i]] = TxLocation{&node->block, i};
+    }
+  }
 }
 
-const Block& Blockchain::head() const {
-  return blocks_.at(head_hash_.ToHex()).block;
-}
+const Block& Blockchain::genesis() const { return canonical_.front()->block; }
+
+const Block& Blockchain::head() const { return canonical_.back()->block; }
 
 Result<const Block*> Blockchain::BlockByHash(
     const crypto::Hash256& hash) const {
-  auto it = blocks_.find(hash.ToHex());
+  auto it = blocks_.find(hash);
   if (it == blocks_.end()) {
     return Status::NotFound(StrCat("no block ", hash.ShortHex()));
   }
@@ -179,46 +205,52 @@ Result<const Block*> Blockchain::BlockByHash(
 }
 
 Result<const Block*> Blockchain::BlockByHeight(uint64_t height) const {
-  if (height > head().header.height) {
+  if (height >= canonical_.size()) {
     return Status::NotFound(StrCat("no block at height ", height));
   }
-  const Block* cursor = &head();
-  while (cursor->header.height > height) {
-    auto it = blocks_.find(cursor->header.parent.ToHex());
-    if (it == blocks_.end()) {
-      return Status::Corruption("broken parent linkage on canonical chain");
-    }
-    cursor = &it->second.block;
-  }
-  return cursor;
+  return &canonical_[height]->block;
 }
 
 std::vector<const Block*> Blockchain::CanonicalChain() const {
   std::vector<const Block*> chain;
-  const Block* cursor = &head();
-  while (true) {
-    chain.push_back(cursor);
-    if (cursor->header.height == 0) break;
-    cursor = &blocks_.at(cursor->header.parent.ToHex()).block;
-  }
-  std::reverse(chain.begin(), chain.end());
+  chain.reserve(canonical_.size());
+  for (const Node* node : canonical_) chain.push_back(&node->block);
   return chain;
+}
+
+bool Blockchain::IsCanonical(const crypto::Hash256& hash) const {
+  auto it = blocks_.find(hash);
+  return it != blocks_.end() && OnCanonical(&it->second);
+}
+
+std::vector<const Block*> Blockchain::CanonicalBlocksSince(
+    const crypto::Hash256& old_head) const {
+  std::vector<const Block*> adopted;
+  auto it = blocks_.find(old_head);
+  if (it == blocks_.end()) return adopted;
+  const Node* fork = &it->second;
+  while (!OnCanonical(fork)) fork = fork->parent;
+  for (size_t h = fork->block.header.height + 1; h < canonical_.size(); ++h) {
+    adopted.push_back(&canonical_[h]->block);
+  }
+  return adopted;
+}
+
+std::optional<Blockchain::TxLocation> Blockchain::LocateTransaction(
+    const crypto::Hash256& id) const {
+  auto it = canonical_txs_.find(id);
+  if (it == canonical_txs_.end()) return std::nullopt;
+  return it->second;
 }
 
 bool Blockchain::FindTransaction(const crypto::Hash256& id,
                                  const Transaction** tx,
                                  uint64_t* block_height) const {
-  std::string id_hex = id.ToHex();
-  for (const Block* block : CanonicalChain()) {
-    for (const Transaction& candidate : block->transactions) {
-      if (candidate.Id().ToHex() == id_hex) {
-        if (tx) *tx = &candidate;
-        if (block_height) *block_height = block->header.height;
-        return true;
-      }
-    }
-  }
-  return false;
+  std::optional<TxLocation> location = LocateTransaction(id);
+  if (!location.has_value()) return false;
+  if (tx) *tx = &location->block->transactions[location->index];
+  if (block_height) *block_height = location->block->header.height;
+  return true;
 }
 
 Status Blockchain::VerifyIntegrity() const {

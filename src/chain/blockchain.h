@@ -1,11 +1,12 @@
 #ifndef MEDSYNC_CHAIN_BLOCKCHAIN_H_
 #define MEDSYNC_CHAIN_BLOCKCHAIN_H_
 
+#include <cstring>
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "chain/block.h"
@@ -23,6 +24,10 @@ namespace medsync::chain {
 /// non-conflicting transactions); a block carrying two transactions with
 /// the same key is invalid everywhere, so no sealer can sneak concurrent
 /// updates to one shared table into a single block.
+///
+/// The canonical chain is indexed incrementally (height -> block, tx id ->
+/// location), so history lookups never walk or re-hash the chain; only
+/// VerifyIntegrity and full-history readers such as the audit trail do.
 class Blockchain {
  public:
   using ConflictKeyFn =
@@ -36,6 +41,9 @@ class Blockchain {
   Blockchain(Block genesis, const Sealer* sealer,
              ConflictKeyFn conflict_key = nullptr,
              threading::ThreadPool* pool = nullptr);
+
+  Blockchain(const Blockchain&) = delete;
+  Blockchain& operator=(const Blockchain&) = delete;
 
   void set_thread_pool(threading::ThreadPool* pool) { pool_ = pool; }
 
@@ -62,6 +70,7 @@ class Blockchain {
 
   const Block& genesis() const;
   const Block& head() const;
+  const crypto::Hash256& head_hash() const { return canonical_.back()->hash; }
   /// The lane this chain seals (from the genesis header). AddBlock rejects
   /// blocks stamped for another lane, so one lane's history can never
   /// splice into another's even if a hash collision of heights occurs.
@@ -71,11 +80,35 @@ class Blockchain {
 
   Result<const Block*> BlockByHash(const crypto::Hash256& hash) const;
 
-  /// The block at `height` on the CANONICAL (head) chain.
+  /// The block at `height` on the CANONICAL (head) chain. O(1).
   Result<const Block*> BlockByHeight(uint64_t height) const;
 
-  /// Genesis..head, in height order.
+  /// Genesis..head, in height order. O(height): a copy of the index.
   std::vector<const Block*> CanonicalChain() const;
+
+  /// Whether `hash` names a block on the canonical chain. Hash linkage
+  /// makes this a prefix test too: a canonical block's ancestors are the
+  /// canonical blocks below it.
+  bool IsCanonical(const crypto::Hash256& hash) const;
+
+  /// What the canonical chain gained when its head moved away from
+  /// `old_head`: every canonical block above the highest ancestor of
+  /// `old_head` that is still canonical, in height order. After a plain
+  /// extension that is the new blocks; after a reorg it is the whole
+  /// adopted branch from the fork point. Empty if the head has not moved
+  /// or `old_head` is unknown. O(reorg depth + blocks returned).
+  std::vector<const Block*> CanonicalBlocksSince(
+      const crypto::Hash256& old_head) const;
+
+  /// Where a transaction sits on the canonical chain.
+  struct TxLocation {
+    const Block* block = nullptr;
+    size_t index = 0;  // position in block->transactions
+  };
+
+  /// The canonical location of transaction `id`, if any: one hash-index
+  /// lookup, whatever the history length; nothing is re-hashed.
+  std::optional<TxLocation> LocateTransaction(const crypto::Hash256& id) const;
 
   /// Whether the canonical chain includes transaction `id`; if found and
   /// the out-params are non-null, reports where.
@@ -88,14 +121,35 @@ class Blockchain {
   Status VerifyIntegrity() const;
 
  private:
-  struct Node {
-    Block block;
-    std::set<std::string> tx_ids;  // hex ids, for duplicate detection
+  /// Tx ids are SHA-256 outputs, so any 8 of their bytes are a uniform hash.
+  struct TxIdHash {
+    size_t operator()(const crypto::Hash256& id) const {
+      size_t h = 0;
+      std::memcpy(&h, id.bytes.data(), sizeof(h));
+      return h;
+    }
   };
 
-  /// Whether `tx_id` appears in `start` or any of its ancestors.
-  bool TxInAncestry(const crypto::Hash256& start_hash,
-                    const std::string& tx_id) const;
+  struct Node {
+    Block block;
+    crypto::Hash256 hash;
+    const Node* parent = nullptr;  // null for genesis
+    std::vector<crypto::Hash256> tx_ids;  // block order, hashed once
+  };
+
+  bool OnCanonical(const Node* node) const {
+    const uint64_t height = node->block.header.height;
+    return height < canonical_.size() && canonical_[height] == node;
+  }
+
+  /// Whether `tx_id` appears in `start` or any of its ancestors: the
+  /// off-canonical part of the ancestry is walked block by block, the
+  /// canonical rest is one index lookup.
+  bool TxInAncestry(const Node* start, const crypto::Hash256& tx_id) const;
+
+  /// Moves the canonical index to `new_head`: pops the abandoned blocks
+  /// back to the fork point, then pushes the adopted branch.
+  void SetHead(const Node* new_head);
 
   /// ValidateStructure minus the ok/fail accounting.
   Status ValidateStructureImpl(const Block& block) const;
@@ -104,9 +158,13 @@ class Blockchain {
   ConflictKeyFn conflict_key_;
   threading::ThreadPool* pool_;
   uint32_t lane_ = 0;
-  std::map<std::string, Node> blocks_;  // keyed by hex block hash
-  crypto::Hash256 genesis_hash_;
-  crypto::Hash256 head_hash_;
+  std::map<crypto::Hash256, Node> blocks_;  // every known block, by hash
+
+  // The canonical-chain index, moved only by SetHead. Both hold pointers
+  // into `blocks_` (std::map nodes never move), hence no copies.
+  std::vector<const Node*> canonical_;  // [height]; front genesis, back head
+  std::unordered_map<crypto::Hash256, TxLocation, TxIdHash>
+      canonical_txs_;  // by tx id; looked up only, never iterated
 
   metrics::Counter* validate_ok_ = nullptr;
   metrics::Counter* validate_fail_ = nullptr;

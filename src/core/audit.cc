@@ -44,20 +44,21 @@ std::vector<AuditRecord> BuildAuditTrail(const chain::Blockchain& chain,
 
 Result<InclusionProof> ProveTransactionInclusion(
     const chain::Blockchain& chain, const std::string& tx_id_hex) {
-  for (const chain::Block* block : chain.CanonicalChain()) {
-    for (size_t i = 0; i < block->transactions.size(); ++i) {
-      if (block->transactions[i].Id().ToHex() != tx_id_hex) continue;
-      InclusionProof proof;
-      proof.tx_id = tx_id_hex;
-      proof.header = block->header;
-      crypto::MerkleTree tree(block->TransactionLeaves());
-      proof.merkle = tree.BuildProof(i);
-      return proof;
-    }
+  bool ok = false;
+  const crypto::Hash256 id = crypto::Hash256::FromHex(tx_id_hex, &ok);
+  std::optional<chain::Blockchain::TxLocation> location;
+  if (ok) location = chain.LocateTransaction(id);
+  if (!location.has_value()) {
+    return Status::NotFound(
+        StrCat("transaction ", tx_id_hex.substr(0, 8),
+               " not on the canonical chain"));
   }
-  return Status::NotFound(
-      StrCat("transaction ", tx_id_hex.substr(0, 8),
-             " not on the canonical chain"));
+  InclusionProof proof;
+  proof.tx_id = tx_id_hex;
+  proof.header = location->block->header;
+  crypto::MerkleTree tree(location->block->TransactionLeaves());
+  proof.merkle = tree.BuildProof(location->index);
+  return proof;
 }
 
 bool VerifyTransactionInclusion(const InclusionProof& proof) {

@@ -34,8 +34,8 @@ ChainNode::ChainNode(NodeConfig config, net::Scheduler* scheduler,
     lanes_.push_back(std::make_unique<Lane>(std::move(lane_genesis),
                                             sealer_.get(), conflict_key,
                                             config_.pool, conflict_key));
-    lanes_.back()->executed_hashes.push_back(
-        lanes_.back()->chain.genesis().header.Hash().ToHex());
+    lanes_.back()->executed_tip =
+        lanes_.back()->chain.genesis().header.Hash();
   }
   lane_assign_ = chain::MakeLaneAssign(config_.lane_key, lane_count);
   if (config_.metrics != nullptr) {
@@ -227,8 +227,9 @@ ChainNode::SealOutcome ChainNode::BuildLaneCandidate(Lane& lane) {
   std::vector<Transaction> fresh;
   fresh.reserve(txs.size());
   for (Transaction& tx : txs) {
-    if (lane.chain.FindTransaction(tx.Id(), nullptr, nullptr)) {
-      stale.insert(tx.Id().ToHex());
+    const crypto::Hash256 id = tx.Id();
+    if (lane.chain.FindTransaction(id, nullptr, nullptr)) {
+      stale.insert(id.ToHex());
     } else {
       fresh.push_back(std::move(tx));
     }
@@ -241,7 +242,7 @@ ChainNode::SealOutcome ChainNode::BuildLaneCandidate(Lane& lane) {
   Block block;
   block.header.lane = lane.chain.lane();
   block.header.height = lane.chain.head().header.height + 1;
-  block.header.parent = lane.chain.head().header.Hash();
+  block.header.parent = lane.chain.head_hash();
   block.header.timestamp =
       std::max(scheduler_->Now(), lane.chain.head().header.timestamp);
   block.transactions = std::move(txs);
@@ -424,7 +425,7 @@ void ChainNode::HandleBlockPayload(const Json& payload,
         << "rejected block naming unknown lane " << lane;
     return;
   }
-  uint64_t old_height = lanes_[lane]->chain.head().header.height;
+  const crypto::Hash256 old_head = lanes_[lane]->chain.head_hash();
   Status accepted = AcceptBlock(std::move(*block), from);
   if (accepted.IsAlreadyExists()) return;  // do not re-gossip duplicates
   if (!accepted.ok() && !accepted.IsNotFound()) {
@@ -433,13 +434,16 @@ void ChainNode::HandleBlockPayload(const Json& payload,
   }
   if (accepted.ok()) {
     network_->Broadcast(config_.id, "block", payload);
-    // Evict included transactions from the lane's pool partition.
+    // Evict what the canonical chain now includes from the lane's pool
+    // partition: every block adopted since the old head, from the fork
+    // point up. A reorg can adopt blocks at or below the old height (an
+    // equal-height tie-break, a side branch overtaking from below), and
+    // their transactions must leave the pool too.
     std::set<std::string> included;
-    for (const chain::Block* b : lanes_[lane]->chain.CanonicalChain()) {
-      if (b->header.height > old_height) {
-        for (const Transaction& tx : b->transactions) {
-          included.insert(tx.Id().ToHex());
-        }
+    for (const chain::Block* b :
+         lanes_[lane]->chain.CanonicalBlocksSince(old_head)) {
+      for (const Transaction& tx : b->transactions) {
+        included.insert(tx.Id().ToHex());
       }
     }
     if (!included.empty()) lanes_[lane]->mempool.RemoveIncluded(included);
@@ -480,35 +484,22 @@ void ChainNode::HandleBlockRequest(const net::Message& message) {
 }
 
 void ChainNode::AdvanceExecution() {
-  // Collect every lane's canonical chain and check the executed prefixes.
-  // A reorg in ANY lane rebuilds contract state from scratch: the host is
-  // a single cross-lane state machine, so rewinding one lane means
-  // replaying all of them (cheap at simulation scale; a production node
-  // would checkpoint).
-  std::vector<std::vector<const Block*>> canonical(lanes_.size());
+  // Check every lane's executed prefix against its canonical chain. A
+  // reorg in ANY lane rebuilds contract state from genesis: the host is a
+  // single cross-lane state machine, so rewinding one lane means replaying
+  // all of them (cheap at simulation scale; a production node would
+  // checkpoint).
   bool reorg = false;
-  for (size_t l = 0; l < lanes_.size(); ++l) {
-    canonical[l] = lanes_[l]->chain.CanonicalChain();
-    const std::vector<std::string>& executed = lanes_[l]->executed_hashes;
-    bool prefix_ok = executed.size() <= canonical[l].size();
-    if (prefix_ok) {
-      for (size_t i = 0; i < executed.size(); ++i) {
-        if (canonical[l][i]->header.Hash().ToHex() != executed[i]) {
-          prefix_ok = false;
-          break;
-        }
-      }
-    }
-    if (!prefix_ok) reorg = true;
+  for (const auto& lane : lanes_) {
+    if (!lane->chain.IsCanonical(lane->executed_tip)) reorg = true;
   }
   if (reorg) {
     MEDSYNC_LOG(kInfo, config_.id)
         << "reorg: replaying canonical chains of all lanes";
     host_->Reset();
-    for (size_t l = 0; l < lanes_.size(); ++l) {
-      lanes_[l]->executed_hashes.clear();
-      lanes_[l]->executed_hashes.push_back(
-          canonical[l][0]->header.Hash().ToHex());
+    for (const auto& lane : lanes_) {
+      lane->executed_tip = lane->chain.genesis().header.Hash();
+      lane->executed_height = 0;
     }
   }
 
@@ -523,12 +514,13 @@ void ChainNode::AdvanceExecution() {
     contracts::Receipt receipt;
   };
   std::vector<Dispatch> dispatches;
-  for (size_t l = 0; l < lanes_.size(); ++l) {
-    std::vector<std::string>& executed = lanes_[l]->executed_hashes;
-    for (size_t i = executed.size(); i < canonical[l].size(); ++i) {
-      const Block& block = *canonical[l][i];
+  for (const auto& lane : lanes_) {
+    while (lane->executed_height < lane->chain.height()) {
+      const Block& block = **lane->chain.BlockByHeight(
+          lane->executed_height + 1);
       std::vector<contracts::Receipt> receipts = host_->ExecuteBlock(block);
-      executed.push_back(block.header.Hash().ToHex());
+      lane->executed_tip = block.header.Hash();
+      ++lane->executed_height;
       for (contracts::Receipt& receipt : receipts) {
         dispatches.push_back(Dispatch{block.header.timestamp,
                                       block.header.height,

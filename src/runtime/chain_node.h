@@ -159,8 +159,11 @@ class ChainNode : public net::Endpoint {
           mempool(std::move(pool_key)) {}
     chain::Blockchain chain;
     chain::Mempool mempool;
-    /// Hashes (hex) of this lane's canonical prefix already executed.
-    std::vector<std::string> executed_hashes;
+    /// Last block of this lane's executed canonical prefix. Hash linkage
+    /// lets the tip stand for the whole prefix: the prefix is intact iff
+    /// the tip is still canonical.
+    crypto::Hash256 executed_tip;
+    uint64_t executed_height = 0;
   };
 
   /// Per-lane candidate built by the parallel phase of a seal tick.

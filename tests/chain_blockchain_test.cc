@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/random.h"
+#include "common/strings.h"
 #include "common/threading/thread_pool.h"
 #include "contracts/metadata_contract.h"
 
@@ -192,6 +196,238 @@ TEST_F(BlockchainTest, VerifyIntegrityPassesOnHonestChain) {
   Block b1 = MakeBlock(genesis_, {MakeTx("alice", 1)});
   ASSERT_TRUE(chain_.AddBlock(b1).ok());
   EXPECT_TRUE(chain_.VerifyIntegrity().ok());
+}
+
+// The canonical index after a reorg: lookups follow the adopted branch, a
+// transaction left only on the abandoned branch disappears, and one carried
+// by both branches points into the adopted block.
+TEST_F(BlockchainTest, IndexFollowsBranchThatWinsByHeight) {
+  Transaction shared = MakeTx("shared", 1);
+  Transaction only_a = MakeTx("alice", 1);
+  Block a1 = MakeBlock(genesis_, {shared});
+  Block a2 = MakeBlock(a1, {only_a});
+  ASSERT_TRUE(chain_.AddBlock(a1).ok());
+  ASSERT_TRUE(chain_.AddBlock(a2).ok());
+  uint64_t height = 0;
+  ASSERT_TRUE(chain_.FindTransaction(shared.Id(), nullptr, &height));
+  EXPECT_EQ(height, 1u);
+
+  // A side branch that carries `shared` one block higher, then overtakes.
+  Block b1 = MakeBlock(genesis_, {MakeTx("bob", 1)});
+  Block b2 = MakeBlock(b1, {MakeTx("carol", 1), shared});
+  Block b3 = MakeBlock(b2, {});
+  ASSERT_TRUE(chain_.AddBlock(b1).ok());
+  ASSERT_TRUE(chain_.AddBlock(b2).ok());
+  ASSERT_TRUE(chain_.AddBlock(b3).ok());
+  ASSERT_EQ(chain_.head().header.Hash(), b3.header.Hash());
+
+  std::vector<const Block*> canonical = chain_.CanonicalChain();
+  ASSERT_EQ(canonical.size(), 4u);
+  EXPECT_EQ(canonical[1]->header.Hash(), b1.header.Hash());
+  EXPECT_EQ(canonical[2]->header.Hash(), b2.header.Hash());
+  EXPECT_EQ((*chain_.BlockByHeight(1))->header.Hash(), b1.header.Hash());
+  EXPECT_EQ((*chain_.BlockByHeight(2))->header.Hash(), b2.header.Hash());
+  EXPECT_EQ((*chain_.BlockByHeight(3))->header.Hash(), b3.header.Hash());
+  EXPECT_TRUE(chain_.IsCanonical(b1.header.Hash()));
+  EXPECT_FALSE(chain_.IsCanonical(a1.header.Hash()));
+  EXPECT_FALSE(chain_.IsCanonical(a2.header.Hash()));
+
+  EXPECT_FALSE(chain_.FindTransaction(only_a.Id(), nullptr, nullptr));
+  const Transaction* found = nullptr;
+  ASSERT_TRUE(chain_.FindTransaction(shared.Id(), &found, &height));
+  EXPECT_EQ(height, 2u);
+  EXPECT_EQ(found, &(*chain_.BlockByHeight(2))->transactions[1]);
+
+  // Everything the head move from a2 adopted, from the fork point (genesis).
+  std::vector<const Block*> adopted =
+      chain_.CanonicalBlocksSince(a2.header.Hash());
+  ASSERT_EQ(adopted.size(), 3u);
+  EXPECT_EQ(adopted[0]->header.Hash(), b1.header.Hash());
+  EXPECT_EQ(adopted[2]->header.Hash(), b3.header.Hash());
+  EXPECT_TRUE(chain_.CanonicalBlocksSince(b3.header.Hash()).empty());
+  EXPECT_EQ(chain_.CanonicalBlocksSince(b2.header.Hash()).size(), 1u);
+}
+
+TEST_F(BlockchainTest, IndexFollowsEqualHeightTieBreak) {
+  Transaction shared = MakeTx("shared", 1);
+  Transaction only_x = MakeTx("alice", 1);
+  Block x1 = MakeBlock(genesis_, {shared, only_x});
+  Block y1 = MakeBlock(genesis_, {MakeTx("bob", 1), shared});
+  // Insert the larger hash first so the second block wins the tie.
+  if (x1.header.Hash() < y1.header.Hash()) std::swap(x1, y1);
+  const bool winner_is_bob = y1.transactions[0].Id() != shared.Id();
+  const Transaction& loser_only = x1.transactions[winner_is_bob ? 1 : 0];
+  ASSERT_TRUE(chain_.AddBlock(x1).ok());
+  ASSERT_TRUE(chain_.AddBlock(y1).ok());
+  ASSERT_EQ(chain_.head().header.Hash(), y1.header.Hash());
+
+  EXPECT_EQ((*chain_.BlockByHeight(1))->header.Hash(), y1.header.Hash());
+  EXPECT_EQ(chain_.CanonicalChain().back()->header.Hash(), y1.header.Hash());
+  EXPECT_FALSE(chain_.FindTransaction(loser_only.Id(), nullptr, nullptr));
+  const Transaction* found = nullptr;
+  uint64_t height = 0;
+  ASSERT_TRUE(chain_.FindTransaction(shared.Id(), &found, &height));
+  EXPECT_EQ(height, 1u);
+  EXPECT_EQ(found, &chain_.head().transactions[winner_is_bob ? 1 : 0]);
+  std::vector<const Block*> adopted =
+      chain_.CanonicalBlocksSince(x1.header.Hash());
+  ASSERT_EQ(adopted.size(), 1u);
+  EXPECT_EQ(adopted[0]->header.Hash(), y1.header.Hash());
+}
+
+// Seeded differential test: random block trees (side branches, equal-
+// height ties, transactions shared across branches), with every indexed
+// answer checked after each AddBlock against a reference that walks
+// head -> genesis through BlockByHash and identifies transactions by Id().
+TEST_F(BlockchainTest, IndexMatchesReferenceWalkOnRandomTrees) {
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Blockchain chain(genesis_, &sealer_, contracts::SharedDataConflictKey);
+    Rng rng(seed);
+    std::vector<Transaction> universe;
+    std::vector<crypto::Hash256> universe_ids;
+    std::vector<Block> added{genesis_};
+    std::vector<crypto::Hash256> added_hashes{genesis_.header.Hash()};
+    size_t reorgs = 0;
+    size_t tie_breaks = 0;
+
+    auto in_ancestry = [&chain](const Block& parent,
+                                const crypto::Hash256& id) {
+      const Block* cursor = &parent;
+      while (true) {
+        for (const Transaction& tx : cursor->transactions) {
+          if (tx.Id() == id) return true;
+        }
+        if (cursor->header.height == 0) return false;
+        cursor = *chain.BlockByHash(cursor->header.parent);
+      }
+    };
+
+    for (int step = 0; step < 200; ++step) {
+      // Mostly grow near the top (ties and overtakes), sometimes anywhere.
+      const uint64_t top = chain.height();
+      std::vector<const Block*> near_top;
+      for (const Block& block : added) {
+        if (block.header.height + 2 >= top) near_top.push_back(&block);
+      }
+      const Block& parent =
+          rng.NextBool(0.7) ? *rng.PickOne(near_top) : rng.PickOne(added);
+      std::vector<Transaction> txs;
+      std::vector<crypto::Hash256> tx_ids;
+      const size_t tx_count = rng.NextBelow(4);
+      for (size_t i = 0; i < tx_count; ++i) {
+        size_t pick = universe.size();
+        if (universe.empty() || rng.NextBool()) {
+          universe.push_back(
+              MakeTx(StrCat("diff-", seed), universe.size() + 1));
+          universe_ids.push_back(universe.back().Id());
+        } else {
+          pick = rng.NextIndex(universe.size());
+        }
+        if (std::find(tx_ids.begin(), tx_ids.end(), universe_ids[pick]) ==
+            tx_ids.end()) {
+          txs.push_back(universe[pick]);
+          tx_ids.push_back(universe_ids[pick]);
+        }
+      }
+      Block block = MakeBlock(parent, txs, parent.header.timestamp + 1 +
+                                               rng.NextBelow(3));
+      const crypto::Hash256 hash = block.header.Hash();
+      bool expect_rejected = std::find(added_hashes.begin(),
+                                       added_hashes.end(),
+                                       hash) != added_hashes.end();
+      for (const crypto::Hash256& id : tx_ids) {
+        expect_rejected |= in_ancestry(parent, id);
+      }
+
+      const crypto::Hash256 old_head = chain.head().header.Hash();
+      const uint64_t old_height = chain.height();
+      Status status = chain.AddBlock(block);
+      if (expect_rejected) {  // duplicate block or replayed transaction
+        ASSERT_TRUE(status.IsAlreadyExists()) << status;
+        continue;
+      }
+      ASSERT_TRUE(status.ok()) << status;
+      added.push_back(std::move(block));
+      added_hashes.push_back(hash);
+
+      // Fork choice: highest block, smaller hash on ties.
+      size_t best = 0;
+      for (size_t i = 1; i < added.size(); ++i) {
+        const uint64_t h = added[i].header.height;
+        const uint64_t best_h = added[best].header.height;
+        if (h > best_h ||
+            (h == best_h && added_hashes[i] < added_hashes[best])) {
+          best = i;
+        }
+      }
+      ASSERT_EQ(chain.head().header.Hash(), added_hashes[best]);
+
+      // The reference canonical chain: head -> genesis through parents.
+      std::vector<const Block*> walk;
+      for (const Block* cursor = &chain.head();;
+           cursor = *chain.BlockByHash(cursor->header.parent)) {
+        walk.push_back(cursor);
+        if (cursor->header.height == 0) break;
+      }
+      std::reverse(walk.begin(), walk.end());
+      ASSERT_EQ(chain.CanonicalChain(), walk);
+      for (uint64_t h = 0; h < walk.size(); ++h) {
+        ASSERT_EQ(*chain.BlockByHeight(h), walk[h]);
+      }
+      EXPECT_FALSE(chain.BlockByHeight(walk.size()).ok());
+      std::vector<crypto::Hash256> walk_hashes;
+      for (const Block* w : walk) walk_hashes.push_back(w->header.Hash());
+      for (const crypto::Hash256& b : added_hashes) {
+        const bool on_walk = std::find(walk_hashes.begin(), walk_hashes.end(),
+                                       b) != walk_hashes.end();
+        ASSERT_EQ(chain.IsCanonical(b), on_walk);
+      }
+
+      struct Located {
+        crypto::Hash256 id;
+        const Transaction* tx;
+        uint64_t height;
+      };
+      std::vector<Located> located;
+      for (const Block* w : walk) {
+        for (const Transaction& tx : w->transactions) {
+          located.push_back(Located{tx.Id(), &tx, w->header.height});
+        }
+      }
+      for (const crypto::Hash256& id : universe_ids) {
+        auto expected = std::find_if(
+            located.begin(), located.end(),
+            [&id](const Located& l) { return l.id == id; });
+        const Transaction* found = nullptr;
+        uint64_t height = 0;
+        ASSERT_EQ(chain.FindTransaction(id, &found, &height),
+                  expected != located.end());
+        if (expected != located.end()) {
+          ASSERT_EQ(found, expected->tx);
+          ASSERT_EQ(height, expected->height);
+        }
+      }
+
+      // What the head move adopted: the walk above the old head's highest
+      // ancestor that is still on it.
+      const Block* fork = *chain.BlockByHash(old_head);
+      while (fork->header.height >= walk.size() ||
+             walk[fork->header.height] != fork) {
+        fork = *chain.BlockByHash(fork->header.parent);
+      }
+      std::vector<const Block*> expected_adopted(
+          walk.begin() + fork->header.height + 1, walk.end());
+      ASSERT_EQ(chain.CanonicalBlocksSince(old_head), expected_adopted);
+      if (fork != *chain.BlockByHash(old_head)) {
+        ++reorgs;
+        if (chain.height() == old_height) ++tie_breaks;
+      }
+    }
+    // The trees must have exercised what the index exists to get right.
+    EXPECT_GT(reorgs, 0u);
+    EXPECT_GT(tie_breaks, 0u);
+  }
 }
 
 TEST(PowSealerTest, SealsAndValidates) {

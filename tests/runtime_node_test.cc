@@ -302,5 +302,101 @@ TEST_F(NodeClusterTest, DestroyedNodeLeavesQueuedSealTicksAndTrafficInert) {
             nodes_[2]->blockchain().head().header.Hash());
 }
 
+// Regression: block arrival used to evict only the transactions of blocks
+// ABOVE the old head's height. A reorg that adopts blocks at or below it —
+// an equal-height tie-break, or a side branch overtaking from below — left
+// their transactions pooled, where they claimed conflict keys and block
+// slots from fresh transactions until a seal attempt dropped them. Every
+// block adopted from the fork point must be evicted.
+class ReorgEvictionTest : public NodeClusterTest {
+ protected:
+  void SetUp() override {
+    network_ = std::make_unique<net::SimNetwork>(&simulator_,
+                                                 net::LatencyModel{}, 7);
+    genesis_ = chain::Blockchain::MakeGenesis(simulator_.Now());
+    auto host = std::make_unique<contracts::ContractHost>();
+    host->RegisterType("metadata", contracts::MetadataContract::Create);
+    NodeConfig config;
+    config.id = "observer";
+    config.block_interval = kBlockInterval;
+    config.sealing_enabled = false;
+    nodes_.push_back(std::make_unique<ChainNode>(
+        config, &simulator_, network_.get(),
+        std::make_shared<chain::PoaSealer>(
+            std::vector<crypto::Address>{authority_->address()}, nullptr),
+        genesis_, contracts::SharedDataConflictKey, std::move(host)));
+    nodes_[0]->Start();
+  }
+
+  chain::Block MakeBlock(const chain::Block& parent,
+                         std::vector<chain::Transaction> txs,
+                         Micros delay = 1) {
+    chain::Block block;
+    block.header.height = parent.header.height + 1;
+    block.header.parent = parent.header.Hash();
+    block.header.timestamp = parent.header.timestamp + delay;
+    block.transactions = std::move(txs);
+    block.header.merkle_root = block.ComputeMerkleRoot();
+    EXPECT_TRUE(sealer_.Seal(&block).ok());
+    return block;
+  }
+
+  void Deliver(const chain::Block& block) {
+    IgnoreStatusForTest(network_->Send(
+        net::Message{"feeder", "observer", "block", block.ToJson()}));
+    simulator_.RunFor(kBlockInterval / 10);
+  }
+
+  ChainNode& observer() { return *nodes_[0]; }
+
+  std::shared_ptr<crypto::KeyPair> authority_ =
+      std::make_shared<crypto::KeyPair>(
+          crypto::KeyPair::FromSeed("eviction-authority"));
+  chain::PoaSealer sealer_{{authority_->address()}, authority_};
+  chain::Block genesis_;
+};
+
+TEST_F(ReorgEvictionTest, EqualHeightTieBreakEvictsAdoptedBlock) {
+  chain::Transaction pooled = DeployTx();
+  ASSERT_TRUE(observer().SubmitTransaction(pooled).ok());
+  chain::Block winner = MakeBlock(genesis_, {pooled});
+  // A rival at the same height that loses the hash tie-break but arrives
+  // first, so the winner is adopted by a reorg at the old head's height.
+  chain::Block loser;
+  for (Micros delay = 1;; ++delay) {
+    loser = MakeBlock(genesis_, {DeployTx()}, delay);
+    if (winner.header.Hash() < loser.header.Hash()) break;
+  }
+  Deliver(loser);
+  ASSERT_EQ(observer().blockchain().head().header.Hash(), loser.header.Hash());
+  ASSERT_EQ(observer().mempool_total_size(), 1u);
+
+  Deliver(winner);
+  ASSERT_EQ(observer().blockchain().head().header.Hash(),
+            winner.header.Hash());
+  EXPECT_EQ(observer().mempool_total_size(), 0u);
+}
+
+TEST_F(ReorgEvictionTest, SideBranchOvertakingFromBelowEvictsWholeBranch) {
+  chain::Transaction pooled = DeployTx();
+  ASSERT_TRUE(observer().SubmitTransaction(pooled).ok());
+  chain::Block a1 = MakeBlock(genesis_, {DeployTx()});
+  chain::Block a2 = MakeBlock(a1, {DeployTx()});
+  Deliver(a1);
+  Deliver(a2);
+  // The side branch carries the pooled transaction at height 1, below the
+  // old head, and only wins at height 3.
+  chain::Block b1 = MakeBlock(genesis_, {pooled}, 2);
+  chain::Block b2 = MakeBlock(b1, {});
+  chain::Block b3 = MakeBlock(b2, {});
+  Deliver(b1);
+  Deliver(b2);
+  Deliver(b3);
+  ASSERT_EQ(observer().blockchain().head().header.Hash(), b3.header.Hash());
+  EXPECT_TRUE(observer().blockchain().FindTransaction(pooled.Id(), nullptr,
+                                                      nullptr));
+  EXPECT_EQ(observer().mempool_total_size(), 0u);
+}
+
 }  // namespace
 }  // namespace medsync::runtime
