@@ -14,6 +14,7 @@
 #include "medical/generator.h"
 #include "medical/records.h"
 #include "relational/aggregate.h"
+#include "relational/chunk.h"
 #include "relational/database.h"
 #include "relational/index.h"
 #include "relational/query.h"
@@ -365,6 +366,37 @@ void BM_SelectChunkedVsHeadOnly(benchmark::State& state) {
 BENCHMARK(BM_SelectChunkedVsHeadOnly)
     ->ArgsProduct({{1'000'000}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
+
+void BM_SealedTableGet(benchmark::State& state) {
+  // Point Get against sealed chunks: the chunk-key filter hash runs on
+  // every lookup, then hits binary-search the chunk. range(1) == 1 looks
+  // up present keys, 0 absent ones (which the filter answers alone).
+  const int64_t rows = state.range(0);
+  const bool hit = state.range(1) == 1;
+  Table table(WideSchema());
+  for (int64_t i = 0; i < rows; ++i) {
+    IgnoreStatusForTest(table.Insert(WideRow(i)));
+  }
+  table.Seal();
+  int64_t i = 0;
+  for (auto _ : state) {
+    const int64_t id = (i++ * 7919) % rows;
+    benchmark::DoNotOptimize(table.Get({Value::Int(hit ? id : rows + id)}));
+  }
+  state.SetLabel(hit ? "hit" : "miss");
+}
+BENCHMARK(BM_SealedTableGet)->ArgsProduct({{4096, 65536}, {1, 0}});
+
+void BM_HashRowForDigest(benchmark::State& state) {
+  // One clinic-shaped row (Fig. 1 full record: int id + six strings).
+  const Table records =
+      medical::GenerateFullRecords({.seed = 4, .record_count = 1});
+  const Row row = (*records.scan().begin()).row;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(HashRowForDigest(row));
+  }
+}
+BENCHMARK(BM_HashRowForDigest);
 
 void BM_GroupByCount(benchmark::State& state) {
   Table records = medical::GenerateFullRecords(

@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -121,42 +122,9 @@ Result<std::string> Json::GetString(std::string_view key) const {
 
 namespace {
 
-void EscapeStringTo(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\b':
-        *out += "\\b";
-        break;
-      case '\f':
-        *out += "\\f";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
+/// Whether `c` needs an escape sequence inside a JSON string.
+bool NeedsEscape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
 }
 
 size_t EscapedStringSize(const std::string& s) {
@@ -187,6 +155,62 @@ void AppendIndent(std::string* out, int indent, int depth) {
 
 }  // namespace
 
+void Json::AppendInt(std::string* out, int64_t value) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+void Json::AppendDouble(std::string* out, double value) {
+  if (!std::isfinite(value)) {
+    *out += "null";  // JSON has no Inf/NaN
+    return;
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  *out += buf;
+}
+
+void Json::AppendString(std::string* out, std::string_view value) {
+  out->push_back('"');
+  size_t run = 0;  // start of the pending run of bytes copied verbatim
+  for (size_t i = 0; i < value.size(); ++i) {
+    const char c = value[i];
+    if (!NeedsEscape(c)) continue;
+    out->append(value.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      case '\b':
+        *out += "\\b";
+        break;
+      case '\f':
+        *out += "\\f";
+        break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        *out += buf;
+      }
+    }
+  }
+  out->append(value.data() + run, value.size() - run);
+  out->push_back('"');
+}
+
 void Json::DumpTo(std::string* out, int indent, int depth) const {
   switch (type_) {
     case Type::kNull:
@@ -195,24 +219,14 @@ void Json::DumpTo(std::string* out, int indent, int depth) const {
     case Type::kBool:
       *out += bool_ ? "true" : "false";
       return;
-    case Type::kInt: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(int_));
-      *out += buf;
+    case Type::kInt:
+      AppendInt(out, int_);
       return;
-    }
-    case Type::kDouble: {
-      if (std::isfinite(double_)) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", double_);
-        *out += buf;
-      } else {
-        *out += "null";  // JSON has no Inf/NaN
-      }
+    case Type::kDouble:
+      AppendDouble(out, double_);
       return;
-    }
     case Type::kString:
-      EscapeStringTo(out, string_);
+      AppendString(out, string_);
       return;
     case Type::kArray: {
       out->push_back('[');
@@ -234,7 +248,7 @@ void Json::DumpTo(std::string* out, int indent, int depth) const {
         if (!first) out->push_back(',');
         first = false;
         AppendIndent(out, indent, depth + 1);
-        EscapeStringTo(out, key);
+        AppendString(out, key);
         out->push_back(':');
         if (indent > 0) out->push_back(' ');
         value.DumpTo(out, indent, depth + 1);

@@ -98,6 +98,14 @@ class Json {
   /// Serializes with two-space indentation (for traces and examples).
   std::string DumpPretty() const;
 
+  /// The compact scalar encoders Dump() is built from, for callers that
+  /// stream canonical JSON without building a tree (the relational row
+  /// digest). Each appends exactly the bytes Dump() writes for a Json
+  /// holding that value.
+  static void AppendInt(std::string* out, int64_t value);
+  static void AppendDouble(std::string* out, double value);
+  static void AppendString(std::string* out, std::string_view value);
+
   /// Parser limits. The default depth matches trusted inputs (our own
   /// checkpoints, CLI files); the wire path tightens it — a hostile peer
   /// must not be able to wind the recursive-descent parser 256 frames deep.

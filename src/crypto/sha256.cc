@@ -132,23 +132,15 @@ void Sha256::Update(const std::vector<uint8_t>& data) {
 }
 
 Hash256 Sha256::Finish() {
-  uint64_t bit_count = bit_count_;
-  // Append 0x80 then zero pad to 56 mod 64, then the 64-bit length.
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_size_ != 56) Update(&zero, 1);
+  // Append 0x80, zero pad to 56 mod 64, then the 64-bit message length.
+  static constexpr uint8_t kPadding[64] = {0x80};
+  const size_t pad = buffer_size_ < 56 ? 56 - buffer_size_ : 120 - buffer_size_;
   uint8_t len[8];
-  for (int i = 7; i >= 0; --i) {
-    len[i] = static_cast<uint8_t>(bit_count & 0xff);
-    bit_count >>= 8;
+  for (int i = 0; i < 8; ++i) {
+    len[i] = static_cast<uint8_t>(bit_count_ >> (56 - 8 * i));
   }
-  // Bypass Update so bit_count_ is not further modified (it already was, but
-  // the saved value is what gets encoded).
-  std::memcpy(buffer_ + buffer_size_, len, 8);
-  buffer_size_ += 8;
-  ProcessBlock(buffer_);
-  buffer_size_ = 0;
+  Update(kPadding, pad);
+  Update(len, sizeof(len));
 
   Hash256 out;
   for (int i = 0; i < 8; ++i) {

@@ -95,7 +95,10 @@ constexpr std::string_view kChunkMagic = "MEDSYNCCHUNK1\n";
 // ---------------------------------------------------------------------------
 
 RowDigestAcc HashRowForDigest(const Row& row) {
-  const crypto::Hash256 h = crypto::Sha256::Hash(RowToJson(row).Dump());
+  thread_local std::string text;  // reused: no allocation per row
+  text.clear();
+  AppendRowJson(&text, row);
+  const crypto::Hash256 h = crypto::Sha256::Hash(text);
   RowDigestAcc acc{};
   for (size_t lane = 0; lane < 4; ++lane) {
     uint64_t v = 0;

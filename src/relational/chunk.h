@@ -24,7 +24,8 @@ namespace medsync::relational {
 /// on the multiset of live rows, never on how they are split across chunks.
 using RowDigestAcc = std::array<uint64_t, 4>;
 
-/// SHA-256 of the row's canonical JSON, folded into four 64-bit lanes.
+/// SHA-256 of the row's canonical JSON (the bytes of RowToJson(row).Dump(),
+/// written without the tree), folded into four 64-bit lanes.
 RowDigestAcc HashRowForDigest(const Row& row);
 
 void AccAdd(RowDigestAcc* acc, const RowDigestAcc& delta);

@@ -44,6 +44,38 @@ Json RowToJson(const Row& row) {
   return out;
 }
 
+void AppendRowJson(std::string* out, const Row& row) {
+  // Value::ToJson's object, keys in Json's sorted order: {"t":..,"v":..}.
+  out->push_back('[');
+  for (size_t i = 0; i < row.size(); ++i) {
+    const Value& v = row[i];
+    if (i > 0) out->push_back(',');
+    *out += "{\"t\":";
+    Json::AppendString(out, DataTypeName(v.type()));
+    switch (v.type()) {
+      case DataType::kNull:
+        break;
+      case DataType::kBool:
+        *out += v.AsBool() ? ",\"v\":true" : ",\"v\":false";
+        break;
+      case DataType::kInt:
+        *out += ",\"v\":";
+        Json::AppendInt(out, v.AsInt());
+        break;
+      case DataType::kDouble:
+        *out += ",\"v\":";
+        Json::AppendDouble(out, v.AsDouble());
+        break;
+      case DataType::kString:
+        *out += ",\"v\":";
+        Json::AppendString(out, v.AsString());
+        break;
+    }
+    out->push_back('}');
+  }
+  out->push_back(']');
+}
+
 Result<Row> RowFromJson(const Json& json) {
   if (!json.is_array()) {
     return Status::InvalidArgument("row JSON must be an array");

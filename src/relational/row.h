@@ -29,6 +29,10 @@ Status ValidateRow(const Schema& schema, const Row& row);
 Json RowToJson(const Row& row);
 Result<Row> RowFromJson(const Json& json);
 
+/// Appends exactly the bytes of RowToJson(row).Dump() to `out` without
+/// building the Json tree (the row digest's hot path).
+void AppendRowJson(std::string* out, const Row& row);
+
 /// Renders "(v1, v2, ...)" for traces and error messages.
 std::string RowToString(const Row& row);
 

@@ -1,6 +1,7 @@
 #include "relational/table.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "common/strings.h"
@@ -9,9 +10,47 @@
 namespace medsync::relational {
 
 namespace {
-/// First digest lane of the key's row hash — reused as the 64-bit filter
-/// hash so the filter needs no hashing scheme of its own.
-uint64_t KeyFilterHash(const Key& key) { return HashRowForDigest(key)[0]; }
+
+/// The chunk key filter's hash: FNV-1a over each value's type tag and raw
+/// payload, finished with the splitmix64 mixer. Fixed arithmetic, not
+/// std::hash, so it is the same on every platform. In memory only and not
+/// cryptographic (a collision costs one chunk search), but it must agree
+/// with Value equality: a miss is taken as proof the key is in no chunk.
+uint64_t KeyFilterHash(const Key& key) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto byte = [&h](uint8_t b) { h = (h ^ b) * 0x100000001b3ULL; };
+  auto word = [&byte](uint64_t w) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<uint8_t>(w >> (8 * i)));
+  };
+  for (const Value& v : key) {
+    byte(static_cast<uint8_t>(v.type()));
+    switch (v.type()) {
+      case DataType::kNull:
+        break;
+      case DataType::kBool:
+        byte(v.AsBool() ? 1 : 0);
+        break;
+      case DataType::kInt:
+        word(static_cast<uint64_t>(v.AsInt()));
+        break;
+      case DataType::kDouble:
+        // -0.0 == 0.0 under Value equality, so both hash as +0.0.
+        word(std::bit_cast<uint64_t>(v.AsDouble() == 0.0 ? 0.0
+                                                         : v.AsDouble()));
+        break;
+      case DataType::kString:
+        word(v.AsString().size());
+        for (char c : v.AsString()) byte(static_cast<uint8_t>(c));
+        break;
+    }
+  }
+  // splitmix64 finalizer: FNV-1a's low bits depend only on the low bits
+  // of each input byte.
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------

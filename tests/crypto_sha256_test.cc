@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 namespace medsync::crypto {
 namespace {
 
@@ -44,11 +47,32 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
 }
 
 TEST(Sha256Test, ExactBlockBoundaryInputs) {
-  for (size_t len : {55u, 56u, 63u, 64u, 65u, 119u, 128u}) {
+  for (size_t len :
+       {0u, 55u, 56u, 57u, 63u, 64u, 65u, 111u, 119u, 120u, 128u}) {
     std::string data(len, 'x');
     Sha256 hasher;
     for (char c : data) hasher.Update(&c, 1);
     EXPECT_EQ(hasher.Finish(), Sha256::Hash(data)) << "len=" << len;
+  }
+}
+
+TEST(Sha256Test, PaddingKnownAnswersOnBothSidesOfTheLengthField) {
+  // A final block with < 56 bytes takes the length in place; one with
+  // >= 56 spills it into an extra block. Digests of 'x' * len.
+  const std::pair<size_t, const char*> cases[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {55, "d5e285683cd4efc02d021a5c62014694958901005d6f71e89e0989fac77e4072"},
+      {56, "04c26261370ee7541549d16dee320c723e3fd14671e66a099afe0a377c16888e"},
+      {57, "ae14a2563ccf969d99aca69ce6bb74981f734bbf9f655f73b8f06db68cab5217"},
+      {63, "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2"},
+      {64, "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c"},
+      {111, "5ba60613dba318e9ed9020301e5dc59c721c19d82862e4d03718708aa75d2bad"},
+      {119, "000b48d4edf0fa7bee3c6236ecd2785baa5db4eeb8bb54341b029e0d9fa5fb0c"},
+      {120, "13f05a0b594787f5ecd315edc96141bd3243203d1b7d4f0836f37308b276ba98"},
+  };
+  for (const auto& [len, hex] : cases) {
+    EXPECT_EQ(Sha256::Hash(std::string(len, 'x')).ToHex(), hex)
+        << "len=" << len;
   }
 }
 

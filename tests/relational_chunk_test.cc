@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "crypto/sha256.h"
 #include "relational/row.h"
 #include "relational/schema.h"
+#include "relational/table.h"
 
 namespace medsync::relational {
 namespace {
@@ -160,6 +164,118 @@ TEST(ChunkTest, DigestAccIsMultisetOfRowHashes) {
   // Removing every row returns the accumulator to zero.
   for (const auto& [key, row] : rows) AccSub(&acc, HashRowForDigest(row));
   EXPECT_EQ(acc, (RowDigestAcc{0, 0, 0, 0}));
+}
+
+// The row digest before it was written without a Json tree. Every byte of
+// HashRowForDigest must still equal this rendering: row digests reach
+// on-chain view digests, checkpoints and fingerprints.
+RowDigestAcc ReferenceRowDigest(const Row& row) {
+  const crypto::Hash256 h = crypto::Sha256::Hash(RowToJson(row).Dump());
+  RowDigestAcc acc{};
+  for (size_t lane = 0; lane < 4; ++lane) {
+    for (size_t i = 0; i < 8; ++i) {
+      acc[lane] |= static_cast<uint64_t>(h.bytes[lane * 8 + i]) << (8 * i);
+    }
+  }
+  return acc;
+}
+
+std::vector<Value> EdgeValues() {
+  const double inf = std::numeric_limits<double>::infinity();
+  return {
+      Value::Null(),
+      Value::Bool(true),
+      Value::Bool(false),
+      Value::Int(0),
+      Value::Int(-1),
+      Value::Int(std::numeric_limits<int64_t>::min()),
+      Value::Int(std::numeric_limits<int64_t>::max()),
+      Value::Double(0.0),
+      Value::Double(-0.0),
+      Value::Double(0.1),
+      Value::Double(-2.5),
+      Value::Double(1e300),
+      Value::Double(std::numeric_limits<double>::denorm_min()),
+      Value::Double(2.2250738585072e-310),
+      Value::Double(std::numeric_limits<double>::quiet_NaN()),
+      Value::Double(inf),
+      Value::Double(-inf),
+      Value::String(""),
+      Value::String("plain"),
+      Value::String("say \"hi\""),
+      Value::String("back\\slash"),
+      Value::String(std::string("ctl\x01\x02\x1f\b\f\n\r\t", 12)),
+      Value::String(std::string("nul\0byte", 8)),
+      Value::String("del\x7f"),
+      Value::String("caf\xc3\xa9 \xe6\x97\xa5\xe6\x9c\xac \xf0\x9f\x98\x80"),
+  };
+}
+
+TEST(RowDigestTest, MatchesJsonTreeRenderingOnSeededRows) {
+  const std::vector<Value> edges = EdgeValues();
+  for (const Value& v : edges) {
+    EXPECT_EQ(HashRowForDigest({v}), ReferenceRowDigest({v})) << v.ToString();
+  }
+  EXPECT_EQ(HashRowForDigest({}), ReferenceRowDigest({}));
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    for (int n = 0; n < 500; ++n) {
+      Row row;
+      const size_t arity = rng.NextBelow(8);
+      for (size_t i = 0; i < arity; ++i) {
+        switch (rng.NextBelow(4)) {
+          case 0:
+            row.push_back(edges[rng.NextIndex(edges.size())]);
+            break;
+          case 1:
+            row.push_back(Value::Int(static_cast<int64_t>(rng.NextUint64())));
+            break;
+          case 2:
+            row.push_back(
+                Value::Double(std::bit_cast<double>(rng.NextUint64())));
+            break;
+          default: {
+            // Arbitrary bytes: quotes, backslashes, controls, DEL, high bytes.
+            std::vector<uint8_t> bytes = rng.NextBytes(rng.NextBelow(40));
+            row.push_back(
+                Value::String(std::string(bytes.begin(), bytes.end())));
+          }
+        }
+      }
+      ASSERT_EQ(HashRowForDigest(row), ReferenceRowDigest(row))
+          << "seed=" << seed << " row=" << RowToJson(row).Dump();
+    }
+  }
+}
+
+TEST(RowDigestTest, GoldenContentDigestOfMixedTypeTable) {
+  // Pinned: sealed chunks, a tombstone and a head shadow over every value
+  // type, hashed through the Json-tree row digest when the hex was taken.
+  // Any change to row or table digest bytes breaks it.
+  std::vector<Value> strings, doubles;
+  for (const Value& v : EdgeValues()) {
+    if (v.type() == DataType::kString) strings.push_back(v);
+    if (v.type() == DataType::kDouble) doubles.push_back(v);
+  }
+  Table t(S());
+  t.set_seal_threshold(6);
+  for (size_t i = 0; i < 20; ++i) {
+    Row row{Value::Int(static_cast<int64_t>(i) * 7 - 40),
+            i % 4 == 3 ? Value::Null() : strings[i % strings.size()],
+            doubles[i % doubles.size()],
+            i % 3 == 0 ? Value::Null() : Value::Bool(i % 2 == 0)};
+    ASSERT_TRUE(t.Insert(std::move(row)).ok());
+  }
+  ASSERT_TRUE(t.Delete({Value::Int(-33)}).ok());
+  ASSERT_TRUE(t.UpdateAttribute({Value::Int(2)}, "name",
+                                Value::String("tab\there"))
+                  .ok());
+  ASSERT_TRUE(t.Insert({Value::Int(std::numeric_limits<int64_t>::min()),
+                        Value::String("\xe6\x97\xa5\x7f"), Value::Double(-0.0),
+                        Value::Bool(false)})
+                  .ok());
+  EXPECT_EQ(t.ContentDigest(),
+            "17b68c9cb84bcc0d7d9bf9810dbdd10f7aa7d4b5e97335f48a5ceb6d10243400");
 }
 
 TEST(LzTest, RoundTripsStructuredAndRandomPayloads) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
+
 namespace medsync::relational {
 namespace {
 
@@ -162,6 +165,27 @@ TEST(TableTest, CompositeKey) {
           .IsAlreadyExists());
   EXPECT_EQ(t.row_count(), 2u);
   EXPECT_TRUE(t.Contains({Value::Int(1), Value::String("y")}));
+}
+
+TEST(TableTest, NegativeZeroKeyEqualsZeroKeyInSealedChunks) {
+  // Value equality has 0.0 == -0.0, so once sealed a row keyed by either
+  // zero must still be found by the other and block its insert, as it does
+  // in the head.
+  Schema schema = *Schema::Create(
+      {{"k", DataType::kDouble, false}, {"v", DataType::kString, true}}, {"k"});
+  for (double stored : {0.0, -0.0}) {
+    const Key other{Value::Double(std::signbit(stored) ? 0.0 : -0.0)};
+    Table t(schema);
+    ASSERT_TRUE(t.Insert({Value::Double(stored), Value::String("zero")}).ok());
+    ASSERT_TRUE(t.Contains(other));
+    t.Seal();
+    EXPECT_TRUE(t.Contains(other)) << "stored " << stored;
+    std::optional<Row> row = t.Get(other);
+    ASSERT_TRUE(row.has_value()) << "stored " << stored;
+    EXPECT_EQ((*row)[1], Value::String("zero"));
+    EXPECT_TRUE(t.Insert({other[0], Value::String("dup")}).IsAlreadyExists());
+    EXPECT_EQ(t.row_count(), 1u);
+  }
 }
 
 TEST(TableTest, ClearEmptiesTable) {
