@@ -2,45 +2,18 @@
 
 #include <utility>
 
-#include "bx/lens_factory.h"
-#include "chain/transaction.h"
 #include "common/strings.h"
-#include "contracts/host.h"
 #include "core/audit.h"
-#include "core/scenario.h"
-#include "medical/generator.h"
 #include "medical/records.h"
-#include "relational/query.h"
 
 namespace medsync::core {
 
-using medical::kAddress;
-using medical::kClinicalData;
+using clinic::kDoctorResearcherTable;
+using clinic::kPatientDoctorTable;
 using medical::kDosage;
 using medical::kMechanismOfAction;
-using medical::kMedicationName;
-using medical::kModeOfAction;
-using medical::kPatientId;
 using relational::Table;
 using relational::Value;
-
-namespace {
-
-constexpr const char* kRoleNames[] = {"doctor", "patient", "researcher",
-                                      "observer"};
-
-}  // namespace
-
-Result<ClinicRole> ParseClinicRole(std::string_view name) {
-  for (size_t i = 0; i < 4; ++i) {
-    if (name == kRoleNames[i]) return static_cast<ClinicRole>(i);
-  }
-  return Status::InvalidArgument(StrCat("unknown clinic role '", name, "'"));
-}
-
-std::string ClinicRoleName(ClinicRole role) {
-  return kRoleNames[static_cast<size_t>(role)];
-}
 
 size_t ClinicDaemon::NodeIndexFor(ClinicRole role) {
   return static_cast<size_t>(role);
@@ -79,25 +52,9 @@ Status ClinicDaemon::Build(net::Scheduler* scheduler, net::Network* network) {
   node_daemon_ = std::make_unique<runtime::NodeDaemon>(node_options, scheduler,
                                                        network);
 
-  // The symmetric test crypto (crypto/keys.h) verifies signatures through a
-  // process-local key registry that fills in as KeyPairs are constructed.
-  // The one-process simulator gets every identity registered for free; a
-  // multi-process deployment must materialize the closed cast explicitly,
-  // or a process that hosts no peer (the observer) rejects every block
-  // carrying a peer transaction as a bad signature.
-  for (const char* name : {"doctor", "patient", "researcher"}) {
-    crypto::KeyPair materialized = crypto::KeyPair::FromSeed(name);
-    (void)materialized;
-  }
-
-  // Every process derives the contract address from the deployment rule
-  // (doctor's address, nonce 0) instead of hearing it from the doctor — the
-  // chain itself is the only rendezvous a deployment needs.
-  doctor_address_ = crypto::KeyPair::FromSeed("doctor").address();
-  chain::Transaction deploy;
-  deploy.from = doctor_address_;
-  deploy.nonce = 0;
-  contract_ = contracts::ContractHost::DeploymentAddress(deploy);
+  clinic::MaterializeCast();
+  contract_ = clinic::ContractAddress();
+  doctor_address_ = clinic::AddressOf(ClinicRole::kDoctor);
 
   if (options_.role != ClinicRole::kObserver) {
     PeerConfig config;
@@ -128,128 +85,18 @@ void ClinicDaemon::Start() {
   node_daemon_->Start();
   if (peer_ != nullptr) {
     peer_->Start();
-    if (Status status = SetupRoleData(); !status.ok()) {
+    // Every process projects the same Fig. 1 records, so the agreed initial
+    // shared contents line up without any data exchange.
+    Result<clinic::Data> data =
+        clinic::MakeData(medical::MakeFig1FullRecords());
+    Status status = data.ok() ? clinic::SetUpRole(*peer_, options_.role, *data)
+                              : data.status();
+    if (!status.ok()) {
       Fail(std::move(status));
       return;
     }
   }
   ScheduleTick();
-}
-
-Status ClinicDaemon::SetupRoleData() {
-  Peer& peer = *peer_;
-  for (ClinicRole other : {ClinicRole::kDoctor, ClinicRole::kPatient,
-                           ClinicRole::kResearcher}) {
-    if (other == options_.role) continue;
-    const std::string name = ClinicRoleName(other);
-    peer.AddKnownPeer(name, crypto::KeyPair::FromSeed(name).address());
-  }
-
-  // The Fig. 1 distribution, projected identically in every process so the
-  // agreed initial shared contents line up without any data exchange.
-  Table full = medical::MakeFig1FullRecords();
-  MEDSYNC_ASSIGN_OR_RETURN(
-      Table d1, relational::Project(
-                    full,
-                    {kPatientId, kMedicationName, kClinicalData, kAddress,
-                     kDosage},
-                    {kPatientId}));
-  MEDSYNC_ASSIGN_OR_RETURN(
-      Table d2,
-      relational::Project(full,
-                          {kMedicationName, kMechanismOfAction, kModeOfAction},
-                          {kMedicationName}));
-  MEDSYNC_ASSIGN_OR_RETURN(
-      Table d3, relational::Project(
-                    full,
-                    {kPatientId, kMedicationName, kClinicalData,
-                     kMechanismOfAction, kDosage},
-                    {kPatientId}));
-  MEDSYNC_ASSIGN_OR_RETURN(
-      Table d13, relational::Project(
-                     d1, {kPatientId, kMedicationName, kClinicalData, kDosage},
-                     {kPatientId}));
-  MEDSYNC_ASSIGN_OR_RETURN(
-      Table d32, relational::Project(d3, {kMedicationName, kMechanismOfAction},
-                                     {kMedicationName}));
-
-  bx::LensPtr lens_pd = bx::MakeProjectLens(
-      {kPatientId, kMedicationName, kClinicalData, kDosage}, {kPatientId});
-  bx::LensPtr lens_dr = bx::MakeProjectLens(
-      {kMedicationName, kMechanismOfAction}, {kMedicationName});
-
-  auto install = [&peer](const std::string& name,
-                         const Table& table) -> Status {
-    MEDSYNC_RETURN_IF_ERROR(peer.database().CreateTable(name, table.schema()));
-    return peer.database().ReplaceTable(name, table);
-  };
-
-  switch (options_.role) {
-    case ClinicRole::kDoctor: {
-      MEDSYNC_RETURN_IF_ERROR(install("D3", d3));
-      MEDSYNC_RETURN_IF_ERROR(install("D31", d13));
-      MEDSYNC_RETURN_IF_ERROR(install("D32", d32));
-      MEDSYNC_ASSIGN_OR_RETURN(crypto::Address deployed,
-                               peer.DeployMetadataContract());
-      if (deployed.ToHex() != contract_.ToHex()) {
-        return Status::Internal(
-            StrCat("deployed contract address ", deployed.ToHex(),
-                   " != derived ", contract_.ToHex(),
-                   " (deploy must be the doctor's first transaction)"));
-      }
-      SharedTableConfig pd{ClinicScenario::kPatientDoctorTable, "D3", "D31",
-                           lens_pd, contract_};
-      SharedTableConfig dr{ClinicScenario::kDoctorResearcherTable, "D3",
-                           "D32", lens_dr, contract_};
-      MEDSYNC_RETURN_IF_ERROR(peer.AdoptSharedTable(pd));
-      MEDSYNC_RETURN_IF_ERROR(peer.AdoptSharedTable(dr));
-      const crypto::Address patient =
-          crypto::KeyPair::FromSeed("patient").address();
-      const crypto::Address researcher =
-          crypto::KeyPair::FromSeed("researcher").address();
-      const crypto::Address& doctor = peer.address();
-      // Fig. 3 permission matrix (same terms as ClinicScenario).
-      MEDSYNC_RETURN_IF_ERROR(
-          peer.RegisterSharedTableOnChain(
-                  pd, {patient, doctor},
-                  {{kMedicationName, {doctor}},
-                   {kDosage, {doctor}},
-                   {kClinicalData, {patient, doctor}}},
-                  {doctor}, doctor)
-              .status());
-      MEDSYNC_RETURN_IF_ERROR(
-          peer.RegisterSharedTableOnChain(
-                  dr, {doctor, researcher},
-                  {{kMedicationName, {doctor, researcher}},
-                   {kMechanismOfAction, {researcher}}},
-                  {doctor}, researcher)
-              .status());
-      shared_views_ = {{ClinicScenario::kPatientDoctorTable, "D31"},
-                       {ClinicScenario::kDoctorResearcherTable, "D32"}};
-      break;
-    }
-    case ClinicRole::kPatient: {
-      MEDSYNC_RETURN_IF_ERROR(install("D1", d1));
-      MEDSYNC_RETURN_IF_ERROR(install("D13", d13));
-      SharedTableConfig config{ClinicScenario::kPatientDoctorTable, "D1",
-                               "D13", lens_pd, contract_};
-      MEDSYNC_RETURN_IF_ERROR(peer.AdoptSharedTable(config));
-      shared_views_ = {{ClinicScenario::kPatientDoctorTable, "D13"}};
-      break;
-    }
-    case ClinicRole::kResearcher: {
-      MEDSYNC_RETURN_IF_ERROR(install("D2", d2));
-      MEDSYNC_RETURN_IF_ERROR(install("D23", d32));
-      SharedTableConfig config{ClinicScenario::kDoctorResearcherTable, "D2",
-                               "D23", lens_dr, contract_};
-      MEDSYNC_RETURN_IF_ERROR(peer.AdoptSharedTable(config));
-      shared_views_ = {{ClinicScenario::kDoctorResearcherTable, "D23"}};
-      break;
-    }
-    case ClinicRole::kObserver:
-      break;
-  }
-  return Status::OK();
 }
 
 void ClinicDaemon::ScheduleTick() {
@@ -271,7 +118,7 @@ void ClinicDaemon::Tick() {
     case Phase::kWaitRegistration:
       // Researcher, Fig. 5 steps 1-6: fire once the registration is
       // visible on its own node.
-      if (EntryAtVersion(ClinicScenario::kDoctorResearcherTable, 1, true)) {
+      if (EntryAtVersion(kDoctorResearcherTable, 1, true)) {
         acted_at_ = scheduler_->Now();
         Status status = peer_->UpdateSourceAndPropagate(
             "D2", [](relational::Database* db) {
@@ -290,11 +137,11 @@ void ClinicDaemon::Tick() {
       // Doctor, Fig. 5 steps 7-11: fire once the researcher's update has
       // committed AND this peer has applied + acked it (pending_acks empty,
       // no fetch in flight), so the two cascades never interleave.
-      if (EntryAtVersion(ClinicScenario::kDoctorResearcherTable, 2, true) &&
+      if (EntryAtVersion(kDoctorResearcherTable, 2, true) &&
           !peer_->HasPendingWork()) {
         acted_at_ = scheduler_->Now();
         Status status = peer_->UpdateSharedAttribute(
-            ClinicScenario::kPatientDoctorTable, {Value::Int(188)}, kDosage,
+            kPatientDoctorTable, {Value::Int(188)}, kDosage,
             Value::String("one tablet every 6h"));
         if (!status.ok()) {
           Fail(std::move(status));
@@ -335,10 +182,10 @@ bool ClinicDaemon::EntryAtVersion(const std::string& table_id, int64_t version,
 }
 
 bool ClinicDaemon::CheckConverged() {
-  if (!EntryAtVersion(ClinicScenario::kPatientDoctorTable, 2, true)) {
+  if (!EntryAtVersion(kPatientDoctorTable, 2, true)) {
     return false;
   }
-  if (!EntryAtVersion(ClinicScenario::kDoctorResearcherTable, 2, true)) {
+  if (!EntryAtVersion(kDoctorResearcherTable, 2, true)) {
     return false;
   }
   if (peer_ != nullptr && peer_->HasPendingWork()) return false;
@@ -354,8 +201,8 @@ Json ClinicDaemon::Report() {
 
   Json entries = Json::MakeObject();
   Json audits = Json::MakeObject();
-  for (const char* table_id : {ClinicScenario::kPatientDoctorTable,
-                               ClinicScenario::kDoctorResearcherTable}) {
+  for (const char* table_id : {kPatientDoctorTable,
+                               kDoctorResearcherTable}) {
     Json summary = Json::MakeObject();
     Result<Json> entry = Entry(table_id);
     if (entry.ok()) {
@@ -387,9 +234,9 @@ Json ClinicDaemon::Report() {
   }
 
   Json digests = Json::MakeObject();
-  for (const auto& [table_id, view_table] : shared_views_) {
-    Result<const Table*> table = peer_->database().GetTable(view_table);
-    digests.Set(table_id, table.ok() ? (*table)->ContentDigest() : "");
+  for (const clinic::Share& share : clinic::SharesOf(options_.role)) {
+    Result<const Table*> table = peer_->database().GetTable(share.view_table);
+    digests.Set(share.table_id, table.ok() ? (*table)->ContentDigest() : "");
   }
 
   // The compare block excludes tx ids, block heights and timestamps: those

@@ -7,20 +7,13 @@
 #include "common/json.h"
 #include "common/metrics/metrics.h"
 #include "common/result.h"
+#include "core/clinic.h"
 #include "core/peer.h"
 #include "net/network.h"
 #include "net/scheduler.h"
 #include "runtime/daemon.h"
 
 namespace medsync::core {
-
-/// Which clinic stakeholder this process plays. Doctor/patient/researcher
-/// each host one chain node plus their Peer; the observer hosts only the
-/// fourth chain node (a pure authority, completing the PoA set).
-enum class ClinicRole { kDoctor, kPatient, kResearcher, kObserver };
-
-Result<ClinicRole> ParseClinicRole(std::string_view name);
-std::string ClinicRoleName(ClinicRole role);
 
 struct ClinicDaemonOptions {
   ClinicRole role = ClinicRole::kObserver;
@@ -93,9 +86,6 @@ class ClinicDaemon {
   explicit ClinicDaemon(const ClinicDaemonOptions& options);
 
   Status Build(net::Scheduler* scheduler, net::Network* network);
-  /// Fig. 1 slice + shared-table adoption (and, for the doctor, contract
-  /// deploy + both on-chain registrations). Runs at Start.
-  Status SetupRoleData();
   void ScheduleTick();
   void Tick();
   /// get_entry via the local node; !ok while not yet on-chain.
@@ -112,8 +102,6 @@ class ClinicDaemon {
   net::Scheduler* scheduler_ = nullptr;
   crypto::Address contract_;
   crypto::Address doctor_address_;  // get_entry caller for every role
-  /// (on-chain table id, local view table) pairs this role shares.
-  std::vector<std::pair<std::string, std::string>> shared_views_;
 
   enum class Phase { kWaitRegistration, kWaitUpstream, kWaitConverged };
   Phase phase_ = Phase::kWaitConverged;

@@ -1,261 +1,73 @@
 #include "core/scenario.h"
 
-#include "bx/lens_factory.h"
-#include "common/strings.h"
-#include "contracts/metadata_contract.h"
 #include "medical/generator.h"
 #include "medical/records.h"
-#include "relational/query.h"
 
 namespace medsync::core {
 
-using medical::kAddress;
-using medical::kClinicalData;
-using medical::kDosage;
-using medical::kMechanismOfAction;
-using medical::kMedicationName;
-using medical::kModeOfAction;
-using medical::kPatientId;
-using relational::Table;
-
-constexpr char ClinicScenario::kPatientDoctorTable[];
-constexpr char ClinicScenario::kDoctorResearcherTable[];
-
-ClinicScenario::~ClinicScenario() = default;
+ClinicScenario::ClinicScenario(const ScenarioOptions& options)
+    : SimWorld(options.worker_threads, options.epoch, options.latency,
+               options.seed) {}
 
 Result<std::unique_ptr<ClinicScenario>> ClinicScenario::Create(
     const ScenarioOptions& options) {
-  auto scenario = std::unique_ptr<ClinicScenario>(new ClinicScenario());
-  scenario->options_ = options;
-  scenario->metrics_ = std::make_unique<metrics::MetricsRegistry>();
-  scenario->tracer_ =
-      std::make_unique<metrics::ProtocolTracer>(scenario->metrics_.get());
-  metrics::MetricsRegistry* registry = scenario->metrics_.get();
-  if (options.worker_threads > 0) {
-    scenario->pool_ =
-        std::make_unique<threading::ThreadPool>(options.worker_threads);
-  }
-  threading::ThreadPool* pool = scenario->pool_.get();
-  scenario->simulator_ = std::make_unique<net::Simulator>(options.epoch);
-  scenario->network_ = std::make_unique<net::SimNetwork>(
-      scenario->simulator_.get(), options.latency, options.seed);
-  scenario->network_->set_metrics(registry);
+  auto scenario =
+      std::unique_ptr<ClinicScenario>(new ClinicScenario(options));
+  MEDSYNC_RETURN_IF_ERROR(scenario->Bootstrap(options));
+  return scenario;
+}
 
-  // --- Chain substrate: PoA authorities, one per node. ---------------------
-  std::vector<crypto::Address> authorities;
-  std::vector<std::shared_ptr<const crypto::KeyPair>> authority_keys;
-  for (size_t i = 0; i < options.chain_node_count; ++i) {
-    auto key = std::make_shared<crypto::KeyPair>(
-        crypto::KeyPair::FromSeed(StrCat("authority-", i)));
-    authorities.push_back(key->address());
-    authority_keys.push_back(std::move(key));
+Status ClinicScenario::Bootstrap(const ScenarioOptions& options) {
+  runtime::NodeDaemonOptions node_options;
+  node_options.block_interval = options.block_interval;
+  node_options.max_block_txs = options.max_block_txs;
+  if (options.consensus == ConsensusMode::kPow) {
+    node_options.pow_difficulty_bits = options.pow_difficulty_bits;
   }
-  chain::Block genesis =
-      chain::Blockchain::MakeGenesis(scenario->simulator_->Now());
+  MEDSYNC_RETURN_IF_ERROR(
+      StartChainNodes(options.chain_node_count, node_options));
 
-  for (size_t i = 0; i < options.chain_node_count; ++i) {
-    std::shared_ptr<const chain::Sealer> sealer;
-    if (options.consensus == ConsensusMode::kPoa) {
-      sealer = std::make_shared<chain::PoaSealer>(authorities,
-                                                  authority_keys[i]);
-    } else {
-      auto pow =
-          std::make_shared<chain::PowSealer>(options.pow_difficulty_bits, pool);
-      pow->set_metrics(registry);
-      sealer = std::move(pow);
-    }
-    auto host = std::make_unique<contracts::ContractHost>();
-    host->RegisterType("metadata", contracts::MetadataContract::Create);
-    runtime::NodeConfig node_config;
-    node_config.id = StrCat("chain-node-", i);
-    node_config.block_interval = options.block_interval;
-    node_config.max_block_txs = options.max_block_txs;
-    node_config.sealing_enabled =
-        options.consensus == ConsensusMode::kPoa || i == 0;
-    node_config.pool = pool;
-    node_config.metrics = registry;
-    scenario->nodes_.push_back(std::make_unique<runtime::ChainNode>(
-        node_config, scenario->simulator_.get(), scenario->network_.get(),
-        std::move(sealer), genesis, contracts::SharedDataConflictKey,
-        std::move(host)));
-  }
-  for (auto& node : scenario->nodes_) node->Start();
-
-  // --- Peers. ---------------------------------------------------------------
-  auto make_peer = [&](const std::string& name,
-                       size_t node_index) -> std::unique_ptr<Peer> {
+  // Peer i trusts chain node i (wrapping when there are fewer nodes).
+  for (ClinicRole role : {ClinicRole::kDoctor, ClinicRole::kPatient,
+                          ClinicRole::kResearcher}) {
     PeerConfig config;
-    config.name = name;
+    config.name = ClinicRoleName(role);
     config.strategy = options.strategy;
     config.maintenance = options.maintenance;
     config.reliable_delivery = options.reliable_delivery;
     config.reliable = options.reliable;
     config.catch_up_interval = options.peer_catch_up_interval;
-    auto peer = std::make_unique<Peer>(
-        config, scenario->simulator_.get(), scenario->network_.get(),
-        scenario->nodes_[node_index % scenario->nodes_.size()].get());
-    peer->sync().set_thread_pool(pool);
-    peer->SetMetrics(registry);
-    peer->SetProtocolTracer(scenario->tracer_.get());
-    peer->Start();
-    return peer;
-  };
-  scenario->doctor_ = make_peer("doctor", 0);
-  scenario->patient_ = make_peer("patient", 1);
-  scenario->researcher_ = make_peer("researcher", 2);
-
-  Peer& doctor = *scenario->doctor_;
-  Peer& patient = *scenario->patient_;
-  Peer& researcher = *scenario->researcher_;
-  for (Peer* a : {&doctor, &patient, &researcher}) {
-    for (Peer* b : {&doctor, &patient, &researcher}) {
-      if (a != b) a->AddKnownPeer(b->name(), b->address());
-    }
+    peers().push_back(NewPeer(std::move(config), peers().size()));
+    peers().back()->Start();
   }
+  WatchEntries(clinic::ContractAddress(), doctor().address(),
+               {kPatientDoctorTable, kDoctorResearcherTable});
 
-  // --- Local data (Fig. 1 distribution). ------------------------------------
-  Table full = options.record_count == 0
-                   ? medical::MakeFig1FullRecords()
-                   : medical::GenerateFullRecords(
-                         {options.seed, options.record_count, 1000});
-
-  MEDSYNC_ASSIGN_OR_RETURN(
-      Table d1, relational::Project(
-                    full,
-                    {kPatientId, kMedicationName, kClinicalData, kAddress,
-                     kDosage},
-                    {kPatientId}));
-  MEDSYNC_ASSIGN_OR_RETURN(
-      Table d2,
-      relational::Project(full,
-                          {kMedicationName, kMechanismOfAction, kModeOfAction},
-                          {kMedicationName}));
-  MEDSYNC_ASSIGN_OR_RETURN(
-      Table d3, relational::Project(
-                    full,
-                    {kPatientId, kMedicationName, kClinicalData,
-                     kMechanismOfAction, kDosage},
-                    {kPatientId}));
-
-  auto install = [](Peer& peer, const std::string& name,
-                    const Table& table) -> Status {
-    MEDSYNC_RETURN_IF_ERROR(
-        peer.database().CreateTable(name, table.schema()));
-    return peer.database().ReplaceTable(name, table);
-  };
-  MEDSYNC_RETURN_IF_ERROR(install(patient, "D1", d1));
-  MEDSYNC_RETURN_IF_ERROR(install(researcher, "D2", d2));
-  MEDSYNC_RETURN_IF_ERROR(install(doctor, "D3", d3));
-
-  // --- Shared views (BX lenses). --------------------------------------------
-  bx::LensPtr lens_pd = bx::MakeProjectLens(
-      {kPatientId, kMedicationName, kClinicalData, kDosage}, {kPatientId});
-  bx::LensPtr lens_dr =
-      bx::MakeProjectLens({kMedicationName, kMechanismOfAction},
-                          {kMedicationName});
-
-  MEDSYNC_ASSIGN_OR_RETURN(
-      Table d13, relational::Project(
-                     d1, {kPatientId, kMedicationName, kClinicalData, kDosage},
-                     {kPatientId}));
-  MEDSYNC_ASSIGN_OR_RETURN(
-      Table d32, relational::Project(d3, {kMedicationName, kMechanismOfAction},
-                                     {kMedicationName}));
-  MEDSYNC_RETURN_IF_ERROR(install(patient, "D13", d13));
-  MEDSYNC_RETURN_IF_ERROR(install(doctor, "D31", d13));
-  MEDSYNC_RETURN_IF_ERROR(install(researcher, "D23", d32));
-  MEDSYNC_RETURN_IF_ERROR(install(doctor, "D32", d32));
-
-  // --- Deploy contract + register tables. -----------------------------------
-  MEDSYNC_ASSIGN_OR_RETURN(scenario->contract_,
-                           doctor.DeployMetadataContract());
-  const crypto::Address& contract = scenario->contract_;
-
-  SharedTableConfig patient_cfg{ClinicScenario::kPatientDoctorTable, "D1",
-                                "D13", lens_pd, contract};
-  SharedTableConfig doctor_pd_cfg{ClinicScenario::kPatientDoctorTable, "D3",
-                                  "D31", lens_pd, contract};
-  SharedTableConfig doctor_dr_cfg{ClinicScenario::kDoctorResearcherTable,
-                                  "D3", "D32", lens_dr, contract};
-  SharedTableConfig researcher_cfg{ClinicScenario::kDoctorResearcherTable,
-                                   "D2", "D23", lens_dr, contract};
-  MEDSYNC_RETURN_IF_ERROR(patient.AdoptSharedTable(patient_cfg));
-  MEDSYNC_RETURN_IF_ERROR(doctor.AdoptSharedTable(doctor_pd_cfg));
-  MEDSYNC_RETURN_IF_ERROR(doctor.AdoptSharedTable(doctor_dr_cfg));
-  MEDSYNC_RETURN_IF_ERROR(researcher.AdoptSharedTable(researcher_cfg));
-
-  // Fig. 3 permission matrix:
-  //   D13&D31 — medication name & dosage writable by Doctor; clinical data
-  //             by Patient and Doctor; authority Doctor.
-  //   D23&D32 — medication name writable by Doctor and Researcher;
-  //             mechanism of action by Researcher; authority Researcher.
+  // --- Local data (Fig. 1 distribution) and shared tables (Fig. 3), with
+  // the projected tables built once for all three roles. -------------------
+  const relational::Table full =
+      options.record_count == 0
+          ? medical::MakeFig1FullRecords()
+          : medical::GenerateFullRecords(
+                {options.seed, options.record_count, 1000});
+  MEDSYNC_ASSIGN_OR_RETURN(const clinic::Data data, clinic::MakeData(full));
   MEDSYNC_RETURN_IF_ERROR(
-      doctor
-          .RegisterSharedTableOnChain(
-              doctor_pd_cfg, {patient.address(), doctor.address()},
-              {{kMedicationName, {doctor.address()}},
-               {kDosage, {doctor.address()}},
-               {kClinicalData, {patient.address(), doctor.address()}}},
-              {doctor.address()}, doctor.address())
-          .status());
+      clinic::SetUpRole(patient(), ClinicRole::kPatient, data));
   MEDSYNC_RETURN_IF_ERROR(
-      doctor
-          .RegisterSharedTableOnChain(
-              doctor_dr_cfg, {doctor.address(), researcher.address()},
-              {{kMedicationName, {doctor.address(), researcher.address()}},
-               {kMechanismOfAction, {researcher.address()}}},
-              {doctor.address()}, researcher.address())
-          .status());
+      clinic::SetUpRole(researcher(), ClinicRole::kResearcher, data));
+  // The doctor deploys and registers; nothing before this touches the chain.
+  MEDSYNC_RETURN_IF_ERROR(
+      clinic::SetUpRole(doctor(), ClinicRole::kDoctor, data));
 
-  MEDSYNC_RETURN_IF_ERROR(scenario->SettleAll());
+  MEDSYNC_RETURN_IF_ERROR(SettleAll());
 
   // The registrations must actually be on-chain.
-  MEDSYNC_RETURN_IF_ERROR(
-      scenario->Entry(ClinicScenario::kPatientDoctorTable).status());
-  MEDSYNC_RETURN_IF_ERROR(
-      scenario->Entry(ClinicScenario::kDoctorResearcherTable).status());
+  MEDSYNC_RETURN_IF_ERROR(Entry(kPatientDoctorTable).status());
+  MEDSYNC_RETURN_IF_ERROR(Entry(kDoctorResearcherTable).status());
 
   // Only the steady-state protocol runs under loss.
-  scenario->network_->set_drop_probability(options.drop_probability);
-  return scenario;
-}
-
-bool ClinicScenario::Quiescent() const {
-  for (const auto& node : nodes_) {
-    if (!node->mempool().empty()) return false;
-  }
-  for (const Peer* peer :
-       {doctor_.get(), patient_.get(), researcher_.get()}) {
-    if (peer->HasPendingWork()) return false;
-  }
-  return true;
-}
-
-Status ClinicScenario::SettleAll(Micros timeout) {
-  Micros deadline = simulator_->Now() + timeout;
-  while (simulator_->Now() < deadline) {
-    simulator_->RunFor(options_.block_interval);
-    if (!Quiescent()) continue;
-    // Quiescent locally; also require no outstanding acks on-chain.
-    bool acks_clear = true;
-    for (const char* table_id :
-         {kPatientDoctorTable, kDoctorResearcherTable}) {
-      Result<Json> entry = Entry(table_id);
-      if (!entry.ok()) continue;  // not registered yet — treat as clear
-      if (entry->At("pending_acks").size() > 0) {
-        acks_clear = false;
-        break;
-      }
-    }
-    if (acks_clear) return Status::OK();
-  }
-  return Status::Timeout("scenario did not quiesce in time");
-}
-
-Result<Json> ClinicScenario::Entry(const std::string& table_id) {
-  Json params = Json::MakeObject();
-  params.Set("table_id", table_id);
-  return nodes_[0]->Query(contract_, "get_entry", params, doctor_->address());
+  network().set_drop_probability(options.drop_probability);
+  return Status::OK();
 }
 
 }  // namespace medsync::core

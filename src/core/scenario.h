@@ -2,14 +2,11 @@
 #define MEDSYNC_CORE_SCENARIO_H_
 
 #include <memory>
-#include <string>
-#include <vector>
 
-#include "common/threading/thread_pool.h"
+#include "core/clinic.h"
 #include "core/peer.h"
+#include "core/sim_world.h"
 #include "net/network.h"
-#include "net/simulator.h"
-#include "runtime/chain_node.h"
 
 namespace medsync::core {
 
@@ -65,8 +62,10 @@ struct ScenarioOptions {
   Micros epoch = SimClock::kDefaultEpoch;
 };
 
-/// The fully wired three-stakeholder deployment:
-///  * `chain_node_count` PoA chain nodes running the metadata contract;
+/// The fully wired three-stakeholder deployment (clinic.h), standing on a
+/// SimWorld:
+///  * `chain_node_count` chain nodes running the metadata contract (PoA
+///    authorities, or a single PoW miner);
 ///  * Doctor (source D3), Patient (source D1), Researcher (source D2),
 ///    each holding its attribute subset of the same full records;
 ///  * shared tables "D13&D31" (patient<->doctor, attributes a0,a1,a2,a4)
@@ -76,64 +75,26 @@ struct ScenarioOptions {
 ///
 /// After Create() returns, the chain has already sealed the deployment and
 /// registration transactions and all peers are synced and idle.
-class ClinicScenario {
+class ClinicScenario : public SimWorld {
  public:
+  /// InvalidArgument for zero chain nodes.
   static Result<std::unique_ptr<ClinicScenario>> Create(
       const ScenarioOptions& options);
 
-  ~ClinicScenario();
-
-  net::Simulator& simulator() { return *simulator_; }
-  net::SimNetwork& network() { return *network_; }
-
-  Peer& doctor() { return *doctor_; }
-  Peer& patient() { return *patient_; }
-  Peer& researcher() { return *researcher_; }
-
-  runtime::ChainNode& node(size_t i) { return *nodes_[i]; }
-  size_t node_count() const { return nodes_.size(); }
-
-  const crypto::Address& contract() const { return contract_; }
-
-  /// The scenario-wide registry every component (network, nodes, sealers,
-  /// peers, WALs) reports into, and the structured Fig. 4/5 step trace.
-  metrics::MetricsRegistry& metrics() { return *metrics_; }
-  metrics::ProtocolTracer& tracer() { return *tracer_; }
-
-  /// Canonical JSON snapshot of every counter/gauge/histogram. Deterministic
-  /// under the sim clock: byte-identical across worker_threads settings.
-  Json MetricsSnapshot() const { return metrics_->Snapshot(); }
+  Peer& doctor() { return *peers()[0]; }
+  Peer& patient() { return *peers()[1]; }
+  Peer& researcher() { return *peers()[2]; }
 
   /// Shared table ids.
-  static constexpr char kPatientDoctorTable[] = "D13&D31";
-  static constexpr char kDoctorResearcherTable[] = "D23&D32";
-
-  /// Runs the simulation until every peer is idle, every mempool is empty,
-  /// and no contract entry has outstanding acks — i.e. the system is
-  /// quiescent — or until `timeout` of simulated time passes (Timeout).
-  Status SettleAll(Micros timeout = 600 * kMicrosPerSecond);
-
-  /// The contract's metadata entry for `table_id` (via node 0).
-  Result<Json> Entry(const std::string& table_id);
+  static constexpr const char* kPatientDoctorTable =
+      clinic::kPatientDoctorTable;
+  static constexpr const char* kDoctorResearcherTable =
+      clinic::kDoctorResearcherTable;
 
  private:
-  ClinicScenario() = default;
+  explicit ClinicScenario(const ScenarioOptions& options);
 
-  bool Quiescent() const;
-
-  ScenarioOptions options_;
-  /// Declared before the components that borrow them so they outlive them
-  /// all (destruction runs bottom-up).
-  std::unique_ptr<metrics::MetricsRegistry> metrics_;
-  std::unique_ptr<metrics::ProtocolTracer> tracer_;
-  std::unique_ptr<threading::ThreadPool> pool_;
-  std::unique_ptr<net::Simulator> simulator_;
-  std::unique_ptr<net::SimNetwork> network_;
-  std::vector<std::unique_ptr<runtime::ChainNode>> nodes_;
-  std::unique_ptr<Peer> doctor_;
-  std::unique_ptr<Peer> patient_;
-  std::unique_ptr<Peer> researcher_;
-  crypto::Address contract_;
+  Status Bootstrap(const ScenarioOptions& options);
 };
 
 }  // namespace medsync::core

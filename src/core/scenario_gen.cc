@@ -11,7 +11,6 @@
 #include "bx/lens_factory.h"
 #include "common/random.h"
 #include "common/strings.h"
-#include "contracts/metadata_contract.h"
 #include "core/audit.h"
 #include "crypto/sha256.h"
 #include "medical/generator.h"
@@ -265,6 +264,10 @@ Status ValidateSpec(const NetworkSpec& spec) {
   if (spec.peers.size() < 3) {
     return Status::InvalidArgument("a generated network needs >= 3 peers");
   }
+  if (spec.options.chain_node_count == 0) {
+    return Status::InvalidArgument(
+        "a generated network needs >= 1 chain node");
+  }
   size_t provider_count = 0;
   std::set<std::string> names;
   for (size_t i = 0; i < spec.peers.size(); ++i) {
@@ -276,6 +279,11 @@ Status ValidateSpec(const NetworkSpec& spec) {
     if (peer.name.empty() || !names.insert(peer.name).second) {
       return Status::InvalidArgument(
           StrCat("peer ", i, ": empty or duplicate name"));
+    }
+    if (peer.trusted_node >= spec.options.chain_node_count) {
+      return Status::InvalidArgument(
+          StrCat(peer.name, ": trusted node ", peer.trusted_node,
+                 " is not a chain node"));
     }
     if (peer.role == PeerRole::kProvider) {
       ++provider_count;
@@ -415,6 +423,11 @@ Status ValidateSpec(const NetworkSpec& spec) {
 // GeneratedScenario
 // ---------------------------------------------------------------------------
 
+GeneratedScenario::GeneratedScenario(NetworkSpec spec)
+    : SimWorld(spec.options.worker_threads, spec.epoch, spec.options.latency,
+               spec.options.seed),
+      spec_(std::move(spec)) {}
+
 GeneratedScenario::~GeneratedScenario() {
   if (FaultInjector::Get() == &injector_) FaultInjector::Install(nullptr);
 }
@@ -427,8 +440,8 @@ Result<std::unique_ptr<GeneratedScenario>> GeneratedScenario::Create(
 Result<std::unique_ptr<GeneratedScenario>> GeneratedScenario::CreateFromSpec(
     NetworkSpec spec) {
   MEDSYNC_RETURN_IF_ERROR(ValidateSpec(spec));
-  auto scenario = std::unique_ptr<GeneratedScenario>(new GeneratedScenario());
-  scenario->spec_ = std::move(spec);
+  auto scenario = std::unique_ptr<GeneratedScenario>(
+      new GeneratedScenario(std::move(spec)));
   FaultInjector::Install(&scenario->injector_);
   MEDSYNC_RETURN_IF_ERROR(scenario->Bootstrap());
   return scenario;
@@ -442,13 +455,7 @@ Result<std::unique_ptr<Peer>> GeneratedScenario::MakePeerObject(size_t i) {
   const PeerSpec& spec = spec_.peers[i];
   PeerConfig config;
   config.name = spec.name;
-  auto peer = std::make_unique<Peer>(
-      config, simulator_.get(), network_.get(),
-      nodes_[spec.trusted_node % nodes_.size()].get());
-  peer->sync().set_thread_pool(pool_.get());
-  // Metrics before durable storage so the WAL re-attaches to the registry.
-  peer->SetMetrics(metrics_.get());
-  peer->SetProtocolTracer(tracer_.get());
+  std::unique_ptr<Peer> peer = NewPeer(std::move(config), spec.trusted_node);
   if (spec.durable) {
     MEDSYNC_RETURN_IF_ERROR(peer->UseDurableStorage(DurableDir(i)));
   }
@@ -459,57 +466,23 @@ Result<std::unique_ptr<Peer>> GeneratedScenario::MakePeerObject(size_t i) {
 
 Status GeneratedScenario::Bootstrap() {
   const GenOptions& options = spec_.options;
-  metrics_ = std::make_unique<metrics::MetricsRegistry>();
-  tracer_ = std::make_unique<metrics::ProtocolTracer>(metrics_.get());
-  if (options.worker_threads > 0) {
-    pool_ = std::make_unique<threading::ThreadPool>(options.worker_threads);
-  }
-  simulator_ = std::make_unique<net::Simulator>(spec_.epoch);
-  network_ = std::make_unique<net::SimNetwork>(simulator_.get(), options.latency,
-                                            options.seed);
-  network_->set_metrics(metrics_.get());
-
-  // --- Chain substrate: PoA authorities, one per node. ---------------------
-  std::vector<crypto::Address> authorities;
-  std::vector<std::shared_ptr<const crypto::KeyPair>> authority_keys;
-  for (size_t i = 0; i < options.chain_node_count; ++i) {
-    auto key = std::make_shared<crypto::KeyPair>(
-        crypto::KeyPair::FromSeed(StrCat("authority-", i)));
-    authorities.push_back(key->address());
-    authority_keys.push_back(std::move(key));
-  }
-  chain::Block genesis = chain::Blockchain::MakeGenesis(simulator_->Now());
-  for (size_t i = 0; i < options.chain_node_count; ++i) {
-    auto host = std::make_unique<contracts::ContractHost>();
-    host->RegisterType("metadata", contracts::MetadataContract::Create);
-    runtime::NodeConfig node_config;
-    node_config.id = StrCat("chain-node-", i);
-    node_config.block_interval = options.block_interval;
-    node_config.max_block_txs = options.max_block_txs;
-    node_config.sealing_enabled = true;
-    node_config.lane_count = options.lane_count;
-    node_config.lane_key = contracts::SharedDataLaneKey;
-    node_config.pool = pool_.get();
-    node_config.metrics = metrics_.get();
-    all_node_ids_.push_back(node_config.id);
-    // Slot-rotation PoA (slot = block_interval): one authority owns every
-    // lane per tick, and WHICH node seals at a given instant is a function
-    // of time alone — so block production timing is invariant across lane
-    // counts, the property LaneInvariantFingerprint depends on.
-    nodes_.push_back(std::make_unique<runtime::ChainNode>(
-        std::move(node_config), simulator_.get(), network_.get(),
-        std::make_shared<chain::PoaSealer>(authorities, authority_keys[i],
-                                           options.block_interval),
-        genesis, contracts::SharedDataConflictKey, std::move(host)));
-  }
-  for (auto& node : nodes_) node->Start();
+  // Slot-rotation PoA (slot = block_interval): one authority owns every
+  // lane per tick, and WHICH node seals at a given instant is a function
+  // of time alone — so block production timing is invariant across lane
+  // counts, the property LaneInvariantFingerprint depends on.
+  runtime::NodeDaemonOptions node_options;
+  node_options.block_interval = options.block_interval;
+  node_options.max_block_txs = options.max_block_txs;
+  node_options.lane_count = options.lane_count;
+  node_options.slot_interval = options.block_interval;
+  MEDSYNC_RETURN_IF_ERROR(
+      StartChainNodes(options.chain_node_count, node_options));
 
   // --- Peers. ---------------------------------------------------------------
   const size_t peer_count = spec_.peers.size();
   addresses_.reserve(peer_count);
   for (const PeerSpec& peer : spec_.peers) {
     addresses_.push_back(crypto::KeyPair::FromSeed(peer.name).address());
-    all_node_ids_.push_back(peer.name);
   }
   isolated_.assign(peer_count, false);
   if (!options.durable_root.empty()) {
@@ -518,13 +491,13 @@ Status GeneratedScenario::Bootstrap() {
           StrCat("cannot create durable root ", options.durable_root));
     }
   }
-  peers_.resize(peer_count);
+  peers().resize(peer_count);
   for (size_t i = 0; i < peer_count; ++i) {
-    MEDSYNC_ASSIGN_OR_RETURN(peers_[i], MakePeerObject(i));
+    MEDSYNC_ASSIGN_OR_RETURN(peers()[i], MakePeerObject(i));
   }
   for (size_t i = 0; i < peer_count; ++i) {
     for (size_t j = 0; j < peer_count; ++j) {
-      if (i != j) peers_[i]->AddKnownPeer(spec_.peers[j].name, addresses_[j]);
+      if (i != j) peer(i)->AddKnownPeer(spec_.peers[j].name, addresses_[j]);
     }
   }
 
@@ -571,7 +544,7 @@ Status GeneratedScenario::Bootstrap() {
         provider_slices[peer.index],
         relational::Select(remapped,
                            range_predicate(peer.id_begin, slice_end)));
-    MEDSYNC_RETURN_IF_ERROR(install(*peers_[peer.index], peer.source_table,
+    MEDSYNC_RETURN_IF_ERROR(install(*peers()[peer.index], peer.source_table,
                                     provider_slices[peer.index]));
   }
 
@@ -581,8 +554,8 @@ Status GeneratedScenario::Bootstrap() {
   lenses.reserve(spec_.tables.size());
   for (const SharedTableSpec& table : spec_.tables) {
     bx::LensPtr lens = table.MakeLens();
-    Peer& provider = *peers_[table.provider];
-    Peer& consumer = *peers_[table.consumer];
+    Peer& provider = *peer(table.provider);
+    Peer& consumer = *peer(table.consumer);
     MEDSYNC_ASSIGN_OR_RETURN(
         Table provider_view, lens->Get(provider_slices[table.provider]));
     MEDSYNC_ASSIGN_OR_RETURN(
@@ -611,7 +584,14 @@ Status GeneratedScenario::Bootstrap() {
   }
 
   // --- Deploy contract + adopt + register. ---------------------------------
-  MEDSYNC_ASSIGN_OR_RETURN(contract_, peers_[0]->DeployMetadataContract());
+  MEDSYNC_ASSIGN_OR_RETURN(const crypto::Address contract,
+                           peer(0)->DeployMetadataContract());
+  std::vector<std::string> table_ids;
+  table_ids.reserve(spec_.tables.size());
+  for (const SharedTableSpec& table : spec_.tables) {
+    table_ids.push_back(table.table_id);
+  }
+  WatchEntries(contract, addresses_[0], std::move(table_ids));
   // Let the deployment seal and gossip to every node before any provider
   // registers: registrations go through each provider's own trusted node,
   // and a registration sealed before the deploy would execute against a
@@ -619,15 +599,15 @@ Status GeneratedScenario::Bootstrap() {
   MEDSYNC_RETURN_IF_ERROR(SettleAll());
   for (size_t t = 0; t < spec_.tables.size(); ++t) {
     const SharedTableSpec& table = spec_.tables[t];
-    Peer& provider = *peers_[table.provider];
-    Peer& consumer = *peers_[table.consumer];
+    Peer& provider = *peer(table.provider);
+    Peer& consumer = *peer(table.consumer);
     SharedTableConfig provider_cfg{
         table.table_id, spec_.peers[table.provider].source_table,
-        table.provider_view_table, lenses[t], contract_};
+        table.provider_view_table, lenses[t], contract};
     SharedTableConfig consumer_cfg{table.table_id,
                                    table.consumer_source_table,
                                    table.consumer_view_table, lenses[t],
-                                   contract_};
+                                   contract};
     MEDSYNC_RETURN_IF_ERROR(provider.AdoptSharedTable(provider_cfg));
     MEDSYNC_RETURN_IF_ERROR(consumer.AdoptSharedTable(consumer_cfg));
     // The provider may write every view attribute (cascade liveness: its
@@ -657,47 +637,12 @@ Status GeneratedScenario::Bootstrap() {
     MEDSYNC_RETURN_IF_ERROR(Entry(table.table_id).status());
   }
   // Only the steady-state protocol runs under loss.
-  network_->set_drop_probability(options.drop_probability);
+  network().set_drop_probability(options.drop_probability);
   return Status::OK();
 }
 
-bool GeneratedScenario::Quiescent() const {
-  for (const auto& node : nodes_) {
-    if (!node->mempools_empty()) return false;
-  }
-  for (const auto& peer : peers_) {
-    if (peer != nullptr && peer->HasPendingWork()) return false;
-  }
-  return true;
-}
-
-Status GeneratedScenario::SettleAll(Micros timeout) {
-  const Micros deadline = simulator_->Now() + timeout;
-  while (simulator_->Now() < deadline) {
-    simulator_->RunFor(spec_.options.block_interval);
-    if (!Quiescent()) continue;
-    bool acks_clear = true;
-    for (const SharedTableSpec& table : spec_.tables) {
-      Result<Json> entry = Entry(table.table_id);
-      if (!entry.ok()) continue;  // not registered yet — treat as clear
-      if (entry->At("pending_acks").size() > 0) {
-        acks_clear = false;
-        break;
-      }
-    }
-    if (acks_clear) return Status::OK();
-  }
-  return Status::Timeout("generated scenario did not quiesce in time");
-}
-
-Result<Json> GeneratedScenario::Entry(const std::string& table_id) {
-  Json params = Json::MakeObject();
-  params.Set("table_id", table_id);
-  return nodes_[0]->Query(contract_, "get_entry", params, addresses_[0]);
-}
-
 Status GeneratedScenario::CrashPeer(size_t i, bool torn_tail) {
-  if (i >= peers_.size()) return Status::InvalidArgument("no such peer");
+  if (i >= peer_count()) return Status::InvalidArgument("no such peer");
   const PeerSpec& spec = spec_.peers[i];
   if (!spec.durable) {
     return Status::FailedPrecondition(
@@ -706,7 +651,8 @@ Status GeneratedScenario::CrashPeer(size_t i, bool torn_tail) {
   if (!IsUp(i)) {
     return Status::FailedPrecondition(StrCat(spec.name, " is already down"));
   }
-  if (peers_[i]->HasPendingWork()) {
+  Peer& victim = *peer(i);
+  if (victim.HasPendingWork()) {
     return Status::FailedPrecondition(
         StrCat(spec.name,
                " has staged or in-flight work; crashing now would strand "
@@ -722,12 +668,12 @@ Status GeneratedScenario::CrashPeer(size_t i, bool torn_tail) {
                                       ? table.consumer_source_table
                                       : spec.source_table;
       MEDSYNC_ASSIGN_OR_RETURN(Table snapshot,
-                               peers_[i]->database().Snapshot(source));
+                               victim.database().Snapshot(source));
       if (snapshot.empty()) continue;
       const relational::Key key = snapshot.NthKey(0);
       const std::string attr = table.raw_attributes[0];
       injector_.TornWrite("wal.append.write", 5);
-      Status doomed = peers_[i]->UpdateSourceAndPropagate(
+      Status doomed = victim.UpdateSourceAndPropagate(
           source, [&](relational::Database* db) {
             return db->UpdateAttribute(source, key, attr,
                                        Value::String("torn"));
@@ -739,18 +685,18 @@ Status GeneratedScenario::CrashPeer(size_t i, bool torn_tail) {
       break;
     }
   }
-  peers_[i] = nullptr;
+  peers()[i] = nullptr;
   return Status::OK();
 }
 
 Status GeneratedScenario::RestartPeer(size_t i) {
-  if (i >= peers_.size()) return Status::InvalidArgument("no such peer");
+  if (i >= peer_count()) return Status::InvalidArgument("no such peer");
   const PeerSpec& spec = spec_.peers[i];
   if (IsUp(i)) {
     return Status::FailedPrecondition(StrCat(spec.name, " is already up"));
   }
   MEDSYNC_ASSIGN_OR_RETURN(std::unique_ptr<Peer> peer, MakePeerObject(i));
-  for (size_t j = 0; j < peers_.size(); ++j) {
+  for (size_t j = 0; j < peer_count(); ++j) {
     if (i != j) peer->AddKnownPeer(spec_.peers[j].name, addresses_[j]);
   }
   for (size_t t : spec_.TablesOf(i)) {
@@ -759,47 +705,56 @@ Status GeneratedScenario::RestartPeer(size_t i) {
         table.consumer == i
             ? SharedTableConfig{table.table_id, table.consumer_source_table,
                                 table.consumer_view_table, table.MakeLens(),
-                                contract_}
+                                contract()}
             : SharedTableConfig{table.table_id, spec.source_table,
                                 table.provider_view_table, table.MakeLens(),
-                                contract_};
+                                contract()};
     MEDSYNC_RETURN_IF_ERROR(peer->AdoptSharedTable(config));
   }
-  peers_[i] = std::move(peer);
-  return peers_[i]->SyncWithChain().status();
+  peers()[i] = std::move(peer);
+  return peers()[i]->SyncWithChain().status();
 }
 
 void GeneratedScenario::IsolatePeer(size_t i, bool isolated) {
   const std::string& name = spec_.peers[i].name;
-  for (const std::string& id : all_node_ids_) {
-    if (id != name) network_->SetLinkDown(name, id, isolated);
+  for (size_t n = 0; n < node_count(); ++n) {
+    network().SetLinkDown(name, node(n).config().id, isolated);
+  }
+  for (const PeerSpec& other : spec_.peers) {
+    if (other.name != name) network().SetLinkDown(name, other.name, isolated);
   }
   isolated_[i] = isolated;
 }
 
-std::string GeneratedScenario::Fingerprint() const {
-  crypto::Sha256 hash;
-  hash.Update(StrCat("now=", simulator_->Now(), "\n"));
-  for (const auto& node : nodes_) {
-    for (size_t l = 0; l < node->lane_count(); ++l) {
-      hash.Update(node->blockchain(l).head().header.Hash().ToHex());
-    }
-    hash.Update(node->host().StateFingerprint());
-  }
-  for (size_t i = 0; i < peers_.size(); ++i) {
-    hash.Update(spec_.peers[i].name);
-    if (peers_[i] == nullptr) {
-      hash.Update("|down\n");
+void GeneratedScenario::HashPeerTables(crypto::Sha256* hash) const {
+  for (size_t i = 0; i < peers().size(); ++i) {
+    hash->Update(spec_.peers[i].name);
+    const Peer* live = peers()[i].get();
+    if (live == nullptr) {
+      hash->Update("|down\n");
       continue;
     }
-    for (const std::string& table : peers_[i]->database().TableNames()) {
-      Result<Table> snapshot = peers_[i]->database().Snapshot(table);
-      hash.Update(StrCat("|", table, "=",
-                         snapshot.ok() ? snapshot->ContentDigest() : "?"));
+    for (const std::string& table : live->database().TableNames()) {
+      Result<Table> snapshot = live->database().Snapshot(table);
+      hash->Update(StrCat("|", table, "=",
+                          snapshot.ok() ? snapshot->ContentDigest() : "?"));
     }
-    hash.Update("\n");
+    hash->Update("\n");
   }
-  hash.Update(metrics_->Snapshot().Dump());
+}
+
+std::string GeneratedScenario::Fingerprint() const {
+  crypto::Sha256 hash;
+  hash.Update(StrCat("now=", simulator().Now(), "\n"));
+  for (size_t n = 0; n < node_count(); ++n) {
+    const runtime::ChainNode& chain_node = node(n);
+    for (size_t l = 0; l < chain_node.lane_count(); ++l) {
+      hash.Update(chain_node.blockchain(l).head().header.Hash().ToHex());
+    }
+    hash.Update(chain_node.host().StateFingerprint());
+  }
+  HashPeerTables(&hash);
+  hash.Update(MetricsSnapshot().Dump());
   for (const std::string& visit : injector_.visits()) hash.Update(visit);
   return hash.Finish().ToHex();
 }
@@ -812,23 +767,11 @@ std::string GeneratedScenario::LaneInvariantFingerprint() const {
   // ids do not. Injector visits are sorted because lane-parallel sealing
   // may reorder when storage fault points fire within one tick.
   crypto::Sha256 hash;
-  hash.Update(StrCat("now=", simulator_->Now(), "\n"));
-  for (const auto& node : nodes_) {
-    hash.Update(node->host().StateFingerprint());
+  hash.Update(StrCat("now=", simulator().Now(), "\n"));
+  for (size_t n = 0; n < node_count(); ++n) {
+    hash.Update(node(n).host().StateFingerprint());
   }
-  for (size_t i = 0; i < peers_.size(); ++i) {
-    hash.Update(spec_.peers[i].name);
-    if (peers_[i] == nullptr) {
-      hash.Update("|down\n");
-      continue;
-    }
-    for (const std::string& table : peers_[i]->database().TableNames()) {
-      Result<Table> snapshot = peers_[i]->database().Snapshot(table);
-      hash.Update(StrCat("|", table, "=",
-                         snapshot.ok() ? snapshot->ContentDigest() : "?"));
-    }
-    hash.Update("\n");
-  }
+  HashPeerTables(&hash);
   std::vector<std::string> visits = injector_.visits();
   std::sort(visits.begin(), visits.end());
   for (const std::string& visit : visits) hash.Update(visit);
@@ -841,8 +784,8 @@ Status GeneratedScenario::VerifyConverged() {
       return Status::FailedPrecondition(
           StrCat(table.table_id, ": a sharing peer is down"));
     }
-    Peer& provider = *peers_[table.provider];
-    Peer& consumer = *peers_[table.consumer];
+    Peer& provider = *peer(table.provider);
+    Peer& consumer = *peer(table.consumer);
     MEDSYNC_ASSIGN_OR_RETURN(Table provider_view,
                              provider.ReadSharedTable(table.table_id));
     MEDSYNC_ASSIGN_OR_RETURN(Table consumer_view,
@@ -880,10 +823,10 @@ Status GeneratedScenario::VerifyAuditGapless() {
     // A table's whole history seals on one lane (SharedDataLaneKey), so
     // the audit walk reads exactly that lane's canonical chain.
     const uint32_t lane = chain::LaneForKey(
-        StrCat(contract_.ToHex(), "/", table.table_id),
-        nodes_[0]->lane_count());
+        StrCat(contract().ToHex(), "/", table.table_id),
+        node(0).lane_count());
     const std::vector<AuditRecord> trail = BuildAuditTrail(
-        nodes_[0]->blockchain(lane), nodes_[0]->host(), table.table_id);
+        node(0).blockchain(lane), node(0).host(), table.table_id);
     int64_t updates = 0;
     int64_t acks = 0;
     for (const AuditRecord& record : trail) {

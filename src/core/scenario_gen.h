@@ -7,8 +7,9 @@
 #include <vector>
 
 #include "common/fault_injector.h"
-#include "common/threading/thread_pool.h"
 #include "core/peer.h"
+#include "core/sim_world.h"
+#include "crypto/sha256.h"
 #include "net/network.h"
 #include "net/simulator.h"
 #include "runtime/chain_node.h"
@@ -146,19 +147,21 @@ NetworkSpec DescribeNetwork(const GenOptions& options);
 /// a run starts: roles consistent, key ranges inside the owning provider's
 /// slice with populated rows and insert slack, attributes drawn from the
 /// record schema, the provider a writer of every view attribute (cascade
-/// liveness), consumer_writable and sweep_attr within the view schema, and
-/// the authority one of the two sharing peers.
+/// liveness), consumer_writable and sweep_attr within the view schema, the
+/// authority one of the two sharing peers, and at least one chain node with
+/// every peer's trusted node among them.
 Status ValidateSpec(const NetworkSpec& spec);
 
-/// A materialized generated network: chain substrate, peers, contract,
-/// registered shared tables — plus deterministic adversity controls
-/// (crash/restart of durable peers, per-peer isolation) and the run
-/// oracles (convergence, audit gaplessness, a byte-exact fingerprint).
+/// A materialized generated network standing on a SimWorld: chain
+/// substrate, peers, contract, registered shared tables — plus
+/// deterministic adversity controls (crash/restart of durable peers,
+/// per-peer isolation) and the run oracles (convergence, audit
+/// gaplessness, a byte-exact fingerprint).
 ///
 /// Installs a process-wide FaultInjector for its lifetime (crash events
 /// exercise torn-tail WAL recovery through it), so keep at most one
 /// GeneratedScenario alive at a time.
-class GeneratedScenario {
+class GeneratedScenario : public SimWorld {
  public:
   static Result<std::unique_ptr<GeneratedScenario>> Create(
       const GenOptions& options);
@@ -168,33 +171,18 @@ class GeneratedScenario {
   ~GeneratedScenario();
 
   const NetworkSpec& spec() const { return spec_; }
-  net::Simulator& simulator() { return *simulator_; }
-  net::SimNetwork& network() { return *network_; }
-  runtime::ChainNode& node(size_t i) { return *nodes_[i]; }
-  size_t node_count() const { return nodes_.size(); }
-  size_t peer_count() const { return peers_.size(); }
+  size_t peer_count() const { return peers().size(); }
   /// nullptr while the peer is crashed.
-  Peer* peer(size_t i) { return peers_[i].get(); }
-  bool IsUp(size_t i) const { return peers_[i] != nullptr; }
+  Peer* peer(size_t i) { return peers()[i].get(); }
+  bool IsUp(size_t i) const { return peers()[i] != nullptr; }
   /// Stable across crash/restart (derived from the peer's name).
   const crypto::Address& peer_address(size_t i) const {
     return addresses_[i];
   }
-  const crypto::Address& contract() const { return contract_; }
-  metrics::MetricsRegistry& metrics() { return *metrics_; }
-  Json MetricsSnapshot() const { return metrics_->Snapshot(); }
   FaultInjector& injector() { return injector_; }
 
   /// Advances simulated time by `duration`.
-  void RunFor(Micros duration) { simulator_->RunFor(duration); }
-
-  /// Runs until every mempool is empty, every live peer is idle, and no
-  /// table has outstanding acks (crashed peers keep acks outstanding —
-  /// restart them first).
-  Status SettleAll(Micros timeout = 600 * kMicrosPerSecond);
-
-  /// The contract's metadata entry for `table_id` (via node 0).
-  Result<Json> Entry(const std::string& table_id);
+  void RunFor(Micros duration) { simulator().RunFor(duration); }
 
   // -- Adversity controls ---------------------------------------------------
 
@@ -240,26 +228,18 @@ class GeneratedScenario {
   Status VerifyAuditGapless();
 
  private:
-  GeneratedScenario() = default;
+  explicit GeneratedScenario(NetworkSpec spec);
 
   Status Bootstrap();
   Result<std::unique_ptr<Peer>> MakePeerObject(size_t i);
   std::string DurableDir(size_t i) const;
-  bool Quiescent() const;
+  /// Every peer's name and table digests ("|down" while crashed).
+  void HashPeerTables(crypto::Sha256* hash) const;
 
-  NetworkSpec spec_;
+  NetworkSpec spec_;  // peers() is indexed like spec_.peers
   FaultInjector injector_;
-  std::unique_ptr<metrics::MetricsRegistry> metrics_;
-  std::unique_ptr<metrics::ProtocolTracer> tracer_;
-  std::unique_ptr<threading::ThreadPool> pool_;
-  std::unique_ptr<net::Simulator> simulator_;
-  std::unique_ptr<net::SimNetwork> network_;
-  std::vector<std::unique_ptr<runtime::ChainNode>> nodes_;
-  std::vector<std::unique_ptr<Peer>> peers_;  // null while crashed
   std::vector<crypto::Address> addresses_;
   std::vector<bool> isolated_;
-  std::vector<std::string> all_node_ids_;  // chain nodes + peer names
-  crypto::Address contract_;
 };
 
 }  // namespace medsync::core

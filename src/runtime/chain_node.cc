@@ -193,24 +193,16 @@ void ChainNode::MaybeRequestBlock(uint32_t lane, const std::string& hash_hex,
 
 void ChainNode::HandleHeadAnnounce(const net::Message& message) {
   const Json& heads = message.payload.At("heads");
-  if (heads.is_array()) {
-    for (const Json& entry : heads.AsArray()) {
-      auto lane = entry.GetInt("lane");
-      auto hash_hex = entry.GetString("hash");
-      auto height = entry.GetInt("height");
-      if (!lane.ok() || !hash_hex.ok() || !height.ok()) continue;
-      if (*lane < 0 || static_cast<size_t>(*lane) >= lanes_.size()) continue;
-      MaybeRequestBlock(static_cast<uint32_t>(*lane), *hash_hex,
-                        static_cast<uint64_t>(*height), message.from);
-    }
-    return;
+  if (!heads.is_array()) return;
+  for (const Json& entry : heads.AsArray()) {
+    auto lane = entry.GetInt("lane");
+    auto hash_hex = entry.GetString("hash");
+    auto height = entry.GetInt("height");
+    if (!lane.ok() || !hash_hex.ok() || !height.ok()) continue;
+    if (*lane < 0 || static_cast<size_t>(*lane) >= lanes_.size()) continue;
+    MaybeRequestBlock(static_cast<uint32_t>(*lane), *hash_hex,
+                      static_cast<uint64_t>(*height), message.from);
   }
-  // Legacy flat {hash, height} announce from single-lane peers.
-  auto hash_hex = message.payload.GetString("hash");
-  auto height = message.payload.GetInt("height");
-  if (!hash_hex.ok() || !height.ok()) return;
-  MaybeRequestBlock(0, *hash_hex, static_cast<uint64_t>(*height),
-                    message.from);
 }
 
 ChainNode::SealOutcome ChainNode::BuildLaneCandidate(Lane& lane) {

@@ -14,14 +14,14 @@
 
 namespace medsync::runtime {
 
-/// Options for hosting one ChainNode as (part of) an OS process.
+/// Options for hosting one authority ChainNode, in an OS process of its own
+/// or beside the other nodes of a simulated world.
 ///
-/// Every process of a deployment must agree on `authority_count`,
-/// `genesis_timestamp`, `block_interval`, and `max_block_txs` — they
-/// determine the authority set, the genesis block, and sealing cadence.
-/// Identities are deterministic (authority-i key seeds), so processes
-/// bootstrap independently with no coordination service: the static route
-/// map of the socket transport is the only shared configuration.
+/// Every node of a deployment must agree on every field but `node_index`,
+/// `pool` and `metrics`. Identities are deterministic (authority-i key
+/// seeds), so processes bootstrap independently with no coordination
+/// service: the static route map of the socket transport is the only shared
+/// configuration.
 struct NodeDaemonOptions {
   /// This process's index in the authority set (node id "chain-node-<i>").
   size_t node_index = 0;
@@ -31,12 +31,22 @@ struct NodeDaemonOptions {
   /// Genesis timestamp; must be identical across processes (the default
   /// SimClock epoch keeps sim and socket deployments genesis-compatible).
   Micros genesis_timestamp = SimClock::kDefaultEpoch;
+  /// Lanes route transactions by contracts::SharedDataLaneKey.
+  size_t lane_count = 1;
+  /// PoA rotation by height (0) or by time slot (chain::PoaSealer).
+  Micros slot_interval = 0;
+  /// 0 = PoA over the authority set; otherwise a PoW chain of this
+  /// difficulty whose only miner is node 0 (deterministic block production).
+  uint32_t pow_difficulty_bits = 0;
+  /// Optional; may be shared by every node of a world (NodeConfig::pool).
+  threading::ThreadPool* pool = nullptr;
   metrics::MetricsRegistry* metrics = nullptr;
 };
 
-/// Hosts one PoA ChainNode over any execution plane (Simulator for tests,
-/// EventLoop + SocketTransport for deployment). This is the chain half of
-/// `chain_node_daemon`; role-playing peers layer on top in core.
+/// Builds and hosts one authority ChainNode — authority-i key and sealer,
+/// metadata ContractHost, genesis, NodeConfig — over any execution plane
+/// (Simulator, or EventLoop + SocketTransport). Every harness builds its
+/// chain nodes here; role-playing peers layer on top in core.
 class NodeDaemon {
  public:
   NodeDaemon(const NodeDaemonOptions& options, net::Scheduler* scheduler,
@@ -46,15 +56,12 @@ class NodeDaemon {
   NodeDaemon& operator=(const NodeDaemon&) = delete;
 
   /// Starts sealing/gossip (ChainNode::Start).
-  void Start();
+  void Start() { node_->Start(); }
 
   ChainNode& node() { return *node_; }
   const ChainNode& node() const { return *node_; }
 
   static std::string NodeIdFor(size_t index);
-
-  /// The deterministic authority address set every process agrees on.
-  static std::vector<crypto::Address> Authorities(size_t count);
 
  private:
   std::unique_ptr<ChainNode> node_;

@@ -216,6 +216,21 @@ TEST_F(BootstrapTest, OfferValidation) {
                   .IsFailedPrecondition());
 }
 
+// Regression: a scenario without chain nodes is refused up front; nothing
+// may divide by the node count while assigning peers their trusted nodes.
+TEST(ClinicScenarioTest, ZeroChainNodesIsInvalidArgument) {
+  for (ConsensusMode consensus : {ConsensusMode::kPoa, ConsensusMode::kPow}) {
+    ScenarioOptions options;
+    options.consensus = consensus;
+    options.chain_node_count = 0;
+    Result<std::unique_ptr<ClinicScenario>> scenario =
+        ClinicScenario::Create(options);
+    ASSERT_FALSE(scenario.ok());
+    EXPECT_EQ(scenario.status().code(), StatusCode::kInvalidArgument)
+        << scenario.status();
+  }
+}
+
 TEST(PowScenarioTest, UpdateRoundCompletesOnProofOfWorkChain) {
   ScenarioOptions options;
   options.consensus = ConsensusMode::kPow;

@@ -80,6 +80,17 @@ TEST(DeterminismTest, IdenticalSeedsProduceIdenticalWorlds) {
   EXPECT_EQ((*a)->network().stats().sent, (*b)->network().stats().sent);
   EXPECT_EQ((*a)->network().stats().bytes, (*b)->network().stats().bytes);
   EXPECT_EQ((*a)->simulator().Now(), (*b)->simulator().Now());
+
+  // Goldens computed at the parent of the shared-bootstrap refactor
+  // (ClinicScenario on runtime::NodeDaemon + core/clinic + SimWorld): the
+  // PoA world must stay byte-identical across refactors of its bootstrap.
+  // Re-pin only for an intended protocol change, with its reason.
+  EXPECT_EQ((*a)->node(0).blockchain().head().header.Hash().ToHex(),
+            "ce6627d57d97f7948b3bdc9f9c116e9891376c1c18b04a69c969e5cd31b17144");
+  EXPECT_EQ((*a)->node(0).host().StateFingerprint(),
+            "a2951082d329b8f21664a4955be1e89d19183fdd96d89a6c3abfbef704946bd6");
+  EXPECT_EQ((*a)->simulator().Now(),
+            SimClock::kDefaultEpoch + 11 * kMicrosPerSecond);
 }
 
 TEST(DeterminismTest, ThreadedPoolsProduceByteIdenticalWorlds) {
@@ -134,6 +145,15 @@ TEST(DeterminismTest, ThreadedPoolsProduceByteIdenticalWorlds) {
     EXPECT_EQ(baseline->tracer().ToJson().Dump(),
               threaded->tracer().ToJson().Dump());
   }
+
+  // Goldens computed at the parent of the shared-bootstrap refactor (see
+  // IdenticalSeedsProduceIdenticalWorlds): the single-miner PoW world.
+  EXPECT_EQ(baseline->node(0).blockchain().head().header.Hash().ToHex(),
+            "0038189a0ec1e9336cdc7f943d27da3a512463fdba4d1f5e135f90c6c423f3f0");
+  EXPECT_EQ(baseline->node(0).host().StateFingerprint(),
+            "ba405c775fc695488721de9a11bb53567be9448fe104df5e3bb00537ba7301f9");
+  EXPECT_EQ(baseline->simulator().Now(),
+            SimClock::kDefaultEpoch + 11 * kMicrosPerSecond);
 }
 
 TEST(DeterminismTest, IncrementalAndFullMaintenanceConverge) {

@@ -110,6 +110,19 @@ TEST(ScenarioGenTest, TamperedSpecsAreRejected) {
   NetworkSpec self_share = clean;
   self_share.tables[0].consumer = self_share.tables[0].provider;
   EXPECT_FALSE(ValidateSpec(self_share).ok());
+
+  // A world needs a chain node, and every trusted node must exist: zero
+  // nodes must not reach the trusted-node assignment (a division by the
+  // node count), and an out-of-range index must not wrap onto another node.
+  NetworkSpec no_chain_nodes = clean;
+  no_chain_nodes.options.chain_node_count = 0;
+  EXPECT_FALSE(ValidateSpec(no_chain_nodes).ok());
+  EXPECT_FALSE(GeneratedScenario::CreateFromSpec(no_chain_nodes).ok());
+
+  NetworkSpec foreign_trusted_node = clean;
+  foreign_trusted_node.peers[1].trusted_node =
+      clean.options.chain_node_count;
+  EXPECT_FALSE(ValidateSpec(foreign_trusted_node).ok());
 }
 
 TEST(ScenarioGenTest, EpochIsSeedDerived) {
@@ -170,6 +183,11 @@ TEST(ScenarioGenTest, SmallWorldConvergesWithRepeatableFingerprint) {
   EXPECT_EQ(first.executed, second.executed);
   EXPECT_EQ(first.skipped, second.skipped);
   EXPECT_EQ(first.chain_height, second.chain_height);
+  // Golden computed at the parent of the shared-bootstrap refactor
+  // (GeneratedScenario on runtime::NodeDaemon + SimWorld). Re-pin only for
+  // an intended protocol change, with its reason.
+  EXPECT_EQ(first.fingerprint,
+            "9ef2ed4adaba2459bb0732b263f1035cd8fb089f2848b42ba8c34bec6ea7d904");
 }
 
 TEST(ScenarioGenTest, GeneratedWorldStartsAtSeedDerivedEpoch) {

@@ -22,6 +22,7 @@
 
 #include "common/json.h"
 #include "core/daemon.h"
+#include "crypto/sha256.h"
 #include "net/event_loop.h"
 #include "net/frame.h"
 #include "net/network.h"
@@ -165,6 +166,20 @@ TEST(SocketEquivalenceTest, SimulatedAndSocketCascadesAgreeByteForByte) {
     // Non-vacuous: the cascade actually ran (both tables at version 2).
     EXPECT_NE(block.find("\"version\":2"), std::string::npos) << role;
   }
+
+  // Golden computed at the parent of the shared-bootstrap refactor
+  // (ClinicDaemon on core/clinic): SHA-256 over every role's simulated
+  // compare block. Re-pin only for an intended protocol change, with its
+  // reason.
+  crypto::Sha256 hash;
+  for (const auto& [role, block] : simulated) {
+    hash.Update(role);
+    hash.Update("=");
+    hash.Update(block);
+    hash.Update("\n");
+  }
+  EXPECT_EQ(hash.Finish().ToHex(),
+            "e06b2380f04bf547b0014bee9d9f428eb8619da29553fc5c13f25bb4f0ce6ade");
 }
 
 /// A raw loopback client for attacking the transport from outside the

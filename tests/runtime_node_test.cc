@@ -237,9 +237,14 @@ TEST_F(NodeClusterTest, PeersIgnoreForeignProtocolMessages) {
   for (int i = 0; i < 3; ++i) {
     IgnoreStatusForTest(network_->Send(
         net::Message{"node-1", "node-0", "block", head.ToJson()}));
+    Json stale_head = Json::MakeObject();
+    stale_head.Set("lane", int64_t{0});
+    stale_head.Set("hash", head.header.Hash().ToHex());
+    stale_head.Set("height", head.header.height);
+    Json heads = Json::MakeArray();
+    heads.Append(std::move(stale_head));
     Json stale = Json::MakeObject();
-    stale.Set("hash", head.header.Hash().ToHex());
-    stale.Set("height", head.header.height);
+    stale.Set("heads", std::move(heads));
     IgnoreStatusForTest(network_->Send(
         net::Message{"node-1", "node-0", "head_announce", stale}));
   }
