@@ -50,7 +50,7 @@ class SimClock : public Clock {
 
 /// The real wall clock (CLOCK_REALTIME), for the deployment plane only:
 /// the socket transport's EventLoop stamps timers and blocks with it.
-/// Deterministic tests and benches must keep using SimClock — medsync-lint
+/// Deterministic tests and benches must keep using SimClock — medsync-sca
 /// MS002 confines the underlying syscall to this translation unit.
 class WallClock : public Clock {
  public:

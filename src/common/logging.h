@@ -44,7 +44,7 @@ class Logging {
 /// responses) whose failure is recovered by a retry/timeout/catch-up layer
 /// rather than the caller. Named so every deliberate drop in src/ stays
 /// grep-able; tests use IgnoreStatusForTest (status.h) instead. Bare
-/// `(void)` status casts are forbidden by medsync-lint.
+/// `(void)` status casts are forbidden by medsync-sca.
 void LogIfError(const Status& status, std::string_view component,
                 std::string_view context);
 

@@ -135,7 +135,7 @@ std::ostream& operator<<(std::ostream& os, const Status& status);
 /// (e.g. re-adding a duplicate to provoke a later state); library code is
 /// expected to handle or propagate instead. Named rather than a bare
 /// `(void)` cast so every deliberate discard is grep-able and reviewable
-/// (medsync-lint forbids `(void)` status casts for the same reason).
+/// (medsync-sca forbids `(void)` status casts for the same reason).
 template <typename StatusLike>
 inline void IgnoreStatusForTest(const StatusLike&) {}
 

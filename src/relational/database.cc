@@ -23,11 +23,10 @@ constexpr char kWalFile[] = "wal.log";
 constexpr char kChunksDir[] = "chunks";
 constexpr char kChunkSuffix[] = ".chunk";
 
-/// Snapshot formats this build can read. Checkpoint always writes the
-/// newest; anything else in the "format" field is a different (future or
-/// corrupted) layout and must not be guessed at.
-constexpr int64_t kSnapshotFormatLegacyRows = 2;
-constexpr int64_t kSnapshotFormatChunked = 3;
+/// The one snapshot format this build reads and Checkpoint writes; anything
+/// else in the "format" field is a different (older, future or corrupted)
+/// layout and must not be guessed at.
+constexpr int64_t kSnapshotFormat = 3;
 
 bool FileExists(const std::string& path) {
   struct stat st;
@@ -266,11 +265,10 @@ Result<Database> Database::Open(const std::string& dir, OpenOptions options) {
   Database db;
   db.dir_ = dir;
 
-  // Load snapshot if present. Formats 2 and 3 record which WAL prefix the
-  // snapshot already covers ({"format":N,"wal_through":K,"tables":{...}});
-  // a legacy snapshot is the bare tables object and covers nothing. Any
-  // OTHER format number is some future (or corrupted) layout: parsing it
-  // as a known one would silently misread data, so Open refuses.
+  // Load snapshot if present. It records which WAL prefix it already
+  // covers ({"format":3,"wal_through":K,"tables":{...}}). Any other format
+  // number, or none at all, is a layout this build does not write: parsing
+  // it as format 3 would silently misread data, so Open refuses.
   uint64_t wal_through = 0;
   bool exists = false;
   MEDSYNC_ASSIGN_OR_RETURN(
@@ -281,34 +279,27 @@ Result<Database> Database::Open(const std::string& dir, OpenOptions options) {
     if (!snapshot.is_object()) {
       return Status::Corruption("snapshot is not a JSON object");
     }
-    const Json* tables_json = &snapshot;
-    int64_t format = 0;
-    if (snapshot.GetInt("format").ok()) {
-      format = *snapshot.GetInt("format");
-      if (format != kSnapshotFormatLegacyRows &&
-          format != kSnapshotFormatChunked) {
-        return Status::Corruption(
-            StrCat("snapshot format ", format, " is not supported (this "
-                   "build reads formats ", kSnapshotFormatLegacyRows, " and ",
-                   kSnapshotFormatChunked, ")"));
-      }
-      MEDSYNC_ASSIGN_OR_RETURN(int64_t through,
-                               snapshot.GetInt("wal_through"));
-      wal_through = static_cast<uint64_t>(through);
-      if (!snapshot.At("tables").is_object()) {
-        return Status::Corruption("snapshot has no tables object");
-      }
-      tables_json = &snapshot.At("tables");
+    Result<int64_t> format = snapshot.GetInt("format");
+    if (!format.ok() || *format != kSnapshotFormat) {
+      return Status::Corruption(
+          StrCat("snapshot format ",
+                 format.ok() ? std::to_string(*format) : "(none)",
+                 " is not supported (this build reads format ",
+                 kSnapshotFormat, ")"));
     }
-    for (const auto& [name, table_json] : tables_json->AsObject()) {
-      if (format == kSnapshotFormatChunked) {
-        MEDSYNC_ASSIGN_OR_RETURN(Table table,
-                                 LoadChunkedTable(dir, name, table_json));
-        db.tables_.emplace(name, std::move(table));
-      } else {
-        MEDSYNC_ASSIGN_OR_RETURN(Table table, Table::FromJson(table_json));
-        db.tables_.emplace(name, std::move(table));
-      }
+    MEDSYNC_ASSIGN_OR_RETURN(int64_t through, snapshot.GetInt("wal_through"));
+    if (through < 0) {
+      return Status::Corruption(
+          StrCat("snapshot wal_through ", through, " is negative"));
+    }
+    wal_through = static_cast<uint64_t>(through);
+    if (!snapshot.At("tables").is_object()) {
+      return Status::Corruption("snapshot has no tables object");
+    }
+    for (const auto& [name, table_json] : snapshot.At("tables").AsObject()) {
+      MEDSYNC_ASSIGN_OR_RETURN(Table table,
+                               LoadChunkedTable(dir, name, table_json));
+      db.tables_.emplace(name, std::move(table));
     }
   }
 
@@ -731,7 +722,7 @@ Status Database::Checkpoint() {
     tables.Set(name, std::move(t));
   }
   Json snapshot = Json::MakeObject();
-  snapshot.Set("format", kSnapshotFormatChunked);
+  snapshot.Set("format", kSnapshotFormat);
   // Everything the WAL has logged so far is applied to tables_, so the
   // snapshot covers the full assigned-LSN prefix. LSNs survive Reset(),
   // which is what keeps this claim true in every crash window: whether the
@@ -757,7 +748,7 @@ Status Database::Checkpoint() {
     ::closedir(d);
     for (const std::string& file_name : doomed) {
       std::string path = StrCat(chunks_dir, "/", file_name);
-      (void)::unlink(path.c_str());
+      ::unlink(path.c_str());
     }
   }
 

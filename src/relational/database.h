@@ -31,10 +31,10 @@ namespace medsync::relational {
 ///   <dir>/chunks/<id>.chunk   one file per sealed columnar chunk,
 ///                         content-addressed by Chunk::id() — an unchanged
 ///                         chunk is never rewritten by later checkpoints.
-///   <dir>/wal.log         the write-ahead log (format unchanged).
-/// Format-2 snapshots (monolithic row JSON) are still read; Checkpoint()
-/// always writes format 3. Unknown format numbers fail Open with
-/// Corruption rather than being misread as some known layout.
+///   <dir>/wal.log         the write-ahead log (see Wal).
+/// Open reads format 3 only, the one Checkpoint() writes. Any other format
+/// number, a missing one, or a negative wal_through fails Open with
+/// Corruption rather than being misread as format 3.
 class Database {
  public:
   struct OpenOptions {

@@ -109,7 +109,7 @@ class Table {
   //
   // Entry references are valid until the iterator advances (chunk rows are
   // materialized into iterator-owned buffers) — copy `row` if it must
-  // outlive the loop step. medsync-lint MS008 forbids bypassing this API
+  // outlive the loop step. medsync-sca MS008 forbids bypassing this API
   // outside src/relational/.
   // -------------------------------------------------------------------------
 

@@ -24,17 +24,15 @@ struct WalRecord {
 /// Record wire format (one record per line):
 ///   <crc32-hex-8> <length-decimal> <lsn-decimal> <json-payload>\n
 /// The checksum and length cover `<lsn-decimal> <json-payload>`, so a
-/// corrupted LSN is caught like any other corruption. Legacy records
-/// without the LSN field (`<crc> <len> <json>`) are still recovered, with
-/// LSNs assigned sequentially. Recovery reads records until EOF; only a
-/// torn tail — a final record missing its '\n' terminator, the signature of
-/// an interrupted append — is truncated away. A complete line that fails
-/// the checksum, length, or LSN monotonicity check is bit rot, and Open
-/// fails with Corruption rather than silently dropping it along with every
-/// valid record after it. The local database
-/// of every sharing peer logs mutations through this before applying them,
-/// so a crashed peer replays to its pre-crash state and can rejoin the
-/// sharing protocol where it left off.
+/// corrupted LSN is caught like any other corruption. Recovery reads
+/// records until EOF; only a torn tail — a final record missing its '\n'
+/// terminator, the signature of an interrupted append — is truncated away.
+/// A complete line that fails the checksum, length, LSN-prefix, or LSN
+/// monotonicity check is bit rot, and Open fails with Corruption rather than
+/// silently dropping it along with every valid record after it. The local
+/// database of every sharing peer logs mutations through this before
+/// applying them, so a crashed peer replays to its pre-crash state and can
+/// rejoin the sharing protocol where it left off.
 ///
 /// LSNs are durable and survive Reset(): truncating the log after a
 /// checkpoint does NOT renumber from 1, so a snapshot that records "covers

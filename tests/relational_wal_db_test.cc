@@ -198,10 +198,11 @@ TEST(WalTest, ResetTruncatesButPreservesLsnContinuity) {
   EXPECT_EQ(wal->next_lsn(), 3u);
 }
 
-TEST(WalTest, LegacyRecordsWithoutLsnStillRecover) {
+TEST(WalTest, RecordWithoutLsnIsCorruption) {
   TempDir dir;
   std::string path = dir.file("wal.log");
-  // Hand-write two pre-LSN-format records: <crc> <len> <json>.
+  // Hand-write two records without the LSN field: <crc> <len> <json>. The
+  // checksum and length are valid, so only the missing LSN can fail them.
   std::string a = Op("first").Dump();
   std::string b = Op("second").Dump();
   char header[32];
@@ -217,19 +218,11 @@ TEST(WalTest, LegacyRecordsWithoutLsnStillRecover) {
 
   std::vector<WalRecord> recovered;
   Result<Wal> wal = Wal::Open(path, &recovered);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_EQ(recovered.size(), 2u);
-  EXPECT_EQ(recovered[0].lsn, 1u);  // assigned sequentially
-  EXPECT_EQ(recovered[1].lsn, 2u);
-  EXPECT_EQ(*recovered[1].payload.GetString("tag"), "second");
-  // New appends continue the numbering in the current (stored-LSN) format.
-  Result<uint64_t> lsn = wal->Append(Op("third"));
-  ASSERT_TRUE(lsn.ok());
-  EXPECT_EQ(*lsn, 3u);
-  wal = Wal::Open(path, &recovered);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_EQ(recovered.size(), 3u);
-  EXPECT_EQ(recovered[2].lsn, 3u);
+  ASSERT_FALSE(wal.ok());
+  EXPECT_TRUE(wal.status().IsCorruption()) << wal.status();
+  EXPECT_NE(wal.status().message().find("record 1: missing LSN"),
+            std::string::npos)
+      << wal.status();
 }
 
 TEST(WalTest, SyncIsCallableAndCounted) {
@@ -503,73 +496,59 @@ TEST(DatabaseTest, CommitPathSyncsEveryAppend) {
 }
 
 TEST(DatabaseTest, UnknownSnapshotFormatIsCorruption) {
-  // Regression test: Open used to accept ANY parseable "format" integer
-  // and read the snapshot as the current layout — a database written by a
-  // future version (or with a corrupted format field) would be silently
-  // misparsed instead of refused.
-  TempDir dir;
-  {
-    Result<Database> db = Database::Open(dir.path());
-    ASSERT_TRUE(db.ok());
-    ASSERT_TRUE(db->CreateTable("t", S()).ok());
-    ASSERT_TRUE(db->Insert("t", R(1, "x")).ok());
-    ASSERT_TRUE(db->Checkpoint().ok());
-  }
-  // Rewrite the manifest's format int to a number this build never wrote.
-  std::string snap_path = dir.file("snapshot.json");
-  std::string text;
-  {
-    FILE* f = std::fopen(snap_path.c_str(), "rb");
+  // Open reads format 3 only. Every other manifest must be refused rather
+  // than misread: a future format, the retired format-2 monolithic rows and
+  // format-less bare-tables snapshots, and a negative wal_through, which
+  // would otherwise wrap to "covers every LSN" and skip the whole WAL.
+  // `row_tables` is the row-JSON layout both retired formats stored.
+  Table rows(S());
+  ASSERT_TRUE(rows.Insert(R(1, "x")).ok());
+  Json row_tables = Json::MakeObject();
+  row_tables.Set("t", rows.ToJson());
+  auto manifest = [](int64_t format, int64_t wal_through, Json tables) {
+    Json snapshot = Json::MakeObject();
+    snapshot.Set("format", format);
+    snapshot.Set("wal_through", wal_through);
+    snapshot.Set("tables", std::move(tables));
+    return snapshot.Dump();
+  };
+  struct Case {
+    const char* name;
+    std::string snapshot;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"future format", manifest(99, 0, row_tables),
+       "format 99 is not supported"},
+      {"format 2 rows", manifest(2, 0, row_tables),
+       "format 2 is not supported"},
+      {"format-less bare tables", row_tables.Dump(),
+       "format (none) is not supported"},
+      // A valid empty format-3 manifest: only wal_through is wrong.
+      {"negative wal_through", manifest(3, -1, Json::MakeObject()),
+       "wal_through -1 is negative"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TempDir dir;
+    {
+      // Logged but never checkpointed: only WAL replay can recover these.
+      Result<Database> db = Database::Open(dir.path());
+      ASSERT_TRUE(db.ok());
+      ASSERT_TRUE(db->CreateTable("t", S()).ok());
+      ASSERT_TRUE(db->Insert("t", R(1, "x")).ok());
+      ASSERT_TRUE(db->Insert("t", R(2, "y")).ok());
+    }
+    FILE* f = std::fopen(dir.file("snapshot.json").c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    int c;
-    while ((c = std::fgetc(f)) != EOF) text.push_back((char)c);
+    std::fwrite(c.snapshot.data(), 1, c.snapshot.size(), f);
     std::fclose(f);
+    Result<Database> reopened = Database::Open(dir.path());
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status();
+    EXPECT_NE(reopened.status().message().find(c.message), std::string::npos)
+        << reopened.status();
   }
-  size_t pos = text.find("\"format\"");
-  ASSERT_NE(pos, std::string::npos);
-  size_t colon = text.find(':', pos);
-  size_t digit = text.find_first_of("0123456789", colon);
-  ASSERT_NE(digit, std::string::npos);
-  text = text.substr(0, digit) + "99" + text.substr(digit + 1);
-  {
-    FILE* f = std::fopen(snap_path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-  }
-  Result<Database> reopened = Database::Open(dir.path());
-  ASSERT_FALSE(reopened.ok());
-  EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status();
-  EXPECT_NE(reopened.status().message().find("format 99"), std::string::npos)
-      << reopened.status();
-}
-
-TEST(DatabaseTest, LegacyFormat2SnapshotStillOpens) {
-  // A monolithic format-2 snapshot (what earlier builds wrote) must keep
-  // loading; the next Checkpoint migrates the directory to format 3.
-  TempDir dir;
-  Table t(S());
-  ASSERT_TRUE(t.Insert(R(1, "legacy")).ok());
-  ASSERT_TRUE(t.Insert(R(2, "rows")).ok());
-  Json tables = Json::MakeObject();
-  tables.Set("t", t.ToJson());
-  Json snapshot = Json::MakeObject();
-  snapshot.Set("format", static_cast<int64_t>(2));
-  snapshot.Set("wal_through", static_cast<int64_t>(0));
-  snapshot.Set("tables", std::move(tables));
-  std::string dump = snapshot.Dump();
-  FILE* f = std::fopen(dir.file("snapshot.json").c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite(dump.data(), 1, dump.size(), f);
-  std::fclose(f);
-
-  Result<Database> db = Database::Open(dir.path());
-  ASSERT_TRUE(db.ok()) << db.status();
-  EXPECT_EQ(*db->Snapshot("t"), t);
-  ASSERT_TRUE(db->Checkpoint().ok());
-  Result<Database> again = Database::Open(dir.path());
-  ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_EQ(*again->Snapshot("t"), t);
 }
 
 TEST(DatabaseTest, ChunkedCheckpointRoundTripsSealedHistory) {

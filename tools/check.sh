@@ -1,27 +1,22 @@
 #!/usr/bin/env bash
 # One-shot correctness gate (DESIGN.md section 12):
-#   1. configure with thread-safety analysis + exported compile commands
+#   1. configure with thread-safety analysis
 #   2. build (clang: -Werror=thread-safety; gcc: annotations are no-ops)
-#   3. medsync-lint over the tree + its self-test
-#   4. medsync-sca: the whole-program analyzer (MS101 lock-order,
-#      MS102 determinism-flow, MS103 event-loop-blocking, MS104
-#      status-leak) + its fixture self-test. Uses libclang when
-#      available, else the built-in frontend — the rules run either way.
-#   5. clang-tidy ratchet against tools/clang_tidy_baseline.txt (skips
-#      with a warning when clang-tidy is absent; CI runs it --require'd)
-#   6. tier-1 ctest
-#   7. sharded-lane suite (`ctest -L lanes`, quick legs; the heavy
+#   3. medsync-sca over the tree (per-line rules MS001-MS009, whole-program
+#      rules MS101-MS104) + its fixture self-test
+#   4. tier-1 ctest
+#   5. sharded-lane suite (`ctest -L lanes`, quick legs; the heavy
 #      lane-determinism soak leg carries both labels and rides in --full)
-#   8. columnar storage suite (`ctest -L storage`: chunk format + LZ codec,
+#   6. columnar storage suite (`ctest -L storage`: chunk format + LZ codec,
 #      chunked-vs-row equivalence properties, million-row
 #      seal/scan/checkpoint/recover — DESIGN.md section 15)
-#   9. loopback deployment smoke: build chain_node_daemon and drive the
+#   7. loopback deployment smoke: build chain_node_daemon and drive the
 #      four-process Fig. 5 cascade over real TCP to convergence, checking
 #      that every process reports the same protocol outcome (DESIGN.md
 #      section 16)
 #
 # Usage: tools/check.sh [build-dir]          (default: build-check)
-#        tools/check.sh --lint-only [dir]    lint stages only
+#        tools/check.sh --lint-only [dir]    analyzer stage only
 #        tools/check.sh --full [dir]         also run the `soak` label
 #                                            (generated 100-peer networks,
 #                                            ~3 min serial; see DESIGN.md
@@ -29,7 +24,7 @@
 #
 # Registered with ctest as `check_gate` (label `lint`) in --lint-only mode:
 # inside a ctest run the configure/build/test stages are already the
-# enclosing run, so only the lint stages add coverage there. The full gate
+# enclosing run, so only the analyzer stage adds coverage there. The full gate
 # is for pre-push use.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -46,28 +41,19 @@ fi
 BUILD_DIR="${1:-build-check}"
 
 if [[ "$LINT_ONLY" == 0 ]]; then
-  echo "== [1/9] configure ($BUILD_DIR) =="
-  cmake -B "$BUILD_DIR" -S . \
-    -DMEDSYNC_THREAD_SAFETY_ANALYSIS=ON \
-    -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
-  echo "== [2/9] build =="
+  echo "== [1/7] configure ($BUILD_DIR) =="
+  cmake -B "$BUILD_DIR" -S . -DMEDSYNC_THREAD_SAFETY_ANALYSIS=ON
+  echo "== [2/7] build =="
   cmake --build "$BUILD_DIR" -j"$(nproc)"
 fi
 
-echo "== [3/9] medsync-lint =="
-python3 tools/medsync_lint.py
-python3 tools/medsync_lint_test.py
-
-echo "== [4/9] medsync-sca (MS101-MS104 whole-program analysis) =="
-python3 tools/medsync_sca.py --build-dir "$BUILD_DIR"
+echo "== [3/7] medsync-sca (MS001-MS009, MS101-MS104) =="
+python3 tools/medsync_sca.py
 python3 tools/medsync_sca_test.py
 
-echo "== [5/9] clang-tidy ratchet =="
-python3 tools/clang_tidy_ratchet.py --build-dir "$BUILD_DIR"
-
 if [[ "$LINT_ONLY" == 0 ]]; then
-  echo "== [6/9] tier-1 ctest =="
-  # -LE lint: the lint stages just ran above; also keeps the registered
+  echo "== [4/7] tier-1 ctest =="
+  # -LE lint: the analyzer stage just ran above; also keeps the registered
   # check_gate test from re-entering this script. The generated soak suite
   # (label `soak`) is excluded from the default tier and included by
   # --full.
@@ -77,15 +63,15 @@ if [[ "$LINT_ONLY" == 0 ]]; then
   fi
   ctest --test-dir "$BUILD_DIR" --output-on-failure -LE "$EXCLUDE" \
     -j"$(nproc)"
-  echo "== [7/9] sharded-lane suite (ctest -L lanes) =="
+  echo "== [5/7] sharded-lane suite (ctest -L lanes) =="
   # Quick legs only by default; --full already covered the soak-labeled
-  # lane-determinism leg in stage 6, so always exclude `soak` here.
+  # lane-determinism leg in stage 4, so always exclude `soak` here.
   ctest --test-dir "$BUILD_DIR" --output-on-failure -L lanes -LE soak \
     -j"$(nproc)"
-  echo "== [8/9] columnar storage suite (ctest -L storage) =="
+  echo "== [6/7] columnar storage suite (ctest -L storage) =="
   ctest --test-dir "$BUILD_DIR" --output-on-failure -L storage -LE soak \
     -j"$(nproc)"
-  echo "== [9/9] loopback deployment smoke (4 processes over TCP) =="
+  echo "== [7/7] loopback deployment smoke (4 processes over TCP) =="
   cmake --build "$BUILD_DIR" --target chain_node_daemon -j"$(nproc)"
   tools/run_loopback_cascade.sh "$BUILD_DIR"
 fi

@@ -1,4 +1,4 @@
-// medsync-lint fixture: violates nothing. The self-test asserts zero
+// medsync-sca fixture: violates nothing. The self-test asserts zero
 // findings here even under a src/ masquerade path.
 #include <chrono>
 

@@ -1,4 +1,4 @@
-// medsync-lint fixture: every banned pattern below lives inside a
+// medsync-sca fixture: every banned pattern below lives inside a
 // comment or a literal, so NO rule may fire on this file. Each decoy
 // targets a stripping blind spot: plain comments, block comments,
 // backslash-continued line comments, plain strings, and raw strings.

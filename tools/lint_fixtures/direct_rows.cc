@@ -1,4 +1,4 @@
-// medsync-lint MS008 fixture: direct access to Table's two-tier storage
+// medsync-sca MS008 fixture: direct access to Table's two-tier storage
 // layout outside src/relational/. The range-for over head(), the
 // chunks()/tombstones()/dead_count() accessors, and the resurrected rows_
 // member must each fire; the chain::Blockchain::head() decoy and this

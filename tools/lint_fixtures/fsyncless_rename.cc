@@ -1,4 +1,4 @@
-// medsync-lint fixture: violates MS003 (fwrite/rename in a file not on
+// medsync-sca fixture: violates MS003 (fwrite/rename in a file not on
 // tools/durability_allowlist.txt). Never compiled.
 #include <cstdio>
 

@@ -1,4 +1,4 @@
-// medsync-lint fixture: a test that spawns a ThreadPool but whose
+// medsync-sca fixture: a test that spawns a ThreadPool but whose
 // CMakeLists (sibling file) gives it no `tsan` label -> MS004.
 #include "common/threading/thread_pool.h"
 

@@ -1,4 +1,4 @@
-// medsync-lint fixture: violates MS009 (raw socket syscalls / raw fd I/O
+// medsync-sca fixture: violates MS009 (raw socket syscalls / raw fd I/O
 // outside src/net/). Never compiled.
 #include <sys/socket.h>
 #include <unistd.h>

@@ -1,4 +1,4 @@
-// medsync-lint fixture: violates MS001 (raw thread spawn outside
+// medsync-sca fixture: violates MS001 (raw thread spawn outside
 // src/common/threading/). Never compiled; scanned by the lint self-test
 // under the masquerade path src/chain/raw_thread.cc.
 #include <future>

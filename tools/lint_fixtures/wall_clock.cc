@@ -1,8 +1,11 @@
-// medsync-lint fixture: violates MS002 (wall clock / libc randomness
+// medsync-sca fixture: violates MS002 (wall clock / libc randomness
 // outside common/clock / common/random). Never compiled.
 #include <chrono>
 #include <cstdlib>
 #include <ctime>
+
+// Macro bodies are code too.
+#define NOW() time(nullptr)  // MS002
 
 long ReadsWallClock() {
   auto now = std::chrono::system_clock::now();  // MS002

@@ -1,73 +1,75 @@
 #!/usr/bin/env python3
-"""medsync-sca: whole-program semantic analyzer for concurrency and
-determinism invariants (DESIGN.md section 12).
+"""medsync-sca: the invariant analyzer, rules MS001-MS009 and MS101-MS104.
 
-Where medsync-lint (tools/medsync_lint.py) matches per-line regexes, this
-tool builds a program model — functions, call graph, lock-acquisition
-scopes, loop/type information — across every translation unit and checks
-four rule families the regexes cannot express:
+It checks the contracts the compiler cannot see (DESIGN.md section 12).
 
-  MS101 lock-order       Extracts the lock-acquisition graph from
-                         threading::MutexLock / Mutex::Lock sites (the
-                         MEDSYNC_GUARDED_BY-annotated owners) across all
-                         TUs and fails on cycles: two mutexes acquired in
-                         opposite orders on two paths is a potential
-                         deadlock. The finding prints the full witness
-                         path (who acquires what, through which calls).
-                         A mutex re-acquired on a path that already holds
-                         it (threading::Mutex is non-recursive) is the
-                         degenerate cycle and reported the same way.
-  MS102 determinism-flow Flags iteration over std::unordered_map/set
-                         whose loop body reaches a serialization, digest,
-                         metrics-snapshot, or network-send sink without
-                         an ordered rebuild in between. Hash-iteration
-                         order is implementation-defined, so such a flow
-                         leaks nondeterministic order into bytes that the
-                         soak fingerprints require byte-identical.
-                         Collecting into a container that is sorted
-                         before the sink (or folding into an explicitly
-                         order-insensitive sink like the RowDigestAcc
-                         multiset digest) is the corrected form.
-  MS103 loop-blocking    Flags blocking primitives — fsync/fdatasync,
-                         sleeps, CondVar::Wait / Latch::Wait /
-                         TaskGroup::Wait, and locking a mutex whose
-                         critical sections themselves block — reachable
-                         from callbacks registered on the single-threaded
-                         net::EventLoop (WatchFd / Schedule). A blocked
-                         loop thread stalls every connection and timer in
-                         the process. Audited intentional sites (the
-                         commit-path durability fsync) are sanctioned in
-                         tools/sca_allowlist.txt with their rationale.
-  MS104 status-leak      A Status/Result<T> bound to a variable that is
-                         never read afterwards (not branched on, not
-                         returned, not passed on, not discarded by name
-                         via IgnoreStatusForTest). Closes the gap MS005's
-                         `(void)`-cast regex leaves open: binding to a
-                         named variable silences -Werror=unused-result
-                         just as invisibly.
+One walk reads every .cc/.h under src/, tests/, bench/, examples/ and tools/
+(fixture directories excluded); one lexer blanks its comments and literals.
+Two rule families run over the result.
 
-Frontends
-  --frontend=clang  libclang (python3 clang.cindex) over the exported
-                    compile_commands.json — precise types and scopes.
-  --frontend=text   a built-in dependency-free C++ tokenizer/indexer:
-                    same program model, heuristic types. This is what
-                    runs in containers without libclang.
-  --frontend=auto   clang when importable, else text with a warning
-                    (the default; check.sh uses it so the gate degrades
-                    gracefully instead of silently not running).
+Per-line rules, on the blanked text of src/, tests/, bench/ and examples/
+with preprocessor lines kept, so macro bodies are checked too. Their scopes
+are path prefixes; tools/durability_allowlist.txt lists the audited files
+MS003 (and MS009's raw file I/O) exempts:
 
-Suppression
+  MS001 raw-thread       std::thread / jthread / async in src/ outside
+                         src/common/threading/: spawn through ThreadPool so
+                         TSan and the determinism suite see it.
+  MS002 wall-clock       system_clock, time(), rand(), ... in src/ outside
+                         src/common/{clock,random}.*: the simulation takes
+                         time from SimClock and randomness from
+                         DeterministicRng.
+  MS003 durability       fwrite()/rename() in a src/ file not on the
+                         durability allowlist: a torn write waiting for a
+                         crash.
+  MS004 test-labels      a tests/*_test.cc that spawns a ThreadPool without
+                         the `tsan` ctest label, or touches FaultInjector
+                         without `fault`.
+  MS005 status-discard   a `(void)` cast of a call expression; the one
+                         sanctioned discard is IgnoreStatusForTest().
+  MS006 peer-fleet       a test with more than three direct Peer
+                         constructions, or one inside a loop: fleets come
+                         from core::GeneratedScenario.
+  MS007 direct-chain     chain::Blockchain constructed outside src/chain/,
+                         src/runtime/, tests/chain_* and bench/bench_chain_*:
+                         it bypasses lane assignment.
+  MS008 direct-rows      Table's two-tier layout (range-for over .head(),
+                         .chunks(), .tombstones(), .dead_count(), rows_)
+                         outside src/relational/, tests/relational_* and
+                         bench/bench_storage*: only scan() merges the tiers.
+  MS009 raw-socket       socket/epoll/poll/recv/send syscalls, and raw fd
+                         read/write outside the durability files, in src/
+                         outside src/net/.
+
+Whole-program rules, over a program model (functions, call graph, lock
+scopes, loop and binding types) built from the tokens of every file:
+
+  MS101 lock-order       a cycle in the mutex-acquisition graph, printed
+                         with its full witness path; a non-recursive
+                         threading::Mutex re-acquired while held is the
+                         degenerate cycle.
+  MS102 determinism-flow iteration over std::unordered_map/set whose body
+                         reaches a serialization, digest, metrics-snapshot
+                         or network-send sink without an ordered rebuild in
+                         between (directly, or by collecting into a vector
+                         that reaches the sink unsorted). Order-insensitive
+                         folds such as RowDigestAcc are exempt.
+  MS103 loop-blocking    fsync, sleeps, CondVar/Latch/TaskGroup::Wait, or
+                         locking a mutex whose critical sections block,
+                         reachable from a callback registered on the
+                         single-threaded net::EventLoop / Scheduler.
+  MS104 status-leak      a Status/Result<T> bound to a variable that is
+                         never read afterwards.
+
+Suppression (whole-program rules only)
   tools/sca_allowlist.txt entries `MSxxx <substring>  # rationale`
   suppress findings whose location or witness path contains <substring>;
   inline `// medsync-sca(MSxxx): rationale` on the finding line does the
   same for one site. Every entry must carry a rationale.
 
-Output
-  Human-readable findings (with witness paths) by default; --sarif FILE
-  emits SARIF 2.1.0 for CI annotations and editors ('-' for stdout).
-
-Exit status: non-zero iff unsuppressed findings were reported (or the
-requested frontend is unavailable).
+Usage: tools/medsync_sca.py [--root REPO_ROOT] [--sarif FILE]
+  --sarif FILE also writes SARIF 2.1.0 for CI annotations ('-' = stdout).
+Exit status: non-zero iff unsuppressed findings were reported.
 """
 
 from __future__ import annotations
@@ -77,10 +79,10 @@ import json
 import pathlib
 import re
 import sys
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 # ---------------------------------------------------------------------------
-# Program model: what both frontends produce and all rules consume.
+# Program model: what the frontend produces and the MS1xx rules consume.
 # ---------------------------------------------------------------------------
 
 
@@ -156,7 +158,7 @@ class FunctionModel:
         self.unordered_loops: List[UnorderedLoop] = []
         self.status_bindings: List[StatusBinding] = []
         self.registrations: List[Registration] = []
-        self.tokens: List["Tok"] = []   # body tokens (text frontend)
+        self.tokens: List["Tok"] = []   # body tokens
         self.sorted_vars: List[Tuple[str, int]] = []  # (var, pos) of sorts
 
     @property
@@ -271,7 +273,7 @@ class Finding:
 
 
 # ---------------------------------------------------------------------------
-# Text frontend: tokenizer.
+# Lexer: one pass shared by both rule families.
 # ---------------------------------------------------------------------------
 
 
@@ -301,33 +303,52 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 _PREPROC_RE = re.compile(r"^[ \t]*#[^\n]*(?:\\\n[^\n]*)*", re.MULTILINE)
+_LITERALS = ("comment", "rawstr", "str", "chr")
 
 
-def tokenize(text: str,
-             suppressions: Dict[int, Set[str]]) -> List[Tok]:
-    """Tokenizes C++ source; comments/strings/preprocessor are dropped but
-    `// medsync-sca(MSxxx)` suppression comments are recorded by line."""
-    for m in _SUPPRESS_RE.finditer(text):
-        line = text.count("\n", 0, m.start()) + 1
+def _blank(match: re.Match) -> str:
+    return re.sub(r"[^\n]", " ", match.group(0))
+
+
+def blank_code(text: str) -> str:
+    """Blanks comments and string/char literals to spaces. Newlines survive
+    (so line numbers do), and so do preprocessor lines (macro bodies are
+    code)."""
+    return _TOKEN_RE.sub(
+        lambda m: _blank(m) if m.lastgroup in _LITERALS else m.group(0), text)
+
+
+class Source(NamedTuple):
+    rel: str   # repo-relative path: what rule scopes and findings use
+    text: str  # the file as read
+    code: str  # blank_code(text)
+
+
+def read_source(path: pathlib.Path, rel: str) -> Source:
+    text = path.read_text(encoding="utf-8")
+    return Source(rel, text, blank_code(text))
+
+
+def tokenize(src: Source, suppressions: Dict[int, Set[str]]) -> List[Tok]:
+    """Tokenizes a file's code with preprocessor lines dropped, and records
+    its `// medsync-sca(MSxxx)` suppression comments by line."""
+    for m in _SUPPRESS_RE.finditer(src.text):
+        line = src.text.count("\n", 0, m.start()) + 1
         suppressions.setdefault(line, set()).add(m.group(1))
-    # Blank preprocessor lines (keeping newlines for line numbers).
-    text = _PREPROC_RE.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)), text)
+    code = _PREPROC_RE.sub(_blank, src.code)
     toks: List[Tok] = []
     line = 1
     pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        line += text.count("\n", pos, m.start())
+    for m in _TOKEN_RE.finditer(code):
+        line += code.count("\n", pos, m.start())
         pos = m.start()
-        if m.lastgroup in ("comment", "rawstr", "str", "chr"):
-            continue
-        kind = "num" if m.lastgroup == "num" else (
-            "id" if m.lastgroup == "id" else "punct")
+        kind = m.lastgroup if m.lastgroup in ("num", "id") else "punct"
         toks.append(Tok(kind, m.group(0), line))
     return toks
 
 
 # ---------------------------------------------------------------------------
-# Text frontend: structural indexer.
+# Frontend: structural indexer.
 # ---------------------------------------------------------------------------
 
 _KEYWORDS = {
@@ -348,27 +369,25 @@ _DECL_LINE_RE = re.compile(
 _TYPEISH_STOP = {";", "{", "}", ",", "(", ")", "return"}
 
 
-class TextFrontend:
-    """Builds the Program from raw source with a tokenizer and structural
-    heuristics. Precise enough for this codebase's house style (and the
-    fixture suite pins exactly what it must catch); the clang frontend is
-    the fully general one."""
+class Frontend:
+    """Builds the Program from tokens with structural heuristics: precise
+    enough for this codebase's house style, and the fixture suite pins
+    exactly what it must catch."""
 
-    def __init__(self, root: pathlib.Path, rel_paths: Sequence[str]):
-        self.root = root
-        self.rel_paths = list(rel_paths)
+    def __init__(self, sources: Sequence[Source]):
+        self.sources = list(sources)
         self.program = Program()
 
     # -- pass 1: harvest class members and function signatures ---------------
 
-    def harvest_declarations(self, rel: str, text: str) -> None:
+    def harvest_declarations(self, src: Source) -> None:
         prog = self.program
         # Class body spans via a simple scope scan over tokens.
         supp: Dict[int, Set[str]] = {}
-        toks = tokenize(text, supp)
+        toks = tokenize(src, supp)
         for line, rules in supp.items():
-            prog.suppressions.setdefault((rel, line), set()).update(rules)
-        lines = text.splitlines()
+            prog.suppressions.setdefault((src.rel, line), set()).update(rules)
+        lines = src.code.splitlines()
         for cls, start_line, end_line in self._class_spans(toks):
             members = prog.member_types.setdefault(cls, {})
             for lineno in range(start_line, min(end_line, len(lines)) + 1):
@@ -468,9 +487,9 @@ class TextFrontend:
 
     # -- pass 2: function bodies ---------------------------------------------
 
-    def index_file(self, rel: str, text: str) -> None:
+    def index_file(self, src: Source) -> None:
         supp: Dict[int, Set[str]] = {}
-        toks = tokenize(text, supp)
+        toks = tokenize(src, supp)
         spans = self._class_spans(toks)
         n = len(toks)
         i = 0
@@ -492,7 +511,7 @@ class TextFrontend:
                     fn = FunctionModel(
                         qname if "::" in qname or not cls
                         else f"{cls}::{qname}",
-                        cls, rel, t.line)
+                        cls, src.rel, t.line)
                     fn.tokens = toks[body_open + 1:body_close]
                     params = self._param_types(toks, i + 1, close_paren)
                     self._analyze_body(fn, toks, body_open + 1, body_close,
@@ -939,207 +958,15 @@ class TextFrontend:
     # -- driver --------------------------------------------------------------
 
     def build(self) -> Program:
-        texts = {}
-        for rel in self.rel_paths:
-            try:
-                texts[rel] = (self.root / rel).read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError):
-                continue
-        for rel, text in texts.items():
-            self.harvest_declarations(rel, text)
-        for rel, text in texts.items():
-            self.index_file(rel, text)
+        for src in self.sources:
+            self.harvest_declarations(src)
+        for src in self.sources:
+            self.index_file(src)
         return self.program
 
 
 # ---------------------------------------------------------------------------
-# Clang frontend (libclang / clang.cindex over compile_commands.json).
-# ---------------------------------------------------------------------------
-
-
-class ClangFrontend:
-    """Precise frontend: the same Program, built from libclang ASTs. Only
-    constructed when `import clang.cindex` succeeds."""
-
-    def __init__(self, root: pathlib.Path, build_dir: pathlib.Path):
-        import clang.cindex as cindex  # noqa: deferred import by design
-        self.cindex = cindex
-        self.root = root
-        self.build_dir = build_dir
-        self.program = Program()
-
-    def build(self) -> Program:
-        cindex = self.cindex
-        db = cindex.CompilationDatabase.fromDirectory(str(self.build_dir))
-        index = cindex.Index.create()
-        seen: Set[str] = set()
-        for cmd in db.getAllCompileCommands():
-            src = str(pathlib.Path(cmd.directory) / cmd.filename) \
-                if not pathlib.Path(cmd.filename).is_absolute() \
-                else cmd.filename
-            src = str(pathlib.Path(src).resolve())
-            if src in seen or not src.startswith(str(self.root)):
-                continue
-            seen.add(src)
-            args = [a for a in list(cmd.arguments)[1:]
-                    if a not in (cmd.filename, "-c", "-o")][:-1]
-            try:
-                tu = index.parse(src, args=args)
-            except cindex.TranslationUnitLoadError:
-                continue
-            self._index_tu(tu)
-        return self.program
-
-    def _rel(self, location) -> Optional[str]:
-        if not location.file:
-            return None
-        p = pathlib.Path(location.file.name).resolve()
-        try:
-            return p.relative_to(self.root).as_posix()
-        except ValueError:
-            return None
-
-    def _index_tu(self, tu) -> None:
-        ck = self.cindex.CursorKind
-        prog = self.program
-
-        def walk(cursor):
-            for child in cursor.get_children():
-                rel = self._rel(child.location)
-                if rel is None:
-                    continue
-                if child.kind in (ck.CLASS_DECL, ck.STRUCT_DECL) \
-                        and child.is_definition():
-                    members = prog.member_types.setdefault(
-                        child.spelling, {})
-                    for f in child.get_children():
-                        if f.kind == ck.FIELD_DECL:
-                            members[f.spelling] = f.type.spelling
-                if child.kind in (ck.FUNCTION_DECL, ck.CXX_METHOD,
-                                  ck.CONSTRUCTOR, ck.DESTRUCTOR,
-                                  ck.FUNCTION_TEMPLATE):
-                    prog.return_types.setdefault(
-                        child.spelling, child.result_type.spelling or "")
-                    if child.is_definition():
-                        key = f"{rel}:{child.location.line}:" \
-                              f"{self._qname(child)}"
-                        if key not in self._fn_seen:
-                            self._fn_seen.add(key)
-                            self._index_function(child, rel)
-                walk(child)
-
-        self._fn_seen: Set[str] = getattr(self, "_fn_seen", set())
-        walk(tu.cursor)
-
-    def _qname(self, cursor) -> str:
-        parts = []
-        c = cursor
-        while c is not None and c.spelling:
-            if c.kind in (self.cindex.CursorKind.TRANSLATION_UNIT,):
-                break
-            parts.append(c.spelling)
-            c = c.semantic_parent
-        return "::".join(reversed(parts))
-
-    def _index_function(self, cursor, rel: str) -> None:
-        ck = self.cindex.CursorKind
-        cls = None
-        parent = cursor.semantic_parent
-        if parent is not None and parent.kind in (ck.CLASS_DECL,
-                                                  ck.STRUCT_DECL):
-            cls = parent.spelling
-        fn = FunctionModel(self._qname(cursor), cls, rel,
-                           cursor.location.line)
-        pos = [0]
-
-        def visit(node, open_sites):
-            # A MutexLock's scope closes with its innermost enclosing
-            # compound statement; scope_end is patched when that compound
-            # finishes visiting, so it lives in the same pos-counter units
-            # as every CallSite (the rules compare the two directly).
-            scope_sites = [] if node.kind == ck.COMPOUND_STMT else open_sites
-            for child in node.get_children():
-                pos[0] += 1
-                k = child.kind
-                if k == ck.VAR_DECL and "MutexLock" in child.type.spelling:
-                    site = AcquireSite(self._mutex_arg(child, cls),
-                                       child.location.line, pos[0], pos[0])
-                    fn.acquires.append(site)
-                    scope_sites.append(site)
-                if k == ck.CALL_EXPR:
-                    name = child.spelling or ""
-                    recv_type = None
-                    kids = list(child.get_children())
-                    if kids and kids[0].kind == ck.MEMBER_REF_EXPR:
-                        base = list(kids[0].get_children())
-                        if base:
-                            bt = base[0].type.spelling
-                            recv_type = re.sub(
-                                r"\bconst\b|[*&]", "", bt).strip() \
-                                .split("<")[0].rsplit("::", 1)[-1]
-                    if name:
-                        args = {c.spelling for c in child.walk_preorder()
-                                if c.kind == ck.DECL_REF_EXPR
-                                and c.spelling}
-                        fn.calls.append(CallSite(
-                            name, recv_type, child.location.line, pos[0],
-                            args))
-                    if name in REGISTRATION_METHODS \
-                            and recv_type in LOOP_RECEIVER_TYPES:
-                        # The registered callback (lambda argument) spans
-                        # the rest of this call's subtree, so its acquires
-                        # and calls land in (start, pos-after-subtree].
-                        start = pos[0]
-                        visit(child, scope_sites)
-                        fn.registrations.append(Registration(
-                            name, recv_type, child.location.line,
-                            start + 1, pos[0] + 1))
-                        continue
-                if k == ck.CXX_FOR_RANGE_STMT:
-                    kids = list(child.get_children())
-                    if len(kids) >= 2 and "unordered_" in \
-                            kids[-2].type.spelling:
-                        start = pos[0]
-                        loop = UnorderedLoop(kids[-2].type.spelling,
-                                             child.location.line, start,
-                                             start)
-                        fn.unordered_loops.append(loop)
-                        visit(child, scope_sites)
-                        loop.body_end = pos[0]
-                        continue
-                if k == ck.VAR_DECL and re.match(
-                        r"^(?:medsync::)?(?:common::)?(Status|Result<)",
-                        child.type.spelling):
-                    fn.status_bindings.append(StatusBinding(
-                        child.spelling, child.location.line, pos[0]))
-                if k == ck.DECL_REF_EXPR:
-                    fn.tokens.append(Tok("id", child.spelling,
-                                         child.location.line))
-                visit(child, scope_sites)
-            if node.kind == ck.COMPOUND_STMT:
-                for site in scope_sites:
-                    site.scope_end = pos[0]
-
-        body = None
-        for child in cursor.get_children():
-            if child.kind == ck.COMPOUND_STMT:
-                body = child
-        if body is not None:
-            visit(body, [])
-        self.program.add(fn)
-
-    def _mutex_arg(self, var_decl, cls) -> str:
-        for child in var_decl.get_children():
-            for ref in child.walk_preorder():
-                if ref.kind == self.cindex.CursorKind.MEMBER_REF_EXPR \
-                        or ref.kind == self.cindex.CursorKind.DECL_REF_EXPR:
-                    owner = ref.semantic_parent
-                    return f"{cls or '?'}::{ref.spelling}"
-        return f"{cls or '?'}::<unknown>"
-
-
-# ---------------------------------------------------------------------------
-# Rules.
+# Whole-program rules MS101-MS104.
 # ---------------------------------------------------------------------------
 
 
@@ -1498,7 +1325,258 @@ class Analyzer:
 
 
 # ---------------------------------------------------------------------------
-# Allowlist + driver.
+# Per-line rules MS001-MS009.
+# ---------------------------------------------------------------------------
+
+MS001_PATTERN = re.compile(r"\bstd::(thread|jthread|async)\b")
+MS001_ALLOWED_PREFIXES = ("src/common/threading/",)
+
+MS002_PATTERNS = [
+    re.compile(r"\bstd::chrono::system_clock\b"),
+    re.compile(r"(?<![A-Za-z0-9_:.>])s?rand\s*\("),
+    re.compile(r"(?<![A-Za-z0-9_:.>])time\s*\("),
+    re.compile(r"\b(gettimeofday|clock_gettime|localtime|gmtime)\s*\("),
+]
+MS002_ALLOWED_FILES = (
+    "src/common/clock.h",
+    "src/common/clock.cc",
+    "src/common/random.h",
+    "src/common/random.cc",
+)
+
+MS003_PATTERN = re.compile(r"(?<![A-Za-z0-9_])((?:std::|::)?(?:fwrite|rename))\s*\(")
+
+# `(void)` followed by something that is called: (void)Foo(...),
+# (void)obj.Method(...), (void)ns::Fn(...), (void)::Fn(...),
+# (void)ptr->Call(...).
+MS005_PATTERN = re.compile(
+    r"\(\s*void\s*\)\s*(?:::)?[A-Za-z_][A-Za-z0-9_:.]*(?:->[A-Za-z0-9_:.]+)*"
+    r"\s*\(")
+
+# Direct Blockchain construction: a stack/member object (`Blockchain x(...)`
+# or `Blockchain x{...}`), make_unique, or new. Accessors returning
+# `Blockchain&` and member declarations without an initializer don't match.
+MS007_PATTERN = re.compile(
+    r"\b(?:chain::)?Blockchain\s+[A-Za-z_][A-Za-z0-9_]*\s*[({]"
+    r"|\bmake_unique<\s*(?:chain::)?Blockchain\b"
+    r"|\bnew\s+(?:chain::)?Blockchain\b")
+MS007_ALLOWED_PREFIXES = (
+    "src/chain/",          # the layer being constructed
+    "src/runtime/",        # ChainNode owns the per-lane chains
+    "tests/chain_",        # chain-layer unit tests
+    "bench/bench_chain_",  # chain-core microbench (raw-layer by design)
+)
+
+# Two-tier layout bypass. `.head()` fires only as a range-for target because
+# chain::Blockchain::head() is a legitimate, unrelated accessor; the other
+# storage accessors and the rows_ member are unambiguous.
+MS008_RANGE_FOR_HEAD = re.compile(
+    r"for\s*\([^;{]*:\s*[^;{]*(?:\.|->)\s*head\s*\(\s*\)")
+MS008_PATTERN = re.compile(
+    r"(?:\.|->)\s*(?:chunks|tombstones|dead_count)\s*\(\s*\)|\brows_\b")
+MS008_ALLOWED_PREFIXES = (
+    "src/relational/",     # the storage layer itself
+    "tests/relational_",   # storage-layer unit/property/scale tests
+    "bench/bench_storage", # storage microbench inspects layout by design
+)
+
+# Raw network syscalls (sockets, epoll/poll multiplexing) and raw fd I/O.
+# The lookbehind excludes member calls (`conn.send(`, `stream->read(`) and
+# qualified names (`fs::read(`); an explicitly global-namespace `::read(` is
+# still the syscall and still matches (the `::` is part of the match, so the
+# lookbehind sees whatever precedes it).
+MS009_SOCKET_PATTERN = re.compile(
+    r"(?<![A-Za-z0-9_.>:])((?:::)?(?:"
+    r"socket|connect|bind|listen|accept4?|shutdown"
+    r"|epoll_(?:create1?|ctl|wait|pwait)|poll|ppoll|select|pselect"
+    r"|recv(?:from|msg)?|send(?:to|msg)?|[gs]etsockopt"
+    r"))\s*\(")
+MS009_IO_PATTERN = re.compile(
+    r"(?<![A-Za-z0-9_.>:])((?:::)?(?:"
+    r"p?read|p?write|readv|writev"
+    r"))\s*\(")
+MS009_ALLOWED_PREFIXES = ("src/net/",)
+
+
+def _path_allowed(rel: str, prefixes) -> bool:
+    return any(rel.startswith(p) for p in prefixes)
+
+
+def check_lines(src: Source, durability_allowlist: Set[str]) -> List[Finding]:
+    """Per-line rules over one file. `src.rel` scopes them, so a fixture
+    can masquerade as any in-tree path."""
+    rel = src.rel
+    findings: List[Finding] = []
+    in_src = rel.startswith("src/")
+    for lineno, line in enumerate(src.code.splitlines(), start=1):
+        if in_src and not _path_allowed(rel, MS001_ALLOWED_PREFIXES):
+            match = MS001_PATTERN.search(line)
+            if match:
+                findings.append(Finding(
+                    "MS001", rel, lineno,
+                    f"raw {match.group(0)} outside src/common/threading/ — "
+                    "spawn through threading::ThreadPool so TSan and the "
+                    "determinism suite see it"))
+        if in_src and rel not in MS002_ALLOWED_FILES:
+            for pattern in MS002_PATTERNS:
+                match = pattern.search(line)
+                if match:
+                    findings.append(Finding(
+                        "MS002", rel, lineno,
+                        f"wall-clock/libc-random call '{match.group(0).strip()}' "
+                        "outside common/clock / common/random — use SimClock / "
+                        "DeterministicRng (determinism contract)"))
+        if in_src and rel not in durability_allowlist:
+            match = MS003_PATTERN.search(line)
+            if match:
+                findings.append(Finding(
+                    "MS003", rel, lineno,
+                    f"'{match.group(1)}' in a file not on "
+                    "tools/durability_allowlist.txt — bare write/rename "
+                    "without an audited fsync protocol is a torn-write risk"))
+        match = MS005_PATTERN.search(line)
+        if match:
+            findings.append(Finding(
+                "MS005", rel, lineno,
+                "'(void)' cast of a call expression — handle the Status, "
+                "propagate it, or discard by name with IgnoreStatusForTest()"))
+        if not _path_allowed(rel, MS007_ALLOWED_PREFIXES):
+            match = MS007_PATTERN.search(line)
+            if match:
+                findings.append(Finding(
+                    "MS007", rel, lineno,
+                    "direct chain::Blockchain construction bypasses lane "
+                    "assignment (DESIGN.md section 14) — go through "
+                    "runtime::ChainNode (or core::GeneratedScenario) so "
+                    "transactions land in their assigned lane"))
+        if in_src and not _path_allowed(rel, MS009_ALLOWED_PREFIXES):
+            match = MS009_SOCKET_PATTERN.search(line)
+            if match is None and rel not in durability_allowlist:
+                match = MS009_IO_PATTERN.search(line)
+            if match:
+                findings.append(Finding(
+                    "MS009", rel, lineno,
+                    f"raw syscall '{match.group(1)}' outside src/net/ — wire "
+                    "I/O goes through net::SocketTransport / net::EventLoop "
+                    "(DESIGN.md section 16) so framing, CRC accounting, and "
+                    "the simulator/socket seam stay in one place"))
+        if not _path_allowed(rel, MS008_ALLOWED_PREFIXES):
+            match = (MS008_RANGE_FOR_HEAD.search(line)
+                     or MS008_PATTERN.search(line))
+            if match:
+                findings.append(Finding(
+                    "MS008", rel, lineno,
+                    "direct access to Table's two-tier storage layout "
+                    "(head/chunks/tombstones/rows_) outside src/relational/ "
+                    "— iterate with table.scan(), which merges the mutable "
+                    "head with the sealed chunks and skips dead rows "
+                    "(DESIGN.md section 15)"))
+    return findings
+
+
+_PROPERTIES_BLOCK = re.compile(
+    r"set_tests_properties\s*\(\s*(?P<tests>.*?)\bPROPERTIES\s+LABELS\s+"
+    r"(?P<label>[A-Za-z0-9_;\"]+)\s*\)",
+    re.DOTALL,
+)
+_PROPERTY_BLOCK = re.compile(
+    r"set_property\s*\(\s*TEST\s+(?P<tests>.*?)\bAPPEND\s+PROPERTY\s+LABELS\s+"
+    r"(?P<label>[A-Za-z0-9_;\"]+)\s*\)",
+    re.DOTALL,
+)
+
+
+def parse_test_labels(cmake_text: str) -> dict:
+    """Returns {test_name: set(labels)} from a tests/CMakeLists.txt."""
+    labels: dict = {}
+    for block in (_PROPERTIES_BLOCK, _PROPERTY_BLOCK):
+        for match in block.finditer(cmake_text):
+            names = match.group("tests").split()
+            for label in match.group("label").strip('"').split(";"):
+                for name in names:
+                    labels.setdefault(name, set()).add(label)
+    return labels
+
+
+def check_test_labels(tests: Sequence[Source],
+                      cmake_text: str) -> List[Finding]:
+    """MS004 over the tests/*_test.cc sources, given tests/CMakeLists.txt."""
+    labels = parse_test_labels(cmake_text)
+    findings: List[Finding] = []
+    for src in tests:
+        name = pathlib.PurePosixPath(src.rel).stem
+        test_labels = labels.get(name, set())
+        if re.search(r"\bThreadPool\b", src.code) \
+                and "tsan" not in test_labels:
+            findings.append(Finding(
+                "MS004", src.rel, 1,
+                f"test '{name}' spawns a ThreadPool but has no `tsan` ctest "
+                "label — add it in tests/CMakeLists.txt so the TSan preset "
+                "covers it"))
+        if re.search(r"\bFaultInjector\b", src.code) \
+                and "fault" not in test_labels:
+            findings.append(Finding(
+                "MS004", src.rel, 1,
+                f"test '{name}' touches FaultInjector but has no `fault` "
+                "ctest label — add it in tests/CMakeLists.txt"))
+    return findings
+
+
+MS006_PATTERN = re.compile(
+    r"\bmake_unique<\s*(?:core::)?Peer\s*>|\bnew\s+(?:core::)?Peer\b")
+MS006_LOOP = re.compile(r"\b(?:for|while)\s*\(")
+# A loop header at most this many lines above a construction is considered
+# (heuristic; the loop body of a fleet builder is short).
+MS006_LOOP_WINDOW = 8
+MS006_MAX_DIRECT_PEERS = 3
+
+
+def _inside_open_loop(lines: List[str], site_lineno: int) -> bool:
+    """True if a for/while within the window above `site_lineno` has not
+    closed its braces again by the site — i.e. the construction sits in the
+    loop body, not merely below a finished loop."""
+    site = site_lineno - 1  # 0-based index of the construction line
+    lo = max(0, site - MS006_LOOP_WINDOW)
+    for j in range(site - 1, lo - 1, -1):
+        if not MS006_LOOP.search(lines[j]):
+            continue
+        balance = sum(line.count("{") - line.count("}")
+                      for line in lines[j:site])
+        if balance > 0:
+            return True
+    return False
+
+
+def check_peer_fleets(tests: Sequence[Source]) -> List[Finding]:
+    """MS006 over the tests/*_test.cc sources."""
+    findings: List[Finding] = []
+    for src in tests:
+        lines = src.code.splitlines()
+        sites = [lineno for lineno, line in enumerate(lines, start=1)
+                 if MS006_PATTERN.search(line)]
+        if not sites:
+            continue
+        looped = None
+        for lineno in sites:
+            if _inside_open_loop(lines, lineno):
+                looped = lineno
+                break
+        if len(sites) <= MS006_MAX_DIRECT_PEERS and looped is None:
+            continue
+        how = (f"Peer constructed in a loop at line {looped}"
+               if looped is not None
+               else f"{len(sites)} direct Peer constructions")
+        findings.append(Finding(
+            "MS006", src.rel, sites[0],
+            f"hand-rolled peer fleet ({how}) — build multi-peer worlds with "
+            "the seeded generator (core::GeneratedScenario, "
+            "src/core/scenario_gen.h) so seeds, adversity schedules, and "
+            "the soak oracles apply"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# Allowlists, tree walk and driver.
 # ---------------------------------------------------------------------------
 
 
@@ -1540,25 +1618,49 @@ def apply_suppressions(findings: List[Finding], program: Program,
     return kept, suppressed
 
 
+def load_durability_allowlist(path: pathlib.Path) -> Set[str]:
+    allowlist: Set[str] = set()
+    if not path.exists():
+        return allowlist
+    for line in path.read_text(encoding="utf-8").splitlines():
+        entry = line.split("#", 1)[0].strip()
+        if entry:
+            allowlist.add(entry)
+    return allowlist
+
+
 def collect_sources(root: pathlib.Path) -> List[str]:
+    """Repo-relative paths of every .cc/.h in the walked directories. The
+    fixture filter looks at the repo-relative path only, so a checkout that
+    itself sits under some `fixtures` directory is still analyzed."""
     rels: List[str] = []
     for top in ("src", "tools", "examples", "tests", "bench"):
         base = root / top
         if not base.is_dir():
             continue
         for path in sorted(base.rglob("*")):
-            if path.suffix in (".cc", ".h") and "fixtures" not in str(path):
-                rels.append(path.relative_to(root).as_posix())
+            rel = path.relative_to(root).as_posix()
+            if path.suffix in (".cc", ".h") and "fixtures" not in rel:
+                rels.append(rel)
     return rels
 
 
+RULES = {
+    "MS001": "raw std::thread/jthread/async outside src/common/threading/",
+    "MS002": "wall-clock or libc-random call outside common/clock, random",
+    "MS003": "fwrite/rename in a file not on the durability allowlist",
+    "MS004": "pool- or fault-injecting test without its tsan/fault label",
+    "MS005": "(void) cast of a call expression",
+    "MS006": "hand-rolled peer fleet in a test",
+    "MS007": "direct chain::Blockchain construction outside its owners",
+    "MS008": "direct access to Table's two-tier storage layout",
+    "MS009": "raw socket or fd syscall in src/ outside src/net/",
+    "MS101": "lock-order cycle (potential deadlock)",
+    "MS102": "unordered iteration reaches an order-sensitive sink",
+    "MS103": "blocking primitive reachable from an event-loop callback",
+    "MS104": "Status/Result bound to a variable that is never read",
+}
 def sarif_dump(findings: List[Finding]) -> str:
-    rules_meta = {
-        "MS101": "lock-order cycle (potential deadlock)",
-        "MS102": "unordered iteration reaches an order-sensitive sink",
-        "MS103": "blocking primitive reachable from an event-loop callback",
-        "MS104": "Status/Result bound to a variable that is never read",
-    }
     results = []
     for f in findings:
         message = f.message
@@ -1584,46 +1686,12 @@ def sarif_dump(findings: List[Finding]) -> str:
                 "name": "medsync-sca",
                 "rules": [{"id": rid,
                            "shortDescription": {"text": text}}
-                          for rid, text in sorted(rules_meta.items())],
+                          for rid, text in sorted(RULES.items())],
             }},
             "results": results,
         }],
     }
     return json.dumps(doc, indent=2)
-
-
-def build_program(root: pathlib.Path, frontend: str,
-                  build_dir: Optional[pathlib.Path],
-                  rel_paths: Optional[Sequence[str]] = None) -> \
-        Tuple[Optional[Program], str]:
-    """Returns (program, frontend_used). program None = hard unavailability
-    of an explicitly requested frontend."""
-    rels = list(rel_paths) if rel_paths is not None else \
-        collect_sources(root)
-    if frontend in ("clang", "auto"):
-        try:
-            import clang.cindex  # noqa: F401
-            have_clang = True
-        except ImportError:
-            have_clang = False
-        if have_clang and build_dir is not None and \
-                (build_dir / "compile_commands.json").exists():
-            try:
-                return ClangFrontend(root, build_dir).build(), "clang"
-            except Exception as err:  # pragma: no cover - env-specific
-                print(f"medsync-sca: clang frontend failed ({err}); "
-                      "falling back to the built-in frontend",
-                      file=sys.stderr)
-        elif frontend == "clang":
-            print("medsync-sca: libclang (python3 clang.cindex) or "
-                  "compile_commands.json unavailable — skipping "
-                  "(requested --frontend=clang)", file=sys.stderr)
-            return None, "none"
-        elif frontend == "auto":
-            print("medsync-sca: libclang unavailable; using the built-in "
-                  "frontend (heuristic types). Install python3-clang for "
-                  "the precise frontend.", file=sys.stderr)
-    return TextFrontend(root, rels).build(), "text"
 
 
 def run_rules(program: Program) -> List[Finding]:
@@ -1637,6 +1705,37 @@ def run_rules(program: Program) -> List[Finding]:
     return findings
 
 
+def run_line_rules(root: pathlib.Path,
+                   sources: Sequence[Source]) -> List[Finding]:
+    durability = load_durability_allowlist(
+        root / "tools" / "durability_allowlist.txt")
+    findings: List[Finding] = []
+    for src in sources:
+        if src.rel.startswith(("src/", "tests/", "bench/", "examples/")):
+            findings.extend(check_lines(src, durability))
+    tests = [src for src in sources
+             if re.fullmatch(r"tests/[^/]+_test\.cc", src.rel)]
+    cmake = root / "tests" / "CMakeLists.txt"
+    if cmake.exists():
+        findings.extend(check_test_labels(
+            tests, cmake.read_text(encoding="utf-8")))
+    findings.extend(check_peer_fleets(tests))
+    return findings
+
+
+def analyze(root: pathlib.Path) -> Tuple[List[Finding], int, int]:
+    """Runs every rule over the tree at `root`. Returns (unsuppressed
+    findings, audited suppressions, files read)."""
+    sources = [read_source(root / rel, rel) for rel in collect_sources(root)]
+    program = Frontend(sources).build()
+    findings, suppressed = apply_suppressions(
+        run_rules(program), program,
+        load_allowlist(root / "tools" / "sca_allowlist.txt"))
+    findings.extend(run_line_rules(root, sources))
+    findings.sort(key=lambda f: (f.file, f.line, f.rule))
+    return findings, suppressed, len(sources)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0],
@@ -1644,36 +1743,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--root", type=pathlib.Path,
                         default=pathlib.Path(__file__).resolve()
                         .parent.parent)
-    parser.add_argument("--build-dir", type=pathlib.Path, default=None,
-                        help="build dir holding compile_commands.json "
-                             "(default: <root>/build, then "
-                             "<root>/build-check)")
-    parser.add_argument("--frontend", choices=("auto", "clang", "text"),
-                        default="auto")
-    parser.add_argument("--allowlist", type=pathlib.Path, default=None,
-                        help="default: <root>/tools/sca_allowlist.txt")
     parser.add_argument("--sarif", metavar="FILE", default=None,
                         help="also write SARIF 2.1.0 ('-' = stdout)")
-    parser.add_argument("--skip-missing-frontend", action="store_true",
-                        help="exit 0 (skip-with-warning) when the requested "
-                             "frontend is unavailable")
     opts = parser.parse_args(argv)
 
-    root = opts.root.resolve()
-    build_dir = opts.build_dir
-    if build_dir is None:
-        for cand in (root / "build", root / "build-check"):
-            if (cand / "compile_commands.json").exists():
-                build_dir = cand
-                break
-    program, used = build_program(root, opts.frontend, build_dir)
-    if program is None:
-        return 0 if opts.skip_missing_frontend else 2
-
-    findings = run_rules(program)
-    allowlist_path = opts.allowlist or root / "tools" / "sca_allowlist.txt"
-    findings, suppressed = apply_suppressions(
-        findings, program, load_allowlist(allowlist_path))
+    findings, suppressed, files = analyze(opts.root.resolve())
 
     # With --sarif -, stdout must carry pure SARIF JSON; route the
     # human-readable report to stderr so the stream stays parseable.
@@ -1689,10 +1763,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                                                 encoding="utf-8")
     note = f" ({suppressed} audited suppression(s))" if suppressed else ""
     if findings:
-        print(f"medsync-sca[{used}]: {len(findings)} finding(s){note}",
-              file=sys.stderr)
+        print(f"medsync-sca: {len(findings)} finding(s) in {files} files"
+              f"{note}", file=sys.stderr)
         return 1
-    print(f"medsync-sca[{used}]: clean{note}", file=human)
+    print(f"medsync-sca: {files} files clean{note}", file=human)
     return 0
 
 
