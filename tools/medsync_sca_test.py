@@ -7,7 +7,9 @@ that stops catching the bug, or a rule that starts flagging the sanctioned
 idiom — fails this suite. Per-line fixtures (MS001–MS009) live in
 tools/lint_fixtures/ and are checked under masquerade repo-relative paths;
 whole-program fixtures (MS101–MS104) live in tools/sca_fixtures/. The real
-tree must analyze clean. Registered with ctest under the `lint` label.
+tree must analyze clean. Registered with ctest under the `lint` label, in
+the parts that PARTS names; `medsync_sca_test.py [lint|lint-tree|sca]`
+runs one part.
 """
 
 import json
@@ -427,5 +429,46 @@ class CleanTreeTest(unittest.TestCase):
         self.assertGreater(files, 100)
 
 
+class LineRulesCleanTreeTest(unittest.TestCase):
+    def test_real_tree_passes_the_per_line_rules(self):
+        sources = [sca.read_source(REPO_ROOT / rel, rel)
+                   for rel in sca.collect_sources(REPO_ROOT)]
+        findings = sca.run_line_rules(REPO_ROOT, sources)
+        self.assertEqual(findings, [],
+                         "\n".join(f.render() for f in findings))
+        self.assertGreater(len(sources), 100)
+
+
+# ctest runs this suite in parts (tools/CMakeLists.txt): `lint` is the
+# per-line rules MS001-MS009 and the shared lexer, `lint-tree` the real tree
+# under the per-line rules alone, and `sca` every other test. A test class
+# not named below belongs to `sca`. With no part named, every test runs.
+PARTS = {
+    "lint": (RawThreadRuleTest, WallClockRuleTest, DurabilityRuleTest,
+             StatusDiscardRuleTest, TestLabelRuleTest, PeerFleetRuleTest,
+             DirectChainRuleTest, DirectRowsRuleTest, RawSocketRuleTest,
+             CleanFixtureTest, CommentAndLiteralStrippingTest),
+    "lint-tree": (LineRulesCleanTreeTest,),
+}
+
+
+def part_suite(part):
+    named = {cls for classes in PARTS.values() for cls in classes}
+    if part == "sca":
+        classes = [cls for cls in globals().values()
+                   if isinstance(cls, type)
+                   and issubclass(cls, unittest.TestCase)
+                   and cls not in named]
+    else:
+        classes = PARTS[part]
+    loader = unittest.defaultTestLoader
+    return unittest.TestSuite(loader.loadTestsFromTestCase(cls)
+                              for cls in classes)
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 2 and sys.argv[1] in (*PARTS, "sca"):
+        result = unittest.TextTestRunner(verbosity=1).run(
+            part_suite(sys.argv[1]))
+        sys.exit(0 if result.wasSuccessful() else 1)
     unittest.main()
