@@ -24,9 +24,9 @@
 //
 // A second mode drives the seeded hospital-network generator instead of
 // the clinic — the command-line replay handle the soak tests print when a
-// seed fails:
+// seed fails (one command line, wrapped here):
 //
-//   ./build/examples/medsync_cli gen --seed 7 --peers 100 --depth 3 \
+//   ./build/examples/medsync_cli gen --seed 7 --peers 100 --depth 3
 //       [--events 48] [--prefix N]
 
 #include <cstdio>

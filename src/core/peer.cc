@@ -21,35 +21,23 @@ Peer::Peer(PeerConfig config, net::Scheduler* scheduler,
       sync_(&database_, config_.strategy) {
   sync_.set_maintenance(config_.maintenance);
   address_to_name_[key_.address().ToHex()] = config_.name;
-  if (config_.reliable_delivery) {
-    channel_ = std::make_unique<net::ReliableChannel>(
-        config_.name, scheduler_, network_, this, config_.reliable);
-    channel_->set_give_up_callback([this](const net::Message& message) {
-      Trace(StrCat("reliable delivery of '", message.type, "' to ",
-                   message.to, " gave up; catch-up will reconcile"));
-    });
-  }
+  channel_ = std::make_unique<net::ReliableChannel>(
+      config_.name, scheduler_, network_, this, config_.reliable);
+  channel_->set_give_up_callback([this](const net::Message& message) {
+    Trace(StrCat("reliable delivery of '", message.type, "' to ",
+                 message.to, " gave up; catch-up will reconcile"));
+  });
 }
 
 Peer::~Peer() {
   *alive_ = false;
-  if (started_) {
-    if (channel_ != nullptr) {
-      channel_->Detach();
-    } else {
-      network_->Detach(config_.name);
-    }
-  }
+  if (started_) channel_->Detach();
 }
 
 void Peer::Start() {
   if (started_) return;
   started_ = true;
-  if (channel_ != nullptr) {
-    channel_->Attach();
-  } else {
-    network_->Attach(config_.name, this);
-  }
+  channel_->Attach();
   node_->SubscribeReceipts(
       [this, alive = alive_](const contracts::Receipt& receipt) {
         if (*alive) OnReceipt(receipt);
@@ -74,8 +62,7 @@ void Peer::ScheduleCatchUp() {
 Status Peer::SendToPeer(const std::string& to, const std::string& type,
                         Json payload) {
   net::Message message{config_.name, to, type, std::move(payload)};
-  if (channel_ != nullptr) return channel_->Send(std::move(message));
-  return network_->Send(std::move(message));
+  return channel_->Send(std::move(message));
 }
 
 void Peer::AddKnownPeer(const std::string& name,
@@ -285,7 +272,7 @@ void Peer::SetMetrics(metrics::MetricsRegistry* registry) {
   registry_ = registry;
   sync_.set_metrics(registry);
   database_.set_metrics(registry);
-  if (channel_ != nullptr) channel_->set_metrics(registry);
+  channel_->set_metrics(registry);
   if (registry == nullptr) {
     counters_ = StatCounters{};
     return;

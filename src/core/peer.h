@@ -29,11 +29,8 @@ struct PeerConfig {
   /// Delay before re-sending an unanswered shared-data fetch.
   Micros fetch_retry_delay = 500 * kMicrosPerMilli;
   int max_fetch_retries = 20;
-  /// Send peer-to-peer messages through a ReliableChannel (ack/retransmit
-  /// with exponential backoff) instead of raw datagrams. All sharing peers
-  /// of a deployment should agree on this: a reliable sender's envelopes
-  /// are gibberish to a channel-less receiver.
-  bool reliable_delivery = true;
+  /// Tuning of the ReliableChannel (ack/retransmit with exponential
+  /// backoff) that carries every peer-to-peer message.
   net::ReliableChannel::Options reliable;
   /// How often the peer reconciles against the chain (SyncWithChain): on
   /// every tick it compares its per-table versions with the contract entry
@@ -241,11 +238,8 @@ class Peer : public net::Endpoint {
   /// reliable sends remain.
   bool HasPendingWork() const {
     return !staged_.empty() || !pending_fetches_.empty() ||
-           (channel_ != nullptr && channel_->pending() > 0);
+           channel_->pending() > 0;
   }
-
-  /// The reliable delivery layer (nullptr when reliable_delivery is off).
-  net::ReliableChannel* channel() { return channel_.get(); }
 
   struct Stats {
     uint64_t updates_proposed = 0;

@@ -34,7 +34,6 @@ Status ClinicScenario::Bootstrap(const ScenarioOptions& options) {
     config.name = ClinicRoleName(role);
     config.strategy = options.strategy;
     config.maintenance = options.maintenance;
-    config.reliable_delivery = options.reliable_delivery;
     config.reliable = options.reliable;
     config.catch_up_interval = options.peer_catch_up_interval;
     peers().push_back(NewPeer(std::move(config), peers().size()));

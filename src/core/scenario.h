@@ -46,9 +46,8 @@ struct ScenarioOptions {
   /// are byte-identical across worker counts — core_determinism_test
   /// proves it for 1/2/8.
   size_t worker_threads = 0;
-  /// Peer-to-peer messages ride a ReliableChannel (ack/retransmit with
-  /// seeded exponential backoff); see PeerConfig::reliable_delivery.
-  bool reliable_delivery = true;
+  /// Tuning of the ReliableChannel (ack/retransmit with seeded exponential
+  /// backoff) that every peer-to-peer message rides; see PeerConfig::reliable.
   net::ReliableChannel::Options reliable;
   /// Periodic SyncWithChain reconciliation per peer; 0 disables.
   Micros peer_catch_up_interval = 3 * kMicrosPerSecond;

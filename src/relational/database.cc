@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cassert>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -250,6 +251,68 @@ Result<Table> LoadChunkedTable(const std::string& dir,
                           std::move(head_rows), std::move(tombstones));
 }
 
+Status NoTable(const std::string& name) {
+  return Status::NotFound(StrCat("no table '", name, "'"));
+}
+
+Status TableExists(const std::string& name) {
+  return Status::AlreadyExists(StrCat("table '", name, "' exists"));
+}
+
+// The WAL record encoders, one per op kind, shared by the public mutators
+// and Transaction. ApplyOp is their one decoder.
+
+Json NewOp(const char* kind, const std::string& table) {
+  Json op = Json::MakeObject();
+  op.Set("op", kind);
+  op.Set("table", table);
+  return op;
+}
+
+Json CreateTableOp(const std::string& table, const Schema& schema) {
+  Json op = NewOp("create_table", table);
+  op.Set("schema", schema.ToJson());
+  return op;
+}
+
+Json DropTableOp(const std::string& table) {
+  return NewOp("drop_table", table);
+}
+
+/// "insert", "update" or "upsert" of one full row.
+Json RowOp(const char* kind, const std::string& table, const Row& row) {
+  Json op = NewOp(kind, table);
+  op.Set("row", RowToJson(row));
+  return op;
+}
+
+Json UpdateAttrOp(const std::string& table, const Key& key,
+                  const std::string& attribute, const Value& value) {
+  Json op = NewOp("update_attr", table);
+  op.Set("key", RowToJson(key));
+  op.Set("attr", attribute);
+  op.Set("value", value.ToJson());
+  return op;
+}
+
+Json DeleteOp(const std::string& table, const Key& key) {
+  Json op = NewOp("delete", table);
+  op.Set("key", RowToJson(key));
+  return op;
+}
+
+Json ApplyDeltaOp(const std::string& table, const TableDelta& delta) {
+  Json op = NewOp("apply_delta", table);
+  op.Set("delta", delta.ToJson());
+  return op;
+}
+
+Json ReplaceTableOp(const std::string& table, const Table& contents) {
+  Json op = NewOp("replace_table", table);
+  op.Set("contents", contents.ToJson());
+  return op;
+}
+
 }  // namespace
 
 Result<Database> Database::Open(const std::string& dir) {
@@ -316,7 +379,7 @@ Result<Database> Database::Open(const std::string& dir, OpenOptions options) {
                 Wal::Options{.sync_every_append = options.sync_every_append}));
   for (const WalRecord& record : records) {
     if (record.lsn <= wal_through) continue;
-    Status s = ApplyOp(record.payload, &db.tables_);
+    Status s = db.ApplyOp(record.payload);
     if (!s.ok()) {
       return s.WithPrefix(StrCat("WAL replay failed at LSN ", record.lsn));
     }
@@ -328,172 +391,67 @@ Result<Database> Database::Open(const std::string& dir, OpenOptions options) {
   return db;
 }
 
-Status Database::ApplyOp(const Json& op, std::map<std::string, Table>* tables) {
+Status Database::ApplyOp(const Json& op) {
+  assert(!durable());
   MEDSYNC_ASSIGN_OR_RETURN(std::string kind, op.GetString("op"));
-
+  MEDSYNC_ASSIGN_OR_RETURN(std::string name, op.GetString("table"));
   if (kind == "create_table") {
-    MEDSYNC_ASSIGN_OR_RETURN(std::string name, op.GetString("table"));
-    if (tables->count(name) > 0) {
-      return Status::AlreadyExists(StrCat("table '", name, "' exists"));
-    }
+    if (HasTable(name)) return TableExists(name);
     MEDSYNC_ASSIGN_OR_RETURN(Schema schema, Schema::FromJson(op.At("schema")));
-    tables->emplace(name, Table(std::move(schema)));
-    return Status::OK();
+    return CreateTable(name, schema);
   }
-  if (kind == "drop_table") {
-    MEDSYNC_ASSIGN_OR_RETURN(std::string name, op.GetString("table"));
-    if (tables->erase(name) == 0) {
-      return Status::NotFound(StrCat("no table '", name, "'"));
-    }
-    return Status::OK();
-  }
-
-  MEDSYNC_ASSIGN_OR_RETURN(std::string name, op.GetString("table"));
-  auto it = tables->find(name);
-  if (it == tables->end()) {
-    return Status::NotFound(StrCat("no table '", name, "'"));
-  }
-  Table& table = it->second;
-
-  if (kind == "insert") {
+  // Every other op names an existing table; resolving it before decoding
+  // the arguments keeps a record's status that of the typed call.
+  MEDSYNC_RETURN_IF_ERROR(FindTable(name).status());
+  if (kind == "drop_table") return DropTable(name);
+  if (kind == "insert" || kind == "update" || kind == "upsert") {
     MEDSYNC_ASSIGN_OR_RETURN(Row row, RowFromJson(op.At("row")));
-    return table.Insert(std::move(row));
-  }
-  if (kind == "update") {
-    MEDSYNC_ASSIGN_OR_RETURN(Row row, RowFromJson(op.At("row")));
-    return table.Update(std::move(row));
-  }
-  if (kind == "upsert") {
-    MEDSYNC_ASSIGN_OR_RETURN(Row row, RowFromJson(op.At("row")));
-    return table.Upsert(std::move(row));
+    if (kind == "insert") return Insert(name, std::move(row));
+    if (kind == "update") return Update(name, std::move(row));
+    return Upsert(name, std::move(row));
   }
   if (kind == "update_attr") {
     MEDSYNC_ASSIGN_OR_RETURN(Key key, RowFromJson(op.At("key")));
     MEDSYNC_ASSIGN_OR_RETURN(std::string attr, op.GetString("attr"));
     MEDSYNC_ASSIGN_OR_RETURN(Value value, Value::FromJson(op.At("value")));
-    return table.UpdateAttribute(key, attr, std::move(value));
+    return UpdateAttribute(name, key, attr, std::move(value));
   }
   if (kind == "delete") {
     MEDSYNC_ASSIGN_OR_RETURN(Key key, RowFromJson(op.At("key")));
-    return table.Delete(key);
+    return Delete(name, key);
   }
   if (kind == "apply_delta") {
     MEDSYNC_ASSIGN_OR_RETURN(TableDelta delta,
                              TableDelta::FromJson(op.At("delta")));
-    return ApplyDelta(delta, &table);
+    return ApplyTableDelta(name, delta);
   }
   if (kind == "replace_table") {
     MEDSYNC_ASSIGN_OR_RETURN(Table contents,
                              Table::FromJson(op.At("contents")));
-    if (contents.schema() != table.schema()) {
-      return Status::InvalidArgument(
-          StrCat("replace_table schema mismatch for '", name, "'"));
-    }
-    table = std::move(contents);
-    return Status::OK();
+    return ReplaceTable(name, contents);
   }
   return Status::InvalidArgument(StrCat("unknown database op '", kind, "'"));
 }
 
-Status Database::CheckOp(const Json& op,
-                         const std::map<std::string, Table>& tables) {
-  MEDSYNC_ASSIGN_OR_RETURN(std::string kind, op.GetString("op"));
-
-  if (kind == "create_table") {
-    MEDSYNC_ASSIGN_OR_RETURN(std::string name, op.GetString("table"));
-    if (tables.count(name) > 0) {
-      return Status::AlreadyExists(StrCat("table '", name, "' exists"));
-    }
-    return Schema::FromJson(op.At("schema")).status();
-  }
-
-  MEDSYNC_ASSIGN_OR_RETURN(std::string name, op.GetString("table"));
-  auto it = tables.find(name);
-  if (it == tables.end()) {
-    return Status::NotFound(StrCat("no table '", name, "'"));
-  }
-  const Table& table = it->second;
-
-  if (kind == "drop_table") return Status::OK();
-  if (kind == "insert") {
-    MEDSYNC_ASSIGN_OR_RETURN(Row row, RowFromJson(op.At("row")));
-    return table.CheckInsert(row);
-  }
-  if (kind == "update") {
-    MEDSYNC_ASSIGN_OR_RETURN(Row row, RowFromJson(op.At("row")));
-    return table.CheckUpdate(row);
-  }
-  if (kind == "upsert") {
-    MEDSYNC_ASSIGN_OR_RETURN(Row row, RowFromJson(op.At("row")));
-    return table.CheckUpsert(row);
-  }
-  if (kind == "update_attr") {
-    MEDSYNC_ASSIGN_OR_RETURN(Key key, RowFromJson(op.At("key")));
-    MEDSYNC_ASSIGN_OR_RETURN(std::string attr, op.GetString("attr"));
-    MEDSYNC_ASSIGN_OR_RETURN(Value value, Value::FromJson(op.At("value")));
-    return table.CheckUpdateAttribute(key, attr, value);
-  }
-  if (kind == "delete") {
-    MEDSYNC_ASSIGN_OR_RETURN(Key key, RowFromJson(op.At("key")));
-    return table.CheckDelete(key);
-  }
-  if (kind == "apply_delta") {
-    MEDSYNC_ASSIGN_OR_RETURN(TableDelta delta,
-                             TableDelta::FromJson(op.At("delta")));
-    return ValidateDelta(delta, table);
-  }
-  if (kind == "replace_table") {
-    MEDSYNC_ASSIGN_OR_RETURN(Table contents,
-                             Table::FromJson(op.At("contents")));
-    if (contents.schema() != table.schema()) {
-      return Status::InvalidArgument(
-          StrCat("replace_table schema mismatch for '", name, "'"));
-    }
-    return Status::OK();
-  }
-  return Status::InvalidArgument(StrCat("unknown database op '", kind, "'"));
-}
-
-Status Database::LogAndApply(const Json& op) {
-  // Validate read-only against the live catalog, so the WAL never records
-  // a failing operation. CheckOp mirrors every failure mode of ApplyOp and
-  // every table op is all-or-nothing, so the post-append apply cannot fail
-  // — and no scratch copy of the table is made. (The old per-op copy cost
-  // O(head) per mutation, which made million-row bulk loads quadratic.)
-  MEDSYNC_RETURN_IF_ERROR(CheckOp(op, tables_));
-
-  if (wal_.has_value()) {
-    MEDSYNC_RETURN_IF_ERROR(wal_->Append(op).status());
-  }
-  Status applied = ApplyOp(op, &tables_);
-  assert(applied.ok());
-  return applied;
+Result<Table*> Database::FindTable(const std::string& name) {
+  auto it = tables_.find(name);
+  if (it == tables_.end()) return NoTable(name);
+  return &it->second;
 }
 
 Status Database::CreateTable(const std::string& name, const Schema& schema) {
-  if (tables_.count(name) > 0) {
-    return Status::AlreadyExists(StrCat("table '", name, "' exists"));
-  }
-  Json op = Json::MakeObject();
-  op.Set("op", "create_table");
-  op.Set("table", name);
-  op.Set("schema", schema.ToJson());
-  if (wal_.has_value()) {
-    MEDSYNC_RETURN_IF_ERROR(wal_->Append(op).status());
+  if (HasTable(name)) return TableExists(name);
+  if (durable()) {
+    MEDSYNC_RETURN_IF_ERROR(wal_->Append(CreateTableOp(name, schema)).status());
   }
   tables_.emplace(name, Table(schema));
   return Status::OK();
 }
 
 Status Database::DropTable(const std::string& name) {
-  if (tables_.count(name) == 0) {
-    return Status::NotFound(StrCat("no table '", name, "'"));
-  }
-  Json op = Json::MakeObject();
-  op.Set("op", "drop_table");
-  op.Set("table", name);
-  if (wal_.has_value()) {
-    MEDSYNC_RETURN_IF_ERROR(wal_->Append(op).status());
+  MEDSYNC_RETURN_IF_ERROR(FindTable(name).status());
+  if (durable()) {
+    MEDSYNC_RETURN_IF_ERROR(wal_->Append(DropTableOp(name)).status());
   }
   tables_.erase(name);
   return Status::OK();
@@ -512,154 +470,141 @@ std::vector<std::string> Database::TableNames() const {
 
 Result<const Table*> Database::GetTable(const std::string& name) const {
   auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    return Status::NotFound(StrCat("no table '", name, "'"));
-  }
+  if (it == tables_.end()) return NoTable(name);
   return &it->second;
 }
 
 Result<Table> Database::Snapshot(const std::string& name) const {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    return Status::NotFound(StrCat("no table '", name, "'"));
-  }
-  return it->second;
+  MEDSYNC_ASSIGN_OR_RETURN(const Table* table, GetTable(name));
+  return *table;
 }
 
+// Every mutation below has the same shape: find the table, check the typed
+// arguments read-only (Table::Check* returns exactly the status the
+// mutation would), build and append the WAL record only when durable, then
+// apply once. So a failing op never reaches the WAL, and the apply after a
+// successful append cannot fail.
+
 Status Database::Insert(const std::string& table, Row row) {
-  Json op = Json::MakeObject();
-  op.Set("op", "insert");
-  op.Set("table", table);
-  op.Set("row", RowToJson(row));
-  return LogAndApply(op);
+  MEDSYNC_ASSIGN_OR_RETURN(Table* t, FindTable(table));
+  MEDSYNC_RETURN_IF_ERROR(t->CheckInsert(row));
+  if (durable()) {
+    MEDSYNC_RETURN_IF_ERROR(
+        wal_->Append(RowOp("insert", table, row)).status());
+  }
+  return t->Insert(std::move(row));
 }
 
 Status Database::Update(const std::string& table, Row row) {
-  Json op = Json::MakeObject();
-  op.Set("op", "update");
-  op.Set("table", table);
-  op.Set("row", RowToJson(row));
-  return LogAndApply(op);
+  MEDSYNC_ASSIGN_OR_RETURN(Table* t, FindTable(table));
+  MEDSYNC_RETURN_IF_ERROR(t->CheckUpdate(row));
+  if (durable()) {
+    MEDSYNC_RETURN_IF_ERROR(
+        wal_->Append(RowOp("update", table, row)).status());
+  }
+  return t->Update(std::move(row));
 }
 
 Status Database::Upsert(const std::string& table, Row row) {
-  Json op = Json::MakeObject();
-  op.Set("op", "upsert");
-  op.Set("table", table);
-  op.Set("row", RowToJson(row));
-  return LogAndApply(op);
+  MEDSYNC_ASSIGN_OR_RETURN(Table* t, FindTable(table));
+  MEDSYNC_RETURN_IF_ERROR(t->CheckUpsert(row));
+  if (durable()) {
+    MEDSYNC_RETURN_IF_ERROR(
+        wal_->Append(RowOp("upsert", table, row)).status());
+  }
+  return t->Upsert(std::move(row));
 }
 
 Status Database::UpdateAttribute(const std::string& table, const Key& key,
                                  const std::string& attribute, Value value) {
-  Json op = Json::MakeObject();
-  op.Set("op", "update_attr");
-  op.Set("table", table);
-  op.Set("key", RowToJson(key));
-  op.Set("attr", attribute);
-  op.Set("value", value.ToJson());
-  return LogAndApply(op);
+  MEDSYNC_ASSIGN_OR_RETURN(Table* t, FindTable(table));
+  MEDSYNC_RETURN_IF_ERROR(t->CheckUpdateAttribute(key, attribute, value));
+  if (durable()) {
+    MEDSYNC_RETURN_IF_ERROR(
+        wal_->Append(UpdateAttrOp(table, key, attribute, value)).status());
+  }
+  return t->UpdateAttribute(key, attribute, std::move(value));
 }
 
 Status Database::Delete(const std::string& table, const Key& key) {
-  Json op = Json::MakeObject();
-  op.Set("op", "delete");
-  op.Set("table", table);
-  op.Set("key", RowToJson(key));
-  return LogAndApply(op);
+  MEDSYNC_ASSIGN_OR_RETURN(Table* t, FindTable(table));
+  MEDSYNC_RETURN_IF_ERROR(t->CheckDelete(key));
+  if (durable()) {
+    MEDSYNC_RETURN_IF_ERROR(wal_->Append(DeleteOp(table, key)).status());
+  }
+  return t->Delete(key);
 }
 
 Status Database::ApplyTableDelta(const std::string& table,
                                  const TableDelta& delta) {
-  // The cascade hot loop: bypass LogAndApply's scratch copy of the whole
-  // table and validate read-only against the live one — the op itself is
-  // O(|delta| log n) and ApplyDelta is all-or-nothing anyway.
-  auto it = tables_.find(table);
-  if (it == tables_.end()) {
-    return Status::NotFound(StrCat("no table '", table, "'"));
-  }
+  MEDSYNC_ASSIGN_OR_RETURN(Table* t, FindTable(table));
   if (delta.empty()) return Status::OK();  // no WAL record for a no-op
-  MEDSYNC_RETURN_IF_ERROR(ValidateDelta(delta, it->second));
-  Json op = Json::MakeObject();
-  op.Set("op", "apply_delta");
-  op.Set("table", table);
-  op.Set("delta", delta.ToJson());
-  if (wal_.has_value()) {
-    MEDSYNC_RETURN_IF_ERROR(wal_->Append(op).status());
+  MEDSYNC_RETURN_IF_ERROR(ValidateDelta(delta, *t));
+  if (durable()) {
+    MEDSYNC_RETURN_IF_ERROR(
+        wal_->Append(ApplyDeltaOp(table, delta)).status());
   }
-  return ApplyDelta(delta, &it->second);
+  return ApplyDelta(delta, t);
 }
 
 Status Database::ReplaceTable(const std::string& table,
                               const Table& contents) {
-  Json op = Json::MakeObject();
-  op.Set("op", "replace_table");
-  op.Set("table", table);
-  op.Set("contents", contents.ToJson());
-  return LogAndApply(op);
+  MEDSYNC_ASSIGN_OR_RETURN(Table* t, FindTable(table));
+  if (contents.schema() != t->schema()) {
+    return Status::InvalidArgument(
+        StrCat("replace_table schema mismatch for '", table, "'"));
+  }
+  if (durable()) {
+    MEDSYNC_RETURN_IF_ERROR(
+        wal_->Append(ReplaceTableOp(table, contents)).status());
+  }
+  *t = contents;  // O(head): the copy shares the sealed chunks
+  return Status::OK();
 }
 
 Status Database::SealTable(const std::string& table) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) {
-    return Status::NotFound(StrCat("no table '", table, "'"));
-  }
-  it->second.Seal();
+  MEDSYNC_ASSIGN_OR_RETURN(Table* t, FindTable(table));
+  t->Seal();
   return Status::OK();
 }
 
 void Database::Transaction::Insert(const std::string& table, Row row) {
-  Json op = Json::MakeObject();
-  op.Set("op", "insert");
-  op.Set("table", table);
-  op.Set("row", RowToJson(row));
-  ops_.push_back(std::move(op));
+  ops_.push_back(RowOp("insert", table, row));
 }
 
 void Database::Transaction::Update(const std::string& table, Row row) {
-  Json op = Json::MakeObject();
-  op.Set("op", "update");
-  op.Set("table", table);
-  op.Set("row", RowToJson(row));
-  ops_.push_back(std::move(op));
+  ops_.push_back(RowOp("update", table, row));
 }
 
 void Database::Transaction::UpdateAttribute(const std::string& table, Key key,
                                             std::string attribute,
                                             Value value) {
-  Json op = Json::MakeObject();
-  op.Set("op", "update_attr");
-  op.Set("table", table);
-  op.Set("key", RowToJson(key));
-  op.Set("attr", attribute);
-  op.Set("value", value.ToJson());
-  ops_.push_back(std::move(op));
+  ops_.push_back(UpdateAttrOp(table, key, attribute, value));
 }
 
 void Database::Transaction::Delete(const std::string& table, Key key) {
-  Json op = Json::MakeObject();
-  op.Set("op", "delete");
-  op.Set("table", table);
-  op.Set("key", RowToJson(key));
-  ops_.push_back(std::move(op));
+  ops_.push_back(DeleteOp(table, key));
 }
 
 Status Database::Commit(Transaction&& txn) {
-  // Validate the whole batch against a scratch copy of the catalog; only a
-  // fully valid transaction reaches the WAL and the live tables.
-  std::map<std::string, Table> scratch = tables_;
+  // Ops within a transaction interact, so the batch is validated by
+  // applying it to an in-memory scratch copy of the catalog (O(head) per
+  // table: copies share sealed chunks); only a fully valid transaction
+  // reaches the WAL and the live tables.
+  Database scratch;
+  scratch.tables_ = tables_;
   for (size_t i = 0; i < txn.ops_.size(); ++i) {
-    Status s = ApplyOp(txn.ops_[i], &scratch);
+    Status s = scratch.ApplyOp(txn.ops_[i]);
     if (!s.ok()) {
       return s.WithPrefix(StrCat("transaction op ", i, " failed; aborted"));
     }
   }
-  if (wal_.has_value()) {
+  if (durable()) {
     for (const Json& op : txn.ops_) {
       MEDSYNC_RETURN_IF_ERROR(wal_->Append(op).status());
     }
   }
-  tables_ = std::move(scratch);
+  tables_ = std::move(scratch.tables_);
   return Status::OK();
 }
 

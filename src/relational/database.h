@@ -20,9 +20,11 @@ namespace medsync::relational {
 /// box of the paper's Fig. 2 — it holds both the full record table (the BX
 /// source) and every shared view.
 ///
-/// All mutations flow through logged operations, so a durable database
-/// recovers to its pre-crash state by reloading the snapshot and replaying
-/// the WAL. `Checkpoint()` rewrites the snapshot and truncates the log.
+/// Every mutation checks its typed arguments against the live table, then,
+/// only when durable, appends its WAL record, then applies once — so a
+/// failing op never reaches the log, and a durable database recovers to its
+/// pre-crash state by reloading the snapshot and replaying the WAL.
+/// `Checkpoint()` rewrites the snapshot and truncates the log.
 ///
 /// On-disk layout (snapshot format 3):
 ///   <dir>/snapshot.json   manifest: {"format":3, "wal_through":K,
@@ -86,7 +88,9 @@ class Database {
   Status ApplyTableDelta(const std::string& table, const TableDelta& delta);
 
   /// Replaces a table's full contents (schema must match); used when a
-  /// shared view is re-derived from the source by a lens get.
+  /// shared view is re-derived from the source by a lens get. The table
+  /// becomes a copy of `contents`, chunk layout and seal threshold
+  /// included; the copy is O(head) because copies share sealed chunks.
   Status ReplaceTable(const std::string& table, const Table& contents);
 
   /// Seals `table`'s mutable head into an immutable columnar chunk now
@@ -99,11 +103,12 @@ class Database {
 
   // -- Transactions ---------------------------------------------------------
 
-  /// A buffered multi-operation transaction. Operations accumulate in the
-  /// transaction and touch the database only at Commit(), which validates
-  /// all of them against a scratch copy first — so a failing commit leaves
-  /// the database untouched. Dropping the object without Commit() discards
-  /// the buffered work.
+  /// A buffered multi-operation transaction. Operations accumulate as WAL
+  /// records and touch the database only at Commit(), which applies all of
+  /// them to a scratch copy of the catalog first (ops within a transaction
+  /// interact) — so a failing commit leaves the database and the WAL
+  /// untouched. Dropping the object without Commit() discards the buffered
+  /// work.
   class Transaction {
    public:
     void Insert(const std::string& table, Row row);
@@ -152,20 +157,14 @@ class Database {
   }
 
  private:
-  /// Validates + applies one logged operation to `tables` (shared by live
-  /// execution, transaction validation, and WAL replay).
-  static Status ApplyOp(const Json& op, std::map<std::string, Table>* tables);
+  /// Decodes one WAL record and applies it through the typed mutator it
+  /// names, returning that mutator's status. The one Json decoder here: it
+  /// runs only on a non-durable database — WAL replay before the log is
+  /// attached, and a Transaction's scratch catalog — so it logs nothing.
+  Status ApplyOp(const Json& op);
 
-  /// Read-only validation of one logged operation against `tables`:
-  /// returns exactly the status ApplyOp would, without mutating anything.
-  /// LogAndApply uses it to validate against the live catalog (no scratch
-  /// copy) before the op reaches the WAL; Commit still uses the scratch
-  /// path because ops within a transaction interact.
-  static Status CheckOp(const Json& op,
-                        const std::map<std::string, Table>& tables);
-
-  /// Logs `op` (if durable) then applies it to the live catalog.
-  Status LogAndApply(const Json& op);
+  /// The live table `name`, or NotFound.
+  Result<Table*> FindTable(const std::string& name);
 
   std::string dir_;
   std::map<std::string, Table> tables_;

@@ -41,7 +41,8 @@ namespace medsync::relational {
 /// and the on-chain content digests depend on.
 ///
 /// Copies share sealed chunks by shared_ptr, so copying a table is O(head),
-/// not O(history) — Database::Transaction exploits this.
+/// not O(history) — Database::ReplaceTable and Database::Commit's scratch
+/// catalog rely on this.
 class Table {
  public:
   /// Default head-size / dead-row threshold that triggers Seal().
@@ -76,9 +77,8 @@ class Table {
 
   // Read-only validation twins of the mutations above: each returns exactly
   // the status its mutating counterpart would, without touching the table.
-  // Database::LogAndApply validates logged ops against the live table with
-  // these (then applies, infallibly) instead of copying the table per op —
-  // the difference between O(1) and O(head) per bulk-load insert.
+  // Database's mutators check with these before the op reaches the WAL
+  // (then apply, infallibly), so no op needs a copy of the table.
   Status CheckInsert(const Row& row) const;
   Status CheckUpsert(const Row& row) const;
   Status CheckUpdate(const Row& row) const;

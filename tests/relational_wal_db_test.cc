@@ -2,9 +2,14 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <map>
 
 #include "common/metrics/metrics.h"
 #include "common/strings.h"
+#include "crypto/sha256.h"
 #include "relational/database.h"
 #include "relational/wal.h"
 
@@ -367,13 +372,188 @@ TEST(DatabaseTest, UpsertSurvivesReopen) {
             "v2");
 }
 
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+std::map<std::string, std::string> Digests(const Database& db) {
+  std::map<std::string, std::string> out;
+  for (const std::string& name : db.TableNames()) {
+    out[name] = (*db.GetTable(name))->ContentDigest();
+  }
+  return out;
+}
+
+Table WithRows(std::vector<Row> rows) {
+  Table table(S());
+  for (Row& row : rows) EXPECT_TRUE(table.Insert(std::move(row)).ok());
+  return table;
+}
+
 TEST(DatabaseTest, FailedOpLeavesStateUntouched) {
-  Database db;
-  ASSERT_TRUE(db.CreateTable("t", S()).ok());
-  ASSERT_TRUE(db.Insert("t", R(1, "a")).ok());
-  Table before = *db.Snapshot("t");
-  EXPECT_FALSE(db.Update("t", R(9, "zz")).ok());
-  EXPECT_EQ(*db.Snapshot("t"), before);
+  // One row per op kind, on a durable database holding t = {1, 2}: the
+  // failing form must leave every table and the WAL bytes untouched with
+  // exactly its status, and the succeeding form must log `records` WAL
+  // records (none for the empty delta) and recover to the live state.
+  struct Case {
+    const char* kind;
+    StatusCode failure;
+    std::function<Status(Database&)> fail;
+    std::function<Status(Database&)> succeed;
+    uint64_t records;
+  };
+  const Key k1 = {Value::Int(1)};
+  const Row bad_type = {Value::String("1"), Value::String("x")};
+  TableDelta clash;
+  clash.inserts.push_back(R(3, "c"));
+  clash.inserts.push_back(R(1, "dup"));
+  TableDelta good;
+  good.inserts.push_back(R(3, "c"));
+  good.updates.push_back(R(1, "A"));
+  good.deletes.push_back({Value::Int(2)});
+  const Table wrong(*Schema::Create({{"x", DataType::kInt, false}}, {"x"}));
+  const Table replacement = WithRows({R(7, "r"), R(8, "s")});
+  const std::vector<Case> cases = {
+      {"create_table", StatusCode::kAlreadyExists,
+       [](Database& db) { return db.CreateTable("t", S()); },
+       [](Database& db) { return db.CreateTable("u", S()); }, 1},
+      {"drop_table", StatusCode::kNotFound,
+       [](Database& db) { return db.DropTable("ghost"); },
+       [](Database& db) { return db.DropTable("t"); }, 1},
+      {"insert", StatusCode::kAlreadyExists,
+       [](Database& db) { return db.Insert("t", R(1, "dup")); },
+       [](Database& db) { return db.Insert("t", R(3, "c")); }, 1},
+      {"insert_bad_row", StatusCode::kInvalidArgument,
+       [&](Database& db) { return db.Insert("t", bad_type); },
+       [](Database& db) { return db.Insert("t", R(3, "c")); }, 1},
+      {"update", StatusCode::kNotFound,
+       [](Database& db) { return db.Update("t", R(9, "zz")); },
+       [](Database& db) { return db.Update("t", R(1, "A")); }, 1},
+      {"upsert", StatusCode::kNotFound,
+       [](Database& db) { return db.Upsert("ghost", R(1, "x")); },
+       [](Database& db) { return db.Upsert("t", R(9, "n")); }, 1},
+      {"update_attr", StatusCode::kNotFound,
+       [&](Database& db) {
+         return db.UpdateAttribute("t", k1, "nope", Value::String("z"));
+       },
+       [&](Database& db) {
+         return db.UpdateAttribute("t", k1, "v", Value::String("z"));
+       },
+       1},
+      {"delete", StatusCode::kNotFound,
+       [](Database& db) { return db.Delete("t", {Value::Int(99)}); },
+       [](Database& db) { return db.Delete("t", {Value::Int(2)}); }, 1},
+      {"apply_delta", StatusCode::kAlreadyExists,
+       [&](Database& db) { return db.ApplyTableDelta("t", clash); },
+       [&](Database& db) { return db.ApplyTableDelta("t", good); }, 1},
+      {"apply_empty_delta", StatusCode::kNotFound,
+       [](Database& db) { return db.ApplyTableDelta("ghost", TableDelta{}); },
+       [](Database& db) { return db.ApplyTableDelta("t", TableDelta{}); }, 0},
+      {"replace_table", StatusCode::kInvalidArgument,
+       [&](Database& db) { return db.ReplaceTable("t", wrong); },
+       [&](Database& db) { return db.ReplaceTable("t", replacement); }, 1},
+      {"transaction", StatusCode::kNotFound,
+       [](Database& db) {
+         Database::Transaction txn = db.Begin();
+         txn.Insert("t", R(3, "c"));         // valid
+         txn.Delete("t", {Value::Int(99)});  // aborts the whole batch
+         return db.Commit(std::move(txn));
+       },
+       [&](Database& db) {
+         Database::Transaction txn = db.Begin();
+         txn.Insert("t", R(3, "c"));
+         txn.Update("t", R(3, "C"));
+         txn.UpdateAttribute("t", k1, "v", Value::Null());
+         txn.Delete("t", {Value::Int(2)});
+         return db.Commit(std::move(txn));
+       },
+       4},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.kind);
+    TempDir dir;
+    std::map<std::string, std::string> live;
+    {
+      Result<Database> db = Database::Open(dir.path());
+      ASSERT_TRUE(db.ok()) << db.status();
+      ASSERT_TRUE(db->CreateTable("t", S()).ok());
+      ASSERT_TRUE(db->Insert("t", R(1, "a")).ok());
+      ASSERT_TRUE(db->Insert("t", R(2, "b")).ok());
+
+      const Table before = *db->Snapshot("t");
+      const std::map<std::string, std::string> digests = Digests(*db);
+      const std::string wal_bytes = ReadBytes(dir.file("wal.log"));
+      const uint64_t appends = db->wal_stats().appends;
+
+      Status failed = c.fail(*db);
+      EXPECT_EQ(failed.code(), c.failure) << failed;
+      EXPECT_EQ(*db->Snapshot("t"), before);
+      EXPECT_EQ(Digests(*db), digests);
+      EXPECT_EQ(ReadBytes(dir.file("wal.log")), wal_bytes);
+      EXPECT_EQ(db->wal_stats().appends, appends);
+
+      Status succeeded = c.succeed(*db);
+      ASSERT_TRUE(succeeded.ok()) << succeeded;
+      EXPECT_EQ(db->wal_stats().appends, appends + c.records);
+      if (c.records == 0) {
+        EXPECT_EQ(ReadBytes(dir.file("wal.log")), wal_bytes);
+      }
+      live = Digests(*db);
+    }
+    Result<Database> reopened = Database::Open(dir.path());
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_EQ(Digests(*reopened), live);
+  }
+}
+
+TEST(DatabaseTest, WalRecordBytesArePinned) {
+  // A fixed op sequence covering every record kind and every value type;
+  // the SHA-256 of the resulting wal.log pins the record encoding (field
+  // names, value tags, number formatting, LSN and CRC framing).
+  TempDir dir;
+  {
+    Result<Database> db = Database::Open(
+        dir.path(), Database::OpenOptions{.sync_every_append = false});
+    ASSERT_TRUE(db.ok()) << db.status();
+    Schema wide = *Schema::Create({{"id", DataType::kInt, false},
+                                   {"flag", DataType::kBool, true},
+                                   {"score", DataType::kDouble, true},
+                                   {"note", DataType::kString, true}},
+                                  {"id"});
+    ASSERT_TRUE(db->CreateTable("w", wide).ok());
+    ASSERT_TRUE(db->CreateTable("t", S()).ok());
+    ASSERT_TRUE(db->Insert("w", {Value::Int(1), Value::Bool(true),
+                                 Value::Double(0.1), Value::String("a\"b")})
+                    .ok());
+    ASSERT_TRUE(db->Insert("w", {Value::Int(-2), Value::Null(),
+                                 Value::Double(-1e300), Value::Null()})
+                    .ok());
+    ASSERT_TRUE(db->Update("w", {Value::Int(1), Value::Bool(false),
+                                 Value::Double(2.5), Value::String("\u00e9")})
+                    .ok());
+    ASSERT_TRUE(db->Upsert("t", R(1, "up")).ok());
+    ASSERT_TRUE(db->UpdateAttribute("w", {Value::Int(-2)}, "score",
+                                    Value::Double(3.0))
+                    .ok());
+    ASSERT_TRUE(db->Insert("t", R(2, "b")).ok());
+    ASSERT_TRUE(db->Delete("t", {Value::Int(2)}).ok());
+    TableDelta delta;
+    delta.inserts.push_back(R(3, "c"));
+    delta.updates.push_back(R(1, "UP"));
+    ASSERT_TRUE(db->ApplyTableDelta("t", delta).ok());
+    ASSERT_TRUE(db->ReplaceTable("t", WithRows({R(5, "e"), R(4, "d")})).ok());
+    Database::Transaction txn = db->Begin();
+    txn.Insert("t", R(6, "f"));
+    txn.Update("t", R(6, "F"));
+    txn.UpdateAttribute("t", {Value::Int(4)}, "v", Value::Null());
+    txn.Delete("t", {Value::Int(5)});
+    ASSERT_TRUE(db->Commit(std::move(txn)).ok());
+    ASSERT_TRUE(db->DropTable("w").ok());
+    EXPECT_EQ(db->wal_stats().appends, 16u);
+  }
+  EXPECT_EQ(crypto::Sha256::Hash(ReadBytes(dir.file("wal.log"))).ToHex(),
+            "d2ba8efab4cdbec14e8b0a7544fee2a83236491329aedf028429c92393e14732");
 }
 
 TEST(DatabaseTest, ReplaceTableChecksSchema) {

@@ -3,9 +3,10 @@
 // Four processes — doctor, patient, researcher, observer — run the Fig. 5
 // update cascade over real loopback TCP and each write a JSON report whose
 // "compare" block must agree across processes AND with a simulated run of
-// the same code (tools/run_loopback_cascade.sh checks both).
+// the same code (tools/run_loopback_cascade.sh checks both). Usage (one
+// command line, wrapped here):
 //
-//   chain_node_daemon --role=doctor --port-base=21500 \
+//   chain_node_daemon --role=doctor --port-base=21500
 //       [--host=127.0.0.1] [--block-interval-ms=200] [--tick-interval-ms=20]
 //       [--timeout-s=60] [--linger-ms=N] [--report=/path/report.json]
 //

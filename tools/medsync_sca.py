@@ -380,15 +380,11 @@ class Frontend:
 
     # -- pass 1: harvest class members and function signatures ---------------
 
-    def harvest_declarations(self, src: Source) -> None:
+    def harvest_declarations(self, src: Source, toks: List[Tok],
+                             spans: List[Tuple[str, int, int]]) -> None:
         prog = self.program
-        # Class body spans via a simple scope scan over tokens.
-        supp: Dict[int, Set[str]] = {}
-        toks = tokenize(src, supp)
-        for line, rules in supp.items():
-            prog.suppressions.setdefault((src.rel, line), set()).update(rules)
         lines = src.code.splitlines()
-        for cls, start_line, end_line in self._class_spans(toks):
+        for cls, start_line, end_line in spans:
             members = prog.member_types.setdefault(cls, {})
             for lineno in range(start_line, min(end_line, len(lines)) + 1):
                 m = _DECL_LINE_RE.match(lines[lineno - 1])
@@ -487,10 +483,8 @@ class Frontend:
 
     # -- pass 2: function bodies ---------------------------------------------
 
-    def index_file(self, src: Source) -> None:
-        supp: Dict[int, Set[str]] = {}
-        toks = tokenize(src, supp)
-        spans = self._class_spans(toks)
+    def index_file(self, src: Source, toks: List[Tok],
+                   spans: List[Tuple[str, int, int]]) -> None:
         n = len(toks)
         i = 0
         depth = 0
@@ -958,10 +952,20 @@ class Frontend:
     # -- driver --------------------------------------------------------------
 
     def build(self) -> Program:
+        # Each file is tokenized and scope-scanned once; both passes read
+        # the same tokens and class spans.
+        parsed = []
         for src in self.sources:
-            self.harvest_declarations(src)
-        for src in self.sources:
-            self.index_file(src)
+            supp: Dict[int, Set[str]] = {}
+            toks = tokenize(src, supp)
+            for line, rules in supp.items():
+                self.program.suppressions.setdefault(
+                    (src.rel, line), set()).update(rules)
+            parsed.append((src, toks, self._class_spans(toks)))
+        for src, toks, spans in parsed:
+            self.harvest_declarations(src, toks, spans)
+        for src, toks, spans in parsed:
+            self.index_file(src, toks, spans)
         return self.program
 
 
