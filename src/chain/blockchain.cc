@@ -6,6 +6,7 @@
 
 #include "common/strings.h"
 #include "common/threading/thread_pool.h"
+#include "crypto/merkle.h"
 
 namespace medsync::chain {
 
@@ -44,13 +45,20 @@ void Blockchain::set_metrics(metrics::MetricsRegistry* registry) {
 }
 
 Status Blockchain::ValidateStructure(const Block& block) const {
-  Status status = ValidateStructureImpl(block);
+  return ValidateStructure(block, block.TransactionLeaves(pool_));
+}
+
+Status Blockchain::ValidateStructure(
+    const Block& block, const std::vector<crypto::Hash256>& tx_ids) const {
+  Status status = ValidateStructureImpl(block, tx_ids);
   metrics::Inc(status.ok() ? validate_ok_ : validate_fail_);
   return status;
 }
 
-Status Blockchain::ValidateStructureImpl(const Block& block) const {
-  if (block.header.merkle_root != block.ComputeMerkleRoot(pool_)) {
+Status Blockchain::ValidateStructureImpl(
+    const Block& block, const std::vector<crypto::Hash256>& tx_ids) const {
+  if (block.header.merkle_root !=
+      crypto::MerkleTree::ComputeRoot(tx_ids, pool_)) {
     return Status::Corruption("merkle root does not match transactions");
   }
   if (block.header.height > 0) {
@@ -64,23 +72,24 @@ Status Blockchain::ValidateStructureImpl(const Block& block) const {
   // exactly.
   std::vector<uint8_t> sig_ok(block.transactions.size(), 0);
   threading::ParallelFor(pool_, 0, block.transactions.size(), /*grain=*/4,
-                         [&block, &sig_ok](size_t begin, size_t end) {
+                         [&block, &tx_ids, &sig_ok](size_t begin,
+                                                    size_t end) {
                            for (size_t i = begin; i < end; ++i) {
                              sig_ok[i] = block.transactions[i]
-                                             .VerifySignature();
+                                             .VerifySignature(tx_ids[i]);
                            }
                          });
-  std::set<std::string> seen_ids;
+  std::set<crypto::Hash256> seen_ids;
   std::set<std::string> conflict_keys;
   for (size_t i = 0; i < block.transactions.size(); ++i) {
     const Transaction& tx = block.transactions[i];
     if (!sig_ok[i]) {
       return Status::PermissionDenied(
-          StrCat("transaction ", tx.Id().ShortHex(), " has a bad signature"));
+          StrCat("transaction ", tx_ids[i].ShortHex(), " has a bad signature"));
     }
-    if (!seen_ids.insert(tx.Id().ToHex()).second) {
+    if (!seen_ids.insert(tx_ids[i]).second) {
       return Status::InvalidArgument(
-          StrCat("duplicate transaction ", tx.Id().ShortHex(), " in block"));
+          StrCat("duplicate transaction ", tx_ids[i].ShortHex(), " in block"));
     }
     if (conflict_key_) {
       std::optional<std::string> key = conflict_key_(tx);
@@ -134,18 +143,14 @@ Status Blockchain::AddBlock(Block block) {
   if (block.header.timestamp < parent->block.header.timestamp) {
     return Status::InvalidArgument("block timestamp precedes its parent");
   }
-  MEDSYNC_RETURN_IF_ERROR(ValidateStructure(block));
-
-  std::vector<crypto::Hash256> tx_ids;
-  tx_ids.reserve(block.transactions.size());
-  for (const Transaction& tx : block.transactions) {
-    crypto::Hash256 tx_id = tx.Id();
+  std::vector<crypto::Hash256> tx_ids = block.TransactionLeaves(pool_);
+  MEDSYNC_RETURN_IF_ERROR(ValidateStructure(block, tx_ids));
+  for (const crypto::Hash256& tx_id : tx_ids) {
     if (TxInAncestry(parent, tx_id)) {
       return Status::AlreadyExists(
           StrCat("transaction ", tx_id.ShortHex(),
                  " already included in an ancestor block"));
     }
-    tx_ids.push_back(tx_id);
   }
 
   metrics::Inc(blocks_accepted_);

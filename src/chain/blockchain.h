@@ -151,8 +151,15 @@ class Blockchain {
   /// back to the fork point, then pushes the adopted branch.
   void SetHead(const Node* new_head);
 
+  /// ValidateStructure for a caller that holds `tx_ids`, the block's
+  /// transaction ids in order: AddBlock hashes each transaction once for
+  /// the Merkle check, the signature checks, the duplicate rule and the
+  /// replay rule.
+  Status ValidateStructure(const Block& block,
+                           const std::vector<crypto::Hash256>& tx_ids) const;
   /// ValidateStructure minus the ok/fail accounting.
-  Status ValidateStructureImpl(const Block& block) const;
+  Status ValidateStructureImpl(
+      const Block& block, const std::vector<crypto::Hash256>& tx_ids) const;
 
   const Sealer* sealer_;
   ConflictKeyFn conflict_key_;

@@ -24,37 +24,48 @@ void Mempool::set_metrics(metrics::MetricsRegistry* registry) {
 }
 
 Status Mempool::Add(Transaction tx) {
+  const crypto::Hash256 id = tx.Id();
+  return Add(std::move(tx), id);
+}
+
+Status Mempool::Add(Transaction tx, const crypto::Hash256& id) {
   // Dedup BEFORE the capacity check: a full pool re-receiving an already
   // pooled transaction is a benign duplicate, not backpressure.
-  std::string id = tx.Id().ToHex();
   if (ids_.count(id) > 0) {
     metrics::Inc(reject_duplicate_);
     return Status::AlreadyExists(
-        StrCat("transaction ", id.substr(0, 8), " already pooled"));
+        StrCat("transaction ", id.ShortHex(), " already pooled"));
   }
   // Signature BEFORE capacity: ResourceExhausted is retryable backpressure
   // (ReliableChannel retransmits on it), while a bad signature is a
   // permanent reject. Checking capacity first would make a full pool report
   // unacceptable garbage as retryable, so peers would retransmit it forever
   // and mempool.reject.bad_signature would undercount.
-  if (!tx.VerifySignature()) {
+  if (!tx.VerifySignature(id)) {
     metrics::Inc(reject_bad_signature_);
     return Status::PermissionDenied(
-        StrCat("transaction ", tx.Id().ShortHex(), " has a bad signature"));
+        StrCat("transaction ", id.ShortHex(), " has a bad signature"));
   }
   if (queue_.size() >= capacity_) {
     metrics::Inc(reject_full_);
     return Status::ResourceExhausted("mempool full");
   }
-  ids_.insert(std::move(id));
-  queue_.push_back(std::move(tx));
+  ids_.insert(id);
+  queue_.push_back(Pooled{id, std::move(tx)});
   metrics::Inc(adds_);
   metrics::GaugeAdd(occupancy_, 1);
   return Status::OK();
 }
 
 bool Mempool::Contains(const crypto::Hash256& id) const {
-  return ids_.count(id.ToHex()) > 0;
+  return ids_.count(id) > 0;
+}
+
+std::vector<Transaction> Mempool::PendingTransactions() const {
+  std::vector<Transaction> out;
+  out.reserve(queue_.size());
+  for (const Pooled& pooled : queue_) out.push_back(pooled.tx);
+  return out;
 }
 
 std::vector<Transaction> Mempool::BuildBlockCandidate(size_t max_count,
@@ -68,8 +79,8 @@ std::vector<Transaction> Mempool::BuildBlockCandidate(size_t max_count,
   // or a buggy client) must keep arrival order on every standard library,
   // or candidate bytes diverge across toolchains.
   std::map<std::string, std::vector<const Transaction*>> per_sender;
-  for (const Transaction& tx : queue_) {
-    per_sender[tx.from.ToHex()].push_back(&tx);
+  for (const Pooled& pooled : queue_) {
+    per_sender[pooled.tx.from.ToHex()].push_back(&pooled.tx);
   }
   for (auto& [sender, txs] : per_sender) {
     std::stable_sort(txs.begin(), txs.end(),
@@ -80,8 +91,8 @@ std::vector<Transaction> Mempool::BuildBlockCandidate(size_t max_count,
   std::map<std::string, size_t> cursor;
   std::vector<const Transaction*> ordered;
   ordered.reserve(queue_.size());
-  for (const Transaction& slot : queue_) {
-    std::string sender = slot.from.ToHex();
+  for (const Pooled& slot : queue_) {
+    std::string sender = slot.tx.from.ToHex();
     ordered.push_back(per_sender[sender][cursor[sender]++]);
   }
 
@@ -116,14 +127,13 @@ std::vector<Transaction> Mempool::BuildBlockCandidate(size_t max_count,
   return selected;
 }
 
-void Mempool::RemoveIncluded(const std::set<std::string>& included_ids) {
-  std::deque<Transaction> kept;
-  for (Transaction& tx : queue_) {
-    std::string id = tx.Id().ToHex();
-    if (included_ids.count(id) > 0) {
-      ids_.erase(id);
+void Mempool::RemoveIncluded(const std::set<crypto::Hash256>& included_ids) {
+  std::deque<Pooled> kept;
+  for (Pooled& pooled : queue_) {
+    if (included_ids.count(pooled.id) > 0) {
+      ids_.erase(pooled.id);
     } else {
-      kept.push_back(std::move(tx));
+      kept.push_back(std::move(pooled));
     }
   }
   metrics::GaugeAdd(occupancy_,
@@ -133,8 +143,7 @@ void Mempool::RemoveIncluded(const std::set<std::string>& included_ids) {
 }
 
 void Mempool::Remove(const crypto::Hash256& id) {
-  std::set<std::string> one{id.ToHex()};
-  RemoveIncluded(one);
+  RemoveIncluded({id});
 }
 
 }  // namespace medsync::chain

@@ -37,6 +37,11 @@ class Mempool {
   /// which would keep retransmitting garbage that can never be accepted).
   Status Add(Transaction tx);
 
+  /// Add() for a caller that already holds `id`, which must be tx.Id():
+  /// the dedup key and the signature check both use it, so the gossip path
+  /// hashes each received transaction once.
+  Status Add(Transaction tx, const crypto::Hash256& id);
+
   /// Attaches counters (mempool.adds, mempool.reject.<reason>) and the
   /// shared occupancy gauge (mempool.occupancy, aggregated across pools via
   /// deltas). The registry must outlive the mempool; nullptr detaches.
@@ -59,8 +64,8 @@ class Mempool {
                                                size_t* deferred =
                                                    nullptr) const;
 
-  /// Drops every pooled transaction whose id is in `included_ids` (hex).
-  void RemoveIncluded(const std::set<std::string>& included_ids);
+  /// Drops every pooled transaction whose id is in `included_ids`.
+  void RemoveIncluded(const std::set<crypto::Hash256>& included_ids);
 
   /// Drops a specific transaction (e.g. one that became invalid).
   void Remove(const crypto::Hash256& id);
@@ -68,15 +73,20 @@ class Mempool {
   /// Every pooled transaction in arrival order (for periodic re-gossip:
   /// on a lossy network, the one broadcast at submission time may never
   /// have reached the sealer whose turn it is).
-  std::vector<Transaction> PendingTransactions() const {
-    return std::vector<Transaction>(queue_.begin(), queue_.end());
-  }
+  std::vector<Transaction> PendingTransactions() const;
 
  private:
   ConflictKeyFn conflict_key_;
   size_t capacity_;
-  std::deque<Transaction> queue_;
-  std::set<std::string> ids_;
+  /// A pooled transaction with the id it was added under, so removal
+  /// never re-hashes the pool.
+  struct Pooled {
+    crypto::Hash256 id;
+    Transaction tx;
+  };
+
+  std::deque<Pooled> queue_;
+  std::set<crypto::Hash256> ids_;  // binary, as the chain index is keyed
 
   metrics::Counter* adds_ = nullptr;
   metrics::Counter* reject_duplicate_ = nullptr;

@@ -28,10 +28,14 @@ void Transaction::Sign(const crypto::KeyPair& key) {
 }
 
 bool Transaction::VerifySignature() const {
+  return VerifySignature(Digest());
+}
+
+bool Transaction::VerifySignature(const crypto::Hash256& digest) const {
   if (crypto::Address::FromPublicKey(signature.pub_hint) != from) {
     return false;
   }
-  return crypto::KeyPair::Verify(signature.pub_hint, Digest().ToHex(),
+  return crypto::KeyPair::Verify(signature.pub_hint, digest.ToHex(),
                                  signature);
 }
 

@@ -36,6 +36,12 @@ struct Transaction {
   /// controls the `from` address.
   bool VerifySignature() const;
 
+  /// VerifySignature() for a caller that already holds `digest`, which must
+  /// be this transaction's Digest() (the gossip path hashes each received
+  /// transaction once). Nothing is cached: a transaction edited after its
+  /// digest was taken needs a fresh Digest().
+  bool VerifySignature(const crypto::Hash256& digest) const;
+
   Json ToJson() const;
   static Result<Transaction> FromJson(const Json& json);
 };

@@ -90,6 +90,10 @@ class Json {
   /// Serializes to compact canonical JSON.
   std::string Dump() const;
 
+  /// Appends Dump()'s bytes to `out`, for callers that embed this value in
+  /// a larger canonical document without first copying it into a tree.
+  void AppendDump(std::string* out) const { DumpTo(out, 0, 0); }
+
   /// Length of Dump() without building the string — for byte accounting
   /// (e.g. network payload sizes) where serializing just to measure would
   /// double the work.

@@ -76,14 +76,16 @@ class Contract {
   virtual Result<Json> Call(CallContext& ctx, const std::string& method,
                             const Json& params) = 0;
 
-  /// Canonical state snapshot, used (a) by tests to assert replica
-  /// convergence and (b) by the host to roll a contract back when a call
-  /// fails mid-mutation (failed transactions must leave no trace beyond
-  /// their receipt).
+  /// Canonical state snapshot: the host's StateFingerprint() and tests use
+  /// it to assert replica convergence.
   virtual Json StateSnapshot() const = 0;
 
-  /// Restores state captured by StateSnapshot().
-  virtual Status RestoreState(const Json& snapshot) = 0;
+  /// Rollback of failed calls (failed transactions must leave no trace
+  /// beyond their receipt). The host calls Checkpoint() before each
+  /// transaction's Call() and Rollback() when that call fails; Rollback()
+  /// restores the state as of the last Checkpoint().
+  virtual void Checkpoint() = 0;
+  virtual void Rollback() = 0;
 };
 
 }  // namespace medsync::contracts

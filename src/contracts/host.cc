@@ -107,16 +107,11 @@ Receipt ContractHost::ExecuteTransaction(const chain::Transaction& tx,
 
   if (Status s = gas.Charge(21000); !s.ok()) return fail(s);
 
-  // Snapshot-and-restore gives failed calls transactional semantics.
-  Json before = contract.StateSnapshot();
+  // Checkpoint-and-rollback gives failed calls transactional semantics.
+  contract.Checkpoint();
   Result<Json> result = contract.Call(ctx, tx.method, tx.params);
   if (!result.ok()) {
-    Status restore = contract.RestoreState(before);
-    if (!restore.ok()) {
-      return fail(Status::Internal(
-          StrCat("state rollback failed after error: ", restore.ToString(),
-                 " (original: ", result.status().ToString(), ")")));
-    }
+    contract.Rollback();
     return fail(result.status());
   }
 

@@ -63,48 +63,6 @@ Json MetadataContract::Entry::ToJson() const {
   return out;
 }
 
-Result<MetadataContract::Entry> MetadataContract::Entry::FromJson(
-    const Json& json) {
-  Entry entry;
-  MEDSYNC_ASSIGN_OR_RETURN(entry.table_id, json.GetString("table_id"));
-  const Json& peers = json.At("peers");
-  if (!peers.is_array()) {
-    return Status::InvalidArgument("'peers' must be an array");
-  }
-  for (const Json& p : peers.AsArray()) entry.peers.push_back(p.AsString());
-  MEDSYNC_ASSIGN_OR_RETURN(entry.provider, json.GetString("provider"));
-  MEDSYNC_ASSIGN_OR_RETURN(entry.authority, json.GetString("authority"));
-  entry.view_schema = json.At("view_schema");
-  const Json& perms = json.At("write_permission");
-  if (!perms.is_object()) {
-    return Status::InvalidArgument("'write_permission' must be an object");
-  }
-  for (const auto& [attr, allowed] : perms.AsObject()) {
-    MEDSYNC_ASSIGN_OR_RETURN(entry.write_permission[attr],
-                             StringSetFromJson(allowed, attr));
-  }
-  MEDSYNC_ASSIGN_OR_RETURN(
-      entry.membership_permission,
-      StringSetFromJson(json.At("membership_permission"),
-                        "membership_permission"));
-  MEDSYNC_ASSIGN_OR_RETURN(entry.last_update_time,
-                           json.GetInt("last_update_time"));
-  MEDSYNC_ASSIGN_OR_RETURN(int64_t version, json.GetInt("version"));
-  entry.version = static_cast<uint64_t>(version);
-  MEDSYNC_ASSIGN_OR_RETURN(entry.content_digest,
-                           json.GetString("content_digest"));
-  if (json.At("last_updater").is_string()) {
-    entry.last_updater = json.At("last_updater").AsString();
-  }
-  MEDSYNC_ASSIGN_OR_RETURN(
-      entry.pending_acks,
-      StringSetFromJson(json.At("pending_acks"), "pending_acks"));
-  MEDSYNC_ASSIGN_OR_RETURN(int64_t committed,
-                           json.GetInt("updates_committed"));
-  entry.updates_committed = static_cast<uint64_t>(committed);
-  return entry;
-}
-
 Result<std::unique_ptr<Contract>> MetadataContract::Create(const Json&) {
   return std::unique_ptr<Contract>(new MetadataContract());
 }
@@ -134,7 +92,29 @@ Result<MetadataContract::Entry*> MetadataContract::FindEntry(
     return Status::NotFound(
         StrCat("no shared table '", table_id, "' registered"));
   }
+  LogUndo(table_id);
   return &it->second;
+}
+
+void MetadataContract::LogUndo(const std::string& table_id) {
+  for (const auto& [id, before] : undo_) {
+    if (id == table_id) return;
+  }
+  auto it = entries_.find(table_id);
+  undo_.emplace_back(table_id, it == entries_.end()
+                                   ? std::nullopt
+                                   : std::optional<Entry>(it->second));
+}
+
+void MetadataContract::Rollback() {
+  for (auto& [id, before] : undo_) {
+    if (before.has_value()) {
+      entries_[id] = std::move(*before);
+    } else {
+      entries_.erase(id);
+    }
+  }
+  undo_.clear();
 }
 
 Result<Json> MetadataContract::RegisterTable(CallContext& ctx,
@@ -219,6 +199,7 @@ Result<Json> MetadataContract::RegisterTable(CallContext& ctx,
   event.Set("version", entry.version);
   ctx.Emit("TableRegistered", std::move(event));
 
+  LogUndo(table_id);
   entries_.emplace(table_id, std::move(entry));
   Json out = Json::MakeObject();
   out.Set("table_id", table_id);
@@ -478,19 +459,6 @@ Json MetadataContract::StateSnapshot() const {
     out.Set(id, entry.ToJson());
   }
   return out;
-}
-
-Status MetadataContract::RestoreState(const Json& snapshot) {
-  if (!snapshot.is_object()) {
-    return Status::InvalidArgument("snapshot must be an object");
-  }
-  std::map<std::string, Entry> restored;
-  for (const auto& [id, entry_json] : snapshot.AsObject()) {
-    MEDSYNC_ASSIGN_OR_RETURN(Entry entry, Entry::FromJson(entry_json));
-    restored.emplace(id, std::move(entry));
-  }
-  entries_ = std::move(restored);
-  return Status::OK();
 }
 
 std::optional<std::string> SharedDataConflictKey(

@@ -55,7 +55,8 @@ class MetadataContract : public Contract {
   Result<Json> Call(CallContext& ctx, const std::string& method,
                     const Json& params) override;
   Json StateSnapshot() const override;
-  Status RestoreState(const Json& snapshot) override;
+  void Checkpoint() override { undo_.clear(); }
+  void Rollback() override;
 
   /// The permission key controlling row creation/deletion.
   static constexpr char kRowsPermission[] = "__rows__";
@@ -81,7 +82,6 @@ class MetadataContract : public Contract {
 
     bool HasPeer(const std::string& addr_hex) const;
     Json ToJson() const;
-    static Result<Entry> FromJson(const Json& json);
   };
 
   Result<Json> RegisterTable(CallContext& ctx, const Json& params);
@@ -92,9 +92,17 @@ class MetadataContract : public Contract {
   Result<Json> GetEntry(CallContext& ctx, const Json& params) const;
   Result<Json> ListTables(CallContext& ctx) const;
 
+  /// The entry a mutating method is about to change; logs it for undo.
   Result<Entry*> FindEntry(const std::string& table_id);
+  /// Logs `table_id`'s entry as it is now (absent included), unless it is
+  /// already logged since the last Checkpoint().
+  void LogUndo(const std::string& table_id);
 
   std::map<std::string, Entry> entries_;
+  /// Each table id touched since the last Checkpoint(), with its entry as
+  /// it was before the first touch (nullopt: not registered then). Only
+  /// touched entries are copied, so a checkpoint costs nothing per call.
+  std::vector<std::pair<std::string, std::optional<Entry>>> undo_;
 };
 
 /// The Blockchain/Mempool ConflictKeyFn for the paper's one-update-per-

@@ -710,7 +710,7 @@ void Peer::OnMessage(const net::Message& message) {
 }
 
 void Peer::HandleFetchRequest(const net::Message& message) {
-  auto table_id = message.payload.GetString("table_id");
+  auto table_id = message.payload().GetString("table_id");
   if (!table_id.ok()) return;
   auto table_it = tables_.find(*table_id);
   if (table_it == tables_.end()) return;
@@ -745,12 +745,12 @@ void Peer::HandleFetchRequest(const net::Message& message) {
 }
 
 void Peer::HandleFetchResponse(const net::Message& message) {
-  auto table_id = message.payload.GetString("table_id");
+  auto table_id = message.payload().GetString("table_id");
   if (!table_id.ok()) return;
   auto fetch_it = pending_fetches_.find(*table_id);
   if (fetch_it == pending_fetches_.end()) return;  // stale response
 
-  auto digest = message.payload.GetString("digest");
+  auto digest = message.payload().GetString("digest");
   if (!digest.ok()) return;
   if (*digest != fetch_it->second.digest) {
     // The updater has not finalized yet or sent stale data; the retry
@@ -759,7 +759,7 @@ void Peer::HandleFetchResponse(const net::Message& message) {
     metrics::Inc(counters_.digest_mismatches);
     return;
   }
-  Result<Table> content = Table::FromJson(message.payload.At("contents"));
+  Result<Table> content = Table::FromJson(message.payload().At("contents"));
   if (!content.ok()) {
     Trace(StrCat("bad fetch response for '", *table_id,
                  "': ", content.status().ToString()));
@@ -895,12 +895,12 @@ void Peer::HandleShareOffer(const net::Message& message) {
                "peer", "share answer");
   };
 
-  auto table_id = message.payload.GetString("table_id");
+  auto table_id = message.payload().GetString("table_id");
   if (!table_id.ok()) return;
-  auto contract_hex = message.payload.GetString("contract");
-  auto provider_name = message.payload.GetString("provider_name");
-  auto provider_hex = message.payload.GetString("provider");
-  Result<Table> contents = Table::FromJson(message.payload.At("contents"));
+  auto contract_hex = message.payload().GetString("contract");
+  auto provider_name = message.payload().GetString("provider_name");
+  auto provider_hex = message.payload().GetString("provider");
+  Result<Table> contents = Table::FromJson(message.payload().At("contents"));
   if (!contract_hex.ok() || !provider_name.ok() || !provider_hex.ok() ||
       !contents.ok()) {
     reply(*table_id, false, "malformed offer");
@@ -990,8 +990,8 @@ void Peer::HandleShareOffer(const net::Message& message) {
 }
 
 void Peer::HandleShareAnswer(const net::Message& message) {
-  auto table_id = message.payload.GetString("table_id");
-  auto accepted = message.payload.GetBool("accepted");
+  auto table_id = message.payload().GetString("table_id");
+  auto accepted = message.payload().GetBool("accepted");
   if (!table_id.ok() || !accepted.ok()) return;
   auto offer_it = pending_offers_.find(*table_id);
   if (offer_it == pending_offers_.end()) return;
@@ -1000,12 +1000,12 @@ void Peer::HandleShareAnswer(const net::Message& message) {
 
   if (!*accepted) {
     Trace(StrCat("share offer '", *table_id, "' declined by ", message.from,
-                 ": ", message.payload.At("reason").is_string()
-                           ? message.payload.At("reason").AsString()
+                 ": ", message.payload().At("reason").is_string()
+                           ? message.payload().At("reason").AsString()
                            : ""));
     return;
   }
-  auto invitee_hex = message.payload.GetString("invitee");
+  auto invitee_hex = message.payload().GetString("invitee");
   if (!invitee_hex.ok()) return;
   bool ok = false;
   crypto::Address invitee = crypto::Address::FromHex(*invitee_hex, &ok);

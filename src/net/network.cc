@@ -5,6 +5,25 @@
 
 namespace medsync::net {
 
+Message::Message(NodeId from, NodeId to, std::string type, Json payload)
+    : Message(std::move(from), std::move(to), std::move(type),
+              std::make_shared<const Json>(std::move(payload))) {}
+
+Message::Message(NodeId from, NodeId to, std::string type, SharedJson payload)
+    : from(std::move(from)),
+      to(std::move(to)),
+      type(std::move(type)),
+      payload_(std::move(payload)) {}
+
+const Json& Message::payload() const {
+  static const Json* const kNull = new Json();
+  return payload_ != nullptr ? *payload_ : *kNull;
+}
+
+void Message::set_payload(Json payload) {
+  payload_ = std::make_shared<const Json>(std::move(payload));
+}
+
 SimNetwork::SimNetwork(Simulator* simulator, LatencyModel latency,
                        uint64_t seed)
     : simulator_(simulator), latency_(latency), rng_(seed) {}
@@ -35,7 +54,7 @@ void SimNetwork::set_metrics(metrics::MetricsRegistry* registry) {
 }
 
 Status SimNetwork::Send(Message message) {
-  const size_t payload_bytes = message.payload.SerializedSize();
+  const size_t payload_bytes = message.payload().SerializedSize();
   return SendSized(std::move(message), payload_bytes);
 }
 
@@ -93,16 +112,12 @@ Status SimNetwork::SendSized(Message message, size_t payload_bytes) {
 }
 
 void SimNetwork::Broadcast(const NodeId& from, const std::string& type,
-                        const Json& payload) {
-  // Measured once for the whole fan-out; every copy has the same payload.
-  const size_t payload_bytes = payload.SerializedSize();
+                           SharedJson payload) {
+  // Measured once for the whole fan-out; every message shares the payload.
+  const size_t payload_bytes = payload->SerializedSize();
   for (const auto& [id, endpoint] : endpoints_) {
     if (id == from) continue;
-    Message message;
-    message.from = from;
-    message.to = id;
-    message.type = type;
-    message.payload = payload;
+    Message message(from, id, type, payload);
     // Broadcast is lossy by contract: per-destination failures (downed
     // links, unknown peers) are the simulated network doing its job.
     LogIfError(SendSized(std::move(message), payload_bytes), "net",

@@ -2,6 +2,7 @@
 #define MEDSYNC_NET_NETWORK_H_
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -17,14 +18,33 @@ namespace medsync::net {
 /// Stable node identity on the network (e.g. "doctor", "chain-node-2").
 using NodeId = std::string;
 
+/// An immutable JSON body, shared by every message that carries it.
+using SharedJson = std::shared_ptr<const Json>;
+
 /// One network message. `type` routes within the receiver ("tx", "block",
-/// "notify", "fetch_request", "fetch_response", ...); `payload` is JSON,
+/// "notify", "fetch_request", "fetch_response", ...); `payload()` is JSON,
 /// mirroring how the real system puts JSON bodies on the wire.
+///
+/// The body is immutable once the message is built, and every copy of the
+/// message shares it: a broadcast builds one body for all its recipients,
+/// a scheduled delivery captures the handle, and a relay forwards the
+/// handle it received. No receiver can edit a body another one also reads.
 struct Message {
+  Message() = default;
+  Message(NodeId from, NodeId to, std::string type, Json payload);
+  Message(NodeId from, NodeId to, std::string type, SharedJson payload);
+
   NodeId from;
   NodeId to;
   std::string type;
-  Json payload;
+
+  /// The body; JSON null when none was set.
+  const Json& payload() const;
+  const SharedJson& shared_payload() const { return payload_; }
+  void set_payload(Json payload);
+
+ private:
+  SharedJson payload_;
 };
 
 /// Receiver interface for attached nodes.
@@ -72,9 +92,13 @@ class Network {
   /// Queues `message` for delivery (see class contract for loss semantics).
   virtual Status Send(Message message) = 0;
 
-  /// Sends `type`/`payload` from `from` to every other known node.
+  /// Sends `type`/`payload` from `from` to every other known node. Every
+  /// recipient's message shares the one `payload`.
   virtual void Broadcast(const NodeId& from, const std::string& type,
-                         const Json& payload) = 0;
+                         SharedJson payload) = 0;
+  void Broadcast(const NodeId& from, const std::string& type, Json payload) {
+    Broadcast(from, type, std::make_shared<const Json>(std::move(payload)));
+  }
 
   virtual const Stats& stats() const = 0;
 
@@ -115,8 +139,9 @@ class SimNetwork final : public Network {
   /// the drop lottery fires — like a real datagram network would.
   Status Send(Message message) override;
 
+  using Network::Broadcast;
   void Broadcast(const NodeId& from, const std::string& type,
-                 const Json& payload) override;
+                 SharedJson payload) override;
 
   /// Cuts or heals the (bidirectional) link between `a` and `b`.
   void SetLinkDown(const NodeId& a, const NodeId& b, bool down);

@@ -62,7 +62,7 @@ Status ReliableChannel::Send(Message message) {
   envelope.Set("seq", static_cast<int64_t>(seq));
   envelope.Set("epoch", static_cast<int64_t>(epoch_));
   envelope.Set("type", message.type);
-  envelope.Set("payload", std::move(message.payload));
+  envelope.Set("payload", message.payload());
   Message wrapped{id_, to, kDataType, std::move(envelope)};
 
   ++stats_.sends;
@@ -101,9 +101,9 @@ void ReliableChannel::ScheduleRetransmit(const NodeId& to, uint64_t seq) {
       Message original;
       original.from = id_;
       original.to = to;
-      auto type = send.wrapped.payload.GetString("type");
+      auto type = send.wrapped.payload().GetString("type");
       if (type.ok()) original.type = *type;
-      original.payload = send.wrapped.payload.At("payload");
+      original.set_payload(send.wrapped.payload().At("payload"));
       pending_.erase(pending_it);
       if (give_up_) give_up_(original);
       return;
@@ -150,9 +150,9 @@ void ReliableChannel::OnMessage(const Message& message) {
 }
 
 void ReliableChannel::HandleData(const Message& message) {
-  auto seq = message.payload.GetInt("seq");
-  auto epoch = message.payload.GetInt("epoch");
-  auto type = message.payload.GetString("type");
+  auto seq = message.payload().GetInt("seq");
+  auto epoch = message.payload().GetInt("epoch");
+  auto type = message.payload().GetString("type");
   if (!seq.ok() || !epoch.ok() || !type.ok()) return;
 
   RecvState& state = recv_[message.from];
@@ -200,13 +200,13 @@ void ReliableChannel::HandleData(const Message& message) {
   unwrapped.from = message.from;
   unwrapped.to = id_;
   unwrapped.type = *type;
-  unwrapped.payload = message.payload.At("payload");
+  unwrapped.set_payload(message.payload().At("payload"));
   inner_->OnMessage(unwrapped);
 }
 
 void ReliableChannel::HandleAck(const Message& message) {
-  auto seq = message.payload.GetInt("seq");
-  auto epoch = message.payload.GetInt("epoch");
+  auto seq = message.payload().GetInt("seq");
+  auto epoch = message.payload().GetInt("epoch");
   if (!seq.ok() || !epoch.ok()) return;
   if (*epoch != epoch_) return;  // ack for a previous incarnation
   auto it = pending_.find(

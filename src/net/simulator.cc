@@ -1,5 +1,6 @@
 #include "net/simulator.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace medsync::net {
@@ -11,13 +12,15 @@ void Simulator::Schedule(Micros delay, std::function<void()> fn) {
 
 void Simulator::ScheduleAt(Micros when, std::function<void()> fn) {
   if (when < clock_.Now()) when = clock_.Now();
-  queue_.push(Event{when, next_seq_++, std::move(fn)});
+  queue_.push_back(Event{when, next_seq_++, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), EventLater());
 }
 
 bool Simulator::Step() {
   if (queue_.empty()) return false;
-  Event event = queue_.top();
-  queue_.pop();
+  std::pop_heap(queue_.begin(), queue_.end(), EventLater());
+  Event event = std::move(queue_.back());
+  queue_.pop_back();
   clock_.AdvanceTo(event.when);
   ++executed_;
   event.fn();
@@ -32,7 +35,7 @@ size_t Simulator::Run() {
 
 size_t Simulator::RunUntil(Micros when) {
   size_t count = 0;
-  while (!queue_.empty() && queue_.top().when <= when) {
+  while (!queue_.empty() && queue_.front().when <= when) {
     Step();
     ++count;
   }

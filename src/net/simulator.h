@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/clock.h"
@@ -22,6 +21,8 @@ namespace medsync::net {
 /// interface.
 ///
 /// Events at equal timestamps fire in scheduling order (FIFO tie-break).
+/// Dispatch moves each event out of the queue, so a scheduled callable and
+/// whatever it captured (a whole network message, say) is never copied.
 class Simulator : public Scheduler {
  public:
   explicit Simulator(Micros epoch = SimClock::kDefaultEpoch)
@@ -72,7 +73,10 @@ class Simulator : public Scheduler {
   };
 
   SimClock clock_;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  /// A binary heap under EventLater (std::push_heap/std::pop_heap), so the
+  /// earliest event can be moved out; std::priority_queue only exposes it
+  /// as a const reference.
+  std::vector<Event> queue_;
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
 };

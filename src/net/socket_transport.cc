@@ -145,7 +145,7 @@ std::vector<NodeId> SocketTransport::AttachedNodes() const {
 }
 
 Status SocketTransport::Send(Message message) {
-  const size_t payload_bytes = message.payload.SerializedSize();
+  const size_t payload_bytes = message.payload().SerializedSize();
   return SendSized(std::move(message), payload_bytes);
 }
 
@@ -177,17 +177,12 @@ Status SocketTransport::SendSized(Message message, size_t payload_bytes) {
 }
 
 void SocketTransport::Broadcast(const NodeId& from, const std::string& type,
-                                const Json& payload) {
-  const size_t payload_bytes = payload.SerializedSize();
+                                SharedJson payload) {
+  const size_t payload_bytes = payload->SerializedSize();
   for (const NodeId& id : AttachedNodes()) {
     if (id == from) continue;
-    Message message;
-    message.from = from;
-    message.to = id;
-    message.type = type;
-    message.payload = payload;
-    LogIfError(SendSized(std::move(message), payload_bytes), "net",
-               "broadcast delivery");
+    LogIfError(SendSized(Message(from, id, type, payload), payload_bytes),
+               "net", "broadcast delivery");
   }
 }
 
@@ -204,7 +199,7 @@ void SocketTransport::DeliverLocal(Message message) {
 
 Status SocketTransport::QueueToAddress(const std::string& address,
                                        const Message& message,
-                                       size_t /*payload_bytes*/) {
+                                       size_t payload_bytes) {
   Status status = Status::OK();
   Connection* conn = GetOrConnect(address, &status);
   if (conn == nullptr) {
@@ -213,13 +208,21 @@ Status SocketTransport::QueueToAddress(const std::string& address,
     CountDropped(1, status.message().c_str());
     return Status::OK();
   }
+  // The envelope {"body", "from", "to"} in canonical (sorted-key) order,
+  // written straight from the shared body: the same bytes as dumping an
+  // envelope tree, without copying the body into one.
   Frame frame;
   frame.type = message.type;
-  Json envelope = Json::MakeObject();
-  envelope.Set("from", Json(message.from));
-  envelope.Set("to", Json(message.to));
-  envelope.Set("body", message.payload);
-  frame.payload = envelope.Dump();
+  std::string& envelope = frame.payload;
+  envelope.reserve(payload_bytes + message.from.size() + message.to.size() +
+                   32);
+  envelope += "{\"body\":";
+  message.payload().AppendDump(&envelope);
+  envelope += ",\"from\":";
+  Json::AppendString(&envelope, message.from);
+  envelope += ",\"to\":";
+  Json::AppendString(&envelope, message.to);
+  envelope += '}';
   conn->outbox.push_back(EncodeFrame(frame));
   if (!conn->connecting) FlushOutbox(conn);
   UpdateInterest(conn);
@@ -392,12 +395,13 @@ bool SocketTransport::DrainFrames(Connection* conn) {
       CloseConnection(fd);
       return false;
     }
-    const Json& env = envelope.value();
+    Json::Object& env = envelope.value().AsObject();
     Message message;
     message.type = std::move(f.type);
-    message.from = env.At("from").AsString();
-    message.to = env.At("to").AsString();
-    message.payload = env.At("body");
+    message.from = env.at("from").AsString();
+    message.to = env.at("to").AsString();
+    auto body = env.find("body");
+    message.set_payload(body == env.end() ? Json() : std::move(body->second));
     DeliverLocal(std::move(message));
   }
 }

@@ -66,8 +66,9 @@ class SocketTransport final : public Network {
   void Detach(const NodeId& id) override;
   bool IsAttached(const NodeId& id) const override;
   Status Send(Message message) override;
+  using Network::Broadcast;
   void Broadcast(const NodeId& from, const std::string& type,
-                 const Json& payload) override;
+                 SharedJson payload) override;
   const Stats& stats() const override { return stats_; }
   void set_metrics(metrics::MetricsRegistry* registry) override;
   std::vector<NodeId> AttachedNodes() const override;

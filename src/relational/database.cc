@@ -544,7 +544,7 @@ Status Database::ApplyTableDelta(const std::string& table,
     MEDSYNC_RETURN_IF_ERROR(
         wal_->Append(ApplyDeltaOp(table, delta)).status());
   }
-  return ApplyDelta(delta, t);
+  return ApplyValidatedDelta(delta, t);
 }
 
 Status Database::ReplaceTable(const std::string& table,

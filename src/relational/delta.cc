@@ -120,7 +120,10 @@ Status ValidateDelta(const TableDelta& delta, const Table& table) {
 Status ApplyDelta(const TableDelta& delta, Table* table) {
   // Validate everything up front so application is all-or-nothing.
   MEDSYNC_RETURN_IF_ERROR(ValidateDelta(delta, *table));
+  return ApplyValidatedDelta(delta, table);
+}
 
+Status ApplyValidatedDelta(const TableDelta& delta, Table* table) {
   // Deletes first (see ValidateDelta: inserts may legally reuse a deleted
   // key), then inserts, then updates.
   for (const Key& key : delta.deletes) {

@@ -55,6 +55,11 @@ Status ValidateDelta(const TableDelta& delta, const Table& table);
 /// a rejected delta leaves `table` untouched.
 Status ApplyDelta(const TableDelta& delta, Table* table);
 
+/// ApplyDelta's apply step alone, for a caller that has just run
+/// ValidateDelta(delta, *table) and mutated nothing since (the database
+/// write path validates before it logs).
+Status ApplyValidatedDelta(const TableDelta& delta, Table* table);
+
 }  // namespace medsync::relational
 
 #endif  // MEDSYNC_RELATIONAL_DELTA_H_

@@ -125,15 +125,16 @@ Status ChainNode::AddBlockPersist(chain::Block block) {
         StrCat("block names lane ", lane, " but this node runs ",
                lanes_.size(), " lanes"));
   }
+  if (!block_store_.has_value()) {
+    return lanes_[lane]->chain.AddBlock(std::move(block));
+  }
   // Copy needed for the append; AddBlock consumes the block.
   chain::Block stored = block;
   MEDSYNC_RETURN_IF_ERROR(lanes_[lane]->chain.AddBlock(std::move(block)));
-  if (block_store_.has_value()) {
-    Status appended = block_store_->Append(stored);
-    if (!appended.ok()) {
-      MEDSYNC_LOG(kWarning, config_.id)
-          << "block store append failed: " << appended;
-    }
+  Status appended = block_store_->Append(stored);
+  if (!appended.ok()) {
+    MEDSYNC_LOG(kWarning, config_.id)
+        << "block store append failed: " << appended;
   }
   return Status::OK();
 }
@@ -192,7 +193,7 @@ void ChainNode::MaybeRequestBlock(uint32_t lane, const std::string& hash_hex,
 }
 
 void ChainNode::HandleHeadAnnounce(const net::Message& message) {
-  const Json& heads = message.payload.At("heads");
+  const Json& heads = message.payload().At("heads");
   if (!heads.is_array()) return;
   for (const Json& entry : heads.AsArray()) {
     auto lane = entry.GetInt("lane");
@@ -215,13 +216,13 @@ ChainNode::SealOutcome ChainNode::BuildLaneCandidate(Lane& lane) {
   // raced gossip; without the filter the sealed block would carry a
   // duplicate transaction, fail validation, and this authority's turn
   // would stall forever.
-  std::set<std::string> stale;
+  std::set<crypto::Hash256> stale;
   std::vector<Transaction> fresh;
   fresh.reserve(txs.size());
   for (Transaction& tx : txs) {
     const crypto::Hash256 id = tx.Id();
     if (lane.chain.FindTransaction(id, nullptr, nullptr)) {
-      stale.insert(id.ToHex());
+      stale.insert(id);
     } else {
       fresh.push_back(std::move(tx));
     }
@@ -298,9 +299,9 @@ void ChainNode::TrySealLanes() {
         << out.block.header.lane << " (" << out.block.transactions.size()
         << " txs)";
 
-    std::set<std::string> included;
+    std::set<crypto::Hash256> included;
     for (const Transaction& tx : out.block.transactions) {
-      included.insert(tx.Id().ToHex());
+      included.insert(tx.Id());
     }
     lanes_[l]->mempool.RemoveIncluded(included);
     network_->Broadcast(config_.id, "block", out.block.ToJson());
@@ -313,7 +314,7 @@ Status ChainNode::SubmitTransaction(Transaction tx) {
   Json payload = tx.ToJson();
   const uint32_t lane = lane_assign_(tx);
   MEDSYNC_RETURN_IF_ERROR(lanes_[lane]->mempool.Add(std::move(tx)));
-  network_->Broadcast(config_.id, "tx", payload);
+  network_->Broadcast(config_.id, "tx", std::move(payload));
   return Status::OK();
 }
 
@@ -340,13 +341,13 @@ void ChainNode::OnMessage(const net::Message& message) {
   if (message.type == "tx") {
     HandleTransactionMessage(message);
   } else if (message.type == "block") {
-    HandleBlockPayload(message.payload, message.from);
+    HandleBlockMessage(message);
   } else if (message.type == "block_request") {
     HandleBlockRequest(message);
   } else if (message.type == "head_announce") {
     HandleHeadAnnounce(message);
   } else if (message.type == "block_response") {
-    HandleBlockPayload(message.payload, message.from);
+    HandleBlockMessage(message);
   } else {
     MEDSYNC_LOG(kDebug, config_.id)
         << "ignoring message type '" << message.type << "'";
@@ -354,18 +355,22 @@ void ChainNode::OnMessage(const net::Message& message) {
 }
 
 void ChainNode::HandleTransactionMessage(const net::Message& message) {
-  Result<Transaction> tx = Transaction::FromJson(message.payload);
+  Result<Transaction> tx = Transaction::FromJson(message.payload());
   if (!tx.ok()) {
     MEDSYNC_LOG(kWarning, config_.id) << "bad tx payload: " << tx.status();
     return;
   }
   const uint32_t lane = lane_assign_(*tx);
+  // One digest per gossip message: the id serves the chain lookup, the
+  // pool's dedup key and its signature check.
+  const crypto::Hash256 id = tx->Id();
   // Skip if already on the lane's canonical chain (late gossip).
-  if (lanes_[lane]->chain.FindTransaction(tx->Id(), nullptr, nullptr)) return;
-  Status added = lanes_[lane]->mempool.Add(std::move(*tx));
+  if (lanes_[lane]->chain.FindTransaction(id, nullptr, nullptr)) return;
+  Status added = lanes_[lane]->mempool.Add(std::move(*tx), id);
   if (added.ok()) {
-    // First sighting: relay so the gossip floods the network.
-    network_->Broadcast(config_.id, "tx", message.payload);
+    // First sighting: relay so the gossip floods the network. The relay
+    // shares the received body instead of copying it.
+    network_->Broadcast(config_.id, "tx", message.shared_payload());
   }
 }
 
@@ -403,9 +408,9 @@ Status ChainNode::AcceptBlock(Block block, const net::NodeId& from) {
   return Status::OK();
 }
 
-void ChainNode::HandleBlockPayload(const Json& payload,
-                                   const net::NodeId& from) {
-  Result<Block> block = Block::FromJson(payload);
+void ChainNode::HandleBlockMessage(const net::Message& message) {
+  const net::NodeId& from = message.from;
+  Result<Block> block = Block::FromJson(message.payload());
   if (!block.ok()) {
     MEDSYNC_LOG(kWarning, config_.id)
         << "bad block payload: " << block.status();
@@ -425,17 +430,17 @@ void ChainNode::HandleBlockPayload(const Json& payload,
     return;
   }
   if (accepted.ok()) {
-    network_->Broadcast(config_.id, "block", payload);
+    network_->Broadcast(config_.id, "block", message.shared_payload());
     // Evict what the canonical chain now includes from the lane's pool
     // partition: every block adopted since the old head, from the fork
     // point up. A reorg can adopt blocks at or below the old height (an
     // equal-height tie-break, a side branch overtaking from below), and
     // their transactions must leave the pool too.
-    std::set<std::string> included;
+    std::set<crypto::Hash256> included;
     for (const chain::Block* b :
          lanes_[lane]->chain.CanonicalBlocksSince(old_head)) {
       for (const Transaction& tx : b->transactions) {
-        included.insert(tx.Id().ToHex());
+        included.insert(tx.Id());
       }
     }
     if (!included.empty()) lanes_[lane]->mempool.RemoveIncluded(included);
@@ -457,7 +462,7 @@ void ChainNode::ScheduleExecution() {
 }
 
 void ChainNode::HandleBlockRequest(const net::Message& message) {
-  auto hash_hex = message.payload.GetString("hash");
+  auto hash_hex = message.payload().GetString("hash");
   if (!hash_hex.ok()) return;
   bool ok = false;
   crypto::Hash256 hash = crypto::Hash256::FromHex(*hash_hex, &ok);

@@ -196,7 +196,9 @@ class ChainNode : public net::Endpoint {
   void ScheduleExecution();
 
   void HandleTransactionMessage(const net::Message& message);
-  void HandleBlockPayload(const Json& payload, const net::NodeId& from);
+  /// Accepts the block a "block" or "block_response" message carries, and
+  /// relays the received body once the block is added.
+  void HandleBlockMessage(const net::Message& message);
   void HandleBlockRequest(const net::Message& message);
   void HandleHeadAnnounce(const net::Message& message);
   void MaybeRequestBlock(uint32_t lane, const std::string& hash_hex,

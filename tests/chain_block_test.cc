@@ -39,6 +39,20 @@ TEST(TransactionTest, DigestChangesWithAnyField) {
   EXPECT_NE(base.Digest(), different_sender.Digest());
 }
 
+TEST(TransactionTest, VerifyWithPrecomputedDigestMatchesVerify) {
+  Transaction tx = MakeTx("alice", 1);
+  EXPECT_TRUE(tx.VerifySignature(tx.Digest()));
+  Transaction tampered = tx;
+  tampered.params.Set("table_id", "SOMETHING-ELSE");
+  // Handed the digest of the edited fields, the check fails exactly as
+  // the no-argument form does.
+  EXPECT_FALSE(tampered.VerifySignature(tampered.Digest()));
+  EXPECT_FALSE(tampered.VerifySignature());
+  Transaction spoofed = tx;
+  spoofed.from = crypto::KeyPair::FromSeed("bob").address();
+  EXPECT_FALSE(spoofed.VerifySignature(tx.Digest()));
+}
+
 TEST(TransactionTest, SignatureVerifies) {
   Transaction tx = MakeTx("alice", 1);
   EXPECT_TRUE(tx.VerifySignature());

@@ -115,7 +115,7 @@ TEST(MempoolTest, MetricsCountAddsAndRejectsByReason) {
   EXPECT_EQ(registry.Snapshot().At("gauges").At("mempool.occupancy").AsInt(),
             2);
 
-  pool.RemoveIncluded({good.Id().ToHex()});
+  pool.RemoveIncluded({good.Id()});
   EXPECT_EQ(registry.Snapshot().At("gauges").At("mempool.occupancy").AsInt(),
             1);
 }
@@ -187,7 +187,7 @@ TEST(MempoolTest, ConflictingUpdatesDeferredNotDropped) {
   EXPECT_EQ(batch[1].Id(), other.Id());
 
   // After the first block's transactions confirm, the deferred one flows.
-  pool.RemoveIncluded({first.Id().ToHex(), other.Id().ToHex()});
+  pool.RemoveIncluded({first.Id(), other.Id()});
   std::vector<Transaction> next = pool.BuildBlockCandidate(10);
   ASSERT_EQ(next.size(), 1u);
   EXPECT_EQ(next[0].Id(), second.Id());
@@ -218,7 +218,7 @@ TEST(MempoolTest, RemoveIncludedAndRemove) {
   Transaction b = MakeTx("bob", 1);
   ASSERT_TRUE(pool.Add(a).ok());
   ASSERT_TRUE(pool.Add(b).ok());
-  pool.RemoveIncluded({a.Id().ToHex()});
+  pool.RemoveIncluded({a.Id()});
   EXPECT_FALSE(pool.Contains(a.Id()));
   EXPECT_TRUE(pool.Contains(b.Id()));
   pool.Remove(b.Id());

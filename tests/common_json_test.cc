@@ -39,6 +39,28 @@ TEST(JsonTest, CanonicalDumpIsStableAcrossInsertionOrder) {
   EXPECT_EQ(a, b);
 }
 
+TEST(JsonTest, AppendDumpEmbedsTheBytesOfATree) {
+  // The socket transport writes its {"body","from","to"} envelope around a
+  // shared body with AppendDump; the bytes must equal the tree's Dump().
+  Json body = Json::MakeObject();
+  body.Set("rows", Json(Json::Array{Json(1), Json(-2.5), Json("a\"b\n")}));
+  body.Set("empty", Json::MakeObject());
+  Json tree = Json::MakeObject();
+  tree.Set("from", "doctor");
+  tree.Set("to", "chain-node-\x01");
+  tree.Set("body", body);
+
+  std::string streamed = "{\"body\":";
+  body.AppendDump(&streamed);
+  streamed += ",\"from\":";
+  Json::AppendString(&streamed, "doctor");
+  streamed += ",\"to\":";
+  Json::AppendString(&streamed, "chain-node-\x01");
+  streamed += '}';
+  EXPECT_EQ(streamed, tree.Dump());
+  EXPECT_EQ(body.SerializedSize(), body.Dump().size());
+}
+
 TEST(JsonTest, StringEscaping) {
   Json j(std::string("a\"b\\c\nd\te"));
   EXPECT_EQ(j.Dump(), "\"a\\\"b\\\\c\\nd\\te\"");

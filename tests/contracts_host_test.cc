@@ -55,13 +55,12 @@ class CounterContract : public Contract {
     return out;
   }
 
-  Status RestoreState(const Json& snapshot) override {
-    MEDSYNC_ASSIGN_OR_RETURN(value_, snapshot.GetInt("value"));
-    return Status::OK();
-  }
+  void Checkpoint() override { checkpoint_ = value_; }
+  void Rollback() override { value_ = checkpoint_; }
 
  private:
   int64_t value_ = 0;
+  int64_t checkpoint_ = 0;
 };
 
 class HostTest : public ::testing::Test {
@@ -142,6 +141,33 @@ TEST_F(HostTest, SuccessfulCallMutatesAndEmits) {
   // The event also landed in the host's global log with its height.
   ASSERT_EQ(host_.event_log().size(), 2u);  // ContractDeployed + Added
   EXPECT_EQ(host_.event_log()[1].event.name, "Added");
+}
+
+TEST_F(HostTest, FailedCallLeavesFingerprintAndEventLogUntouched) {
+  crypto::Address address = Deploy();
+  Json add = Json::MakeObject();
+  add.Set("amount", 2);
+  ASSERT_TRUE(host_.ExecuteBlock(BlockOf({MakeTx(address, "add", add)}))[0]
+                  .ok);
+  const std::string fingerprint = host_.StateFingerprint();
+  const size_t logged = host_.event_log().size();
+
+  // The failing call mutates (+1000) and emits before it fails; the call
+  // after it in the same block must run against the rolled-back state.
+  std::vector<Receipt> receipts = host_.ExecuteBlock(
+      BlockOf({MakeTx(address, "fail_midway", Json::MakeObject())}));
+  ASSERT_FALSE(receipts[0].ok);
+  EXPECT_EQ(host_.StateFingerprint(), fingerprint);
+  EXPECT_EQ(host_.event_log().size(), logged);
+
+  receipts = host_.ExecuteBlock(
+      BlockOf({MakeTx(address, "fail_midway", Json::MakeObject()),
+               MakeTx(address, "add", add)}));
+  ASSERT_FALSE(receipts[0].ok);
+  ASSERT_TRUE(receipts[1].ok) << receipts[1].error;
+  EXPECT_EQ(receipts[1].return_value.AsInt(), 9);
+  ASSERT_EQ(host_.event_log().size(), logged + 1);
+  EXPECT_EQ(host_.event_log().back().event.name, "Added");
 }
 
 TEST_F(HostTest, FailedCallRollsBackStateAndEvents) {

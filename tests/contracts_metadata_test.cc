@@ -59,13 +59,17 @@ class MetadataContractTest : public ::testing::Test {
   /// medication name + dosage writable by doctor; clinical data by both;
   /// membership + authority doctor.
   Receipt RegisterPatientDoctorTable() {
+    return Call(doctor_, "register_table", RegisterParams("D13&D31"));
+  }
+
+  Json RegisterParams(const std::string& table_id) {
     Json perm = Json::MakeObject();
     perm.Set("a1", Json::Array{Json(doctor_.address().ToHex())});
     perm.Set("a4", Json::Array{Json(doctor_.address().ToHex())});
     perm.Set("a2", Json::Array{Json(patient_.address().ToHex()),
                                Json(doctor_.address().ToHex())});
     Json params = Json::MakeObject();
-    params.Set("table_id", "D13&D31");
+    params.Set("table_id", table_id);
     params.Set("peers", Json::Array{Json(patient_.address().ToHex()),
                                     Json(doctor_.address().ToHex())});
     params.Set("view_schema", Json::MakeObject());
@@ -74,7 +78,7 @@ class MetadataContractTest : public ::testing::Test {
                Json::Array{Json(doctor_.address().ToHex())});
     params.Set("authority", doctor_.address().ToHex());
     params.Set("digest", "d0");
-    return Call(doctor_, "register_table", std::move(params));
+    return params;
   }
 
   Json UpdateParams(const std::string& kind,
@@ -401,26 +405,44 @@ TEST_F(MetadataContractTest, ListTablesAndGetEntry) {
                    .ok());
 }
 
-TEST_F(MetadataContractTest, StateSnapshotRoundTrip) {
-  ASSERT_TRUE(RegisterPatientDoctorTable().ok);
+TEST_F(MetadataContractTest, RollbackUndoesEveryCallSinceCheckpoint) {
+  // The undo log directly, without the host: a registration after the
+  // checkpoint disappears, and the entry registered before it comes back
+  // as it was after an update and a permission change.
+  MetadataContract contract;
+  GasMeter gas(1'000'000);
+  std::vector<Event> events;
+  CallContext ctx;
+  ctx.caller = doctor_.address();
+  ctx.block_timestamp = 1000;
+  ctx.gas = &gas;
+  ctx.events = &events;
   ASSERT_TRUE(
-      Call(doctor_, "request_update", UpdateParams("update", {"a4"}, "d1"))
-          .ok);
-  MetadataContract original;
-  MetadataContract restored;
-  Json snapshot = *host_.StaticCall(contract_, "get_entry", [] {
-    Json p = Json::MakeObject();
-    p.Set("table_id", "D13&D31");
-    return p;
-  }(), doctor_.address());
-  // Round-trip the full contract state through snapshot/restore.
-  // (Exercised on a fresh instance so the host's rollback path is covered
-  // structurally by contracts_host_test.)
-  Json full = Json::MakeObject();
-  full.Set("D13&D31", snapshot);
-  ASSERT_TRUE(restored.RestoreState(full).ok());
-  EXPECT_EQ(restored.StateSnapshot(), full);
-  EXPECT_FALSE(restored.RestoreState(Json(1)).ok());
+      contract.Call(ctx, "register_table", RegisterParams("D13&D31")).ok());
+  contract.Checkpoint();
+  const Json before = contract.StateSnapshot();
+
+  ctx.block_timestamp = 2000;
+  ASSERT_TRUE(
+      contract.Call(ctx, "register_table", RegisterParams("D23&D32")).ok());
+  ASSERT_TRUE(contract
+                  .Call(ctx, "request_update",
+                        UpdateParams("update", {"a4"}, "d1"))
+                  .ok());
+  Json grant = Json::MakeObject();
+  grant.Set("table_id", "D13&D31");
+  grant.Set("attribute", "a1");
+  grant.Set("peer", patient_.address().ToHex());
+  grant.Set("grant", true);
+  ASSERT_TRUE(contract.Call(ctx, "change_permission", grant).ok());
+  ASSERT_NE(contract.StateSnapshot(), before);
+  contract.Rollback();
+  EXPECT_EQ(contract.StateSnapshot(), before);
+
+  // A rollback right after a checkpoint changes nothing.
+  contract.Checkpoint();
+  contract.Rollback();
+  EXPECT_EQ(contract.StateSnapshot(), before);
 }
 
 TEST(ConflictKeyTest, ExtractsTableIdFromUpdates) {

@@ -52,7 +52,7 @@ TEST_F(ReliableChannelTest, DeliversAndCompletesViaAck) {
   Message m;
   m.to = "b";
   m.type = "greeting";
-  m.payload = Body("hello");
+  m.set_payload(Body("hello"));
   ASSERT_TRUE(a.Send(std::move(m)).ok());
   EXPECT_EQ(a.pending(), 1u);
 
@@ -62,7 +62,7 @@ TEST_F(ReliableChannelTest, DeliversAndCompletesViaAck) {
   EXPECT_EQ(inner_b.messages[0].from, "a");
   EXPECT_EQ(inner_b.messages[0].to, "b");
   EXPECT_EQ(inner_b.messages[0].type, "greeting");
-  EXPECT_EQ(*inner_b.messages[0].payload.GetString("text"), "hello");
+  EXPECT_EQ(*inner_b.messages[0].payload().GetString("text"), "hello");
 
   // The ack drained the pending send; no retransmit ever fired.
   EXPECT_EQ(a.pending(), 0u);
@@ -86,7 +86,7 @@ TEST_F(ReliableChannelTest, RetransmitsThroughTotalLossWindow) {
   Message m;
   m.to = "b";
   m.type = "persistent";
-  m.payload = Body("eventually");
+  m.set_payload(Body("eventually"));
   ASSERT_TRUE(a.Send(std::move(m)).ok());
   simulator_.RunFor(2 * kMicrosPerSecond);
   EXPECT_TRUE(inner_b.messages.empty());
@@ -97,7 +97,7 @@ TEST_F(ReliableChannelTest, RetransmitsThroughTotalLossWindow) {
   network_.set_drop_probability(0.0);
   simulator_.RunFor(10 * kMicrosPerSecond);
   ASSERT_EQ(inner_b.messages.size(), 1u);
-  EXPECT_EQ(*inner_b.messages[0].payload.GetString("text"), "eventually");
+  EXPECT_EQ(*inner_b.messages[0].payload().GetString("text"), "eventually");
   EXPECT_EQ(a.pending(), 0u);
   EXPECT_EQ(b.stats().delivered, 1u);
 }
@@ -115,7 +115,7 @@ TEST_F(ReliableChannelTest, SurvivesHeavyRandomLossWithoutDuplicates) {
     Message m;
     m.to = "b";
     m.type = "burst";
-    m.payload = Body(std::to_string(i));
+    m.set_payload(Body(std::to_string(i)));
     ASSERT_TRUE(a.Send(std::move(m)).ok());
   }
   simulator_.RunFor(120 * kMicrosPerSecond);
@@ -125,7 +125,7 @@ TEST_F(ReliableChannelTest, SurvivesHeavyRandomLossWithoutDuplicates) {
   ASSERT_EQ(b.stats().delivered, static_cast<uint64_t>(kMessages));
   std::set<std::string> seen;
   for (const Message& m : inner_b.messages) {
-    EXPECT_TRUE(seen.insert(*m.payload.GetString("text")).second)
+    EXPECT_TRUE(seen.insert(*m.payload().GetString("text")).second)
         << "duplicate delivered to the inner endpoint";
   }
   EXPECT_EQ(seen.size(), static_cast<size_t>(kMessages));
@@ -184,8 +184,8 @@ TEST_F(ReliableChannelTest, OutOfOrderDeliveryIsAbsorbed) {
   simulator_.RunFor(1 * kMicrosPerSecond);
 
   ASSERT_EQ(inner_b.messages.size(), 2u);
-  EXPECT_EQ(*inner_b.messages[0].payload.GetString("text"), "two");
-  EXPECT_EQ(*inner_b.messages[1].payload.GetString("text"), "one");
+  EXPECT_EQ(*inner_b.messages[0].payload().GetString("text"), "two");
+  EXPECT_EQ(*inner_b.messages[1].payload().GetString("text"), "one");
   EXPECT_EQ(b.stats().duplicates_dropped, 1u);
 }
 
@@ -205,7 +205,7 @@ TEST_F(ReliableChannelTest, GivesUpAfterRetryBudgetAndReportsOriginal) {
   Message m;
   m.to = "ghost";
   m.type = "doomed";
-  m.payload = Body("never lands");
+  m.set_payload(Body("never lands"));
   ASSERT_TRUE(a.Send(std::move(m)).ok());
   simulator_.RunFor(60 * kMicrosPerSecond);
 
@@ -216,7 +216,7 @@ TEST_F(ReliableChannelTest, GivesUpAfterRetryBudgetAndReportsOriginal) {
   ASSERT_EQ(given_up.size(), 1u);
   EXPECT_EQ(given_up[0].to, "ghost");
   EXPECT_EQ(given_up[0].type, "doomed");
-  EXPECT_EQ(*given_up[0].payload.GetString("text"), "never lands");
+  EXPECT_EQ(*given_up[0].payload().GetString("text"), "never lands");
 }
 
 TEST_F(ReliableChannelTest, LateAttachmentIsReachedByRetries) {
@@ -229,7 +229,7 @@ TEST_F(ReliableChannelTest, LateAttachmentIsReachedByRetries) {
   Message m;
   m.to = "b";
   m.type = "patience";
-  m.payload = Body("worth the wait");
+  m.set_payload(Body("worth the wait"));
   ASSERT_TRUE(a.Send(std::move(m)).ok());
   simulator_.RunFor(1 * kMicrosPerSecond);
   EXPECT_EQ(a.pending(), 1u);
@@ -238,7 +238,7 @@ TEST_F(ReliableChannelTest, LateAttachmentIsReachedByRetries) {
   b.Attach();
   simulator_.RunFor(10 * kMicrosPerSecond);
   ASSERT_EQ(inner_b.messages.size(), 1u);
-  EXPECT_EQ(*inner_b.messages[0].payload.GetString("text"), "worth the wait");
+  EXPECT_EQ(*inner_b.messages[0].payload().GetString("text"), "worth the wait");
   EXPECT_EQ(a.pending(), 0u);
 }
 
@@ -253,7 +253,7 @@ TEST_F(ReliableChannelTest, PlainMessagesPassThroughUntouched) {
 
   ASSERT_EQ(inner_b.messages.size(), 1u);
   EXPECT_EQ(inner_b.messages[0].type, "legacy");
-  EXPECT_EQ(*inner_b.messages[0].payload.GetString("text"), "no envelope");
+  EXPECT_EQ(*inner_b.messages[0].payload().GetString("text"), "no envelope");
   // Pass-through is not reliable delivery: no ack, no dedup bookkeeping.
   EXPECT_EQ(b.stats().delivered, 0u);
   EXPECT_EQ(b.stats().acks_sent, 0u);
@@ -291,8 +291,8 @@ TEST_F(ReliableChannelTest, SenderRestartResetsReceiverDedupState) {
   simulator_.RunFor(1 * kMicrosPerSecond);
 
   ASSERT_EQ(inner_b.messages.size(), 2u);
-  EXPECT_EQ(*inner_b.messages[0].payload.GetString("text"), "first life");
-  EXPECT_EQ(*inner_b.messages[1].payload.GetString("text"), "second life");
+  EXPECT_EQ(*inner_b.messages[0].payload().GetString("text"), "first life");
+  EXPECT_EQ(*inner_b.messages[1].payload().GetString("text"), "second life");
   EXPECT_EQ(b.stats().stale_epoch_dropped, 1u);
   EXPECT_EQ(b.stats().acks_sent, 2u);  // none for the straggler
 }
@@ -317,7 +317,7 @@ TEST_F(ReliableChannelTest, ExtremeBackoffGrowthClampsInsteadOfHotLooping) {
   Message m;
   m.to = "ghost";  // never attaches: every (re)send is lost
   m.type = "slow-burn";
-  m.payload = Body("clamped");
+  m.set_payload(Body("clamped"));
   ASSERT_TRUE(a.Send(std::move(m)).ok());
   simulator_.RunFor(3 * kMicrosPerSecond);
 
@@ -351,7 +351,7 @@ TEST_F(ReliableChannelTest, DetachedChannelKeepsPendingSendsAlive) {
   Message m;
   m.to = "b";
   m.type = "survives-restart";
-  m.payload = Body("still here");
+  m.set_payload(Body("still here"));
   ASSERT_TRUE(a.Send(std::move(m)).ok());
   a.Detach();
 
@@ -367,7 +367,7 @@ TEST_F(ReliableChannelTest, DetachedChannelKeepsPendingSendsAlive) {
   a.Attach();
   simulator_.RunFor(10 * kMicrosPerSecond);
   ASSERT_EQ(inner_b.messages.size(), 1u);
-  EXPECT_EQ(*inner_b.messages[0].payload.GetString("text"), "still here");
+  EXPECT_EQ(*inner_b.messages[0].payload().GetString("text"), "still here");
   EXPECT_EQ(a.pending(), 0u);
   EXPECT_EQ(a.stats().gave_up, 0u);
 }
@@ -389,7 +389,7 @@ TEST_F(ReliableChannelTest, DeterministicUnderLoss) {
       m.to = (i % 2 == 0) ? std::string("b") : std::string("a");
       m.from = "";
       m.type = "ping";
-      m.payload = Body(std::to_string(i));
+      m.set_payload(Body(std::to_string(i)));
       IgnoreStatusForTest(i % 2 == 0 ? a.Send(std::move(m))
                                      : b.Send(std::move(m)));
     }
@@ -418,7 +418,7 @@ TEST_F(ReliableChannelTest, MirrorsStatsIntoMetricsRegistry) {
     Message m;
     m.to = "b";
     m.type = "counted";
-    m.payload = Body(std::to_string(i));
+    m.set_payload(Body(std::to_string(i)));
     ASSERT_TRUE(a.Send(std::move(m)).ok());
   }
   simulator_.RunFor(120 * kMicrosPerSecond);

@@ -84,6 +84,30 @@ class Recorder : public Endpoint {
   std::vector<Message> messages;
 };
 
+/// Counts copies of itself into `*copies`; moves are free.
+struct CopyCounter {
+  explicit CopyCounter(int* copies) : copies(copies) {}
+  CopyCounter(const CopyCounter& other) : copies(other.copies) { ++*copies; }
+  CopyCounter(CopyCounter&&) = default;
+  CopyCounter& operator=(const CopyCounter&) = delete;
+  int* copies;
+};
+
+TEST(SimulatorTest, DispatchMovesEventsInsteadOfCopying) {
+  Simulator sim(0);
+  int copies = 0;
+  bool fired = false;
+  // Later and earlier neighbours make the heap reorder the counted event
+  // both while it is queued and when it is taken out.
+  for (int i = 0; i < 8; ++i) sim.Schedule(10 + 5 * i, [] {});
+  sim.Schedule(22, [counter = CopyCounter(&copies), &fired] {
+    fired = counter.copies != nullptr;
+  });
+  EXPECT_EQ(sim.Run(), 9u);
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(copies, 0);
+}
+
 TEST(NetworkTest, DeliversWithLatency) {
   Simulator sim(0);
   SimNetwork net(&sim, LatencyModel{100, 0});
@@ -185,7 +209,7 @@ TEST(NetworkTest, JitterVariesDeliveryTimes) {
   EXPECT_EQ(b.messages.size(), 20u);
   bool reordered = false;
   for (size_t i = 0; i + 1 < b.messages.size(); ++i) {
-    if (b.messages[i].payload.AsInt() > b.messages[i + 1].payload.AsInt()) {
+    if (b.messages[i].payload().AsInt() > b.messages[i + 1].payload().AsInt()) {
       reordered = true;
       break;
     }
@@ -228,6 +252,39 @@ TEST(NetworkTest, BytesCountPayloadSerializationOnce) {
   net.Broadcast("a", "x", payload);
   EXPECT_EQ(net.stats().sent, 3u);
   EXPECT_EQ(net.stats().bytes, 3 * size);
+}
+
+TEST(NetworkTest, BroadcastRecipientsShareOnePayload) {
+  Simulator sim(0);
+  SimNetwork net(&sim, LatencyModel{1, 0});
+  Recorder a, b, c, d;
+  net.Attach("a", &a);
+  net.Attach("b", &b);
+  net.Attach("c", &c);
+  net.Attach("d", &d);
+
+  Json payload = Json::MakeObject();
+  payload.Set("tag", "shared");
+  net.Broadcast("a", "x", payload);
+  sim.Run();
+
+  ASSERT_EQ(b.messages.size(), 1u);
+  ASSERT_EQ(c.messages.size(), 1u);
+  ASSERT_EQ(d.messages.size(), 1u);
+  EXPECT_TRUE(a.messages.empty());
+  EXPECT_EQ(b.messages[0].payload(), payload);
+  // One body for the whole fan-out: every recipient reads the same object.
+  EXPECT_EQ(&b.messages[0].payload(), &c.messages[0].payload());
+  EXPECT_EQ(&b.messages[0].payload(), &d.messages[0].payload());
+  EXPECT_EQ(b.messages[0].to, "b");
+  EXPECT_EQ(d.messages[0].to, "d");
+}
+
+TEST(NetworkTest, MessageWithoutPayloadReadsNull) {
+  Message message;
+  EXPECT_TRUE(message.payload().is_null());
+  message.set_payload(Json(7));
+  EXPECT_EQ(message.payload().AsInt(), 7);
 }
 
 TEST(NetworkTest, MetricsMirrorStatsAndSplitPerType) {

@@ -255,7 +255,7 @@ TEST(SocketEquivalenceTest, CorruptStreamIsCountedAndConnectionDropped) {
     loop.RunOnce(10 * kMicrosPerMilli);
   }
   ASSERT_EQ(endpoint.messages.size(), 1u);
-  EXPECT_EQ(*endpoint.messages[0].payload.GetString("text"), "before");
+  EXPECT_EQ(*endpoint.messages[0].payload().GetString("text"), "before");
   EXPECT_EQ(transport.frame_corrupt_count(), 0u);
   EXPECT_EQ(transport.connection_count(), 1u);
 
@@ -286,7 +286,7 @@ TEST(SocketEquivalenceTest, CorruptStreamIsCountedAndConnectionDropped) {
     loop.RunOnce(10 * kMicrosPerMilli);
   }
   ASSERT_EQ(endpoint.messages.size(), 2u);
-  EXPECT_EQ(*endpoint.messages[1].payload.GetString("text"), "recovered");
+  EXPECT_EQ(*endpoint.messages[1].payload().GetString("text"), "recovered");
 }
 
 }  // namespace

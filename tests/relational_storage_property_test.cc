@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/strings.h"
 #include "relational/table.h"
 
 namespace medsync::relational {
@@ -223,7 +224,7 @@ TEST(StoragePropertyTest, SerializationInvariantUnderHashInsertionOrder) {
     Table t(S());
     t.set_seal_threshold(13);
     for (int64_t id : keys) {  // hash-order writes
-      ASSERT_TRUE(t.Upsert(R(id, "v" + std::to_string(id % 17), id)).ok());
+      ASSERT_TRUE(t.Upsert(R(id, StrCat("v", id % 17), id)).ok());
     }
     for (int64_t id : keys) {  // hash-order deletes and rewrites
       if (id % 3 == 0) {

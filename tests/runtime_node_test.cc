@@ -38,6 +38,7 @@ class NodeClusterTest : public ::testing::Test {
       config.id = "node-" + std::to_string(i);
       config.block_interval = kBlockInterval;
       config.sealing_enabled = all_seal || i == 0;
+      config.metrics = metrics_;
       nodes_.push_back(std::make_unique<ChainNode>(
           config, &simulator_, network_.get(), std::move(sealer), genesis,
           contracts::SharedDataConflictKey, std::move(host)));
@@ -57,8 +58,11 @@ class NodeClusterTest : public ::testing::Test {
     return tx;
   }
 
+  // Declared first so it outlives the network and the nodes it is wired to.
+  metrics::MetricsRegistry registry_;
   net::Simulator simulator_;
   std::unique_ptr<net::SimNetwork> network_;
+  metrics::MetricsRegistry* metrics_ = nullptr;  // &registry_ when shared
   std::vector<std::unique_ptr<ChainNode>> nodes_;
   crypto::KeyPair client_ = crypto::KeyPair::FromSeed("cluster-client");
   uint64_t nonce_ = 0;
@@ -77,6 +81,46 @@ TEST_F(NodeClusterTest, TransactionGossipsAndConfirmsEverywhere) {
     const contracts::Receipt* receipt = node->FindReceipt(id.ToHex());
     ASSERT_NE(receipt, nullptr) << node->config().id;
     EXPECT_TRUE(receipt->ok);
+  }
+}
+
+TEST_F(NodeClusterTest, TamperedGossipIsRejectedAndNotRelayed) {
+  // The gossip path hashes a received transaction once and hands that
+  // digest to the signature check; a body edited after signing must still
+  // fail that check on first sighting and never be relayed.
+  metrics_ = &registry_;
+  BuildCluster(3);
+  network_->set_metrics(&registry_);
+
+  chain::Transaction tampered = DeployTx();
+  tampered.params.Set("forged", true);
+  ASSERT_TRUE(network_
+                  ->Send(net::Message{"node-1", "node-0", "tx",
+                                      tampered.ToJson()})
+                  .ok());
+  simulator_.RunFor(3 * kBlockInterval);
+
+  EXPECT_EQ(registry_.GetCounter("mempool.reject.bad_signature")->value(), 1u);
+  EXPECT_EQ(registry_.GetCounter("mempool.adds")->value(), 0u);
+  // The injected message is the only tx message on the network.
+  EXPECT_EQ(registry_.GetCounter("net.sent.tx")->value(), 1u);
+  EXPECT_FALSE(nodes_[0]->mempool().Contains(tampered.Id()));
+  EXPECT_FALSE(
+      nodes_[0]->blockchain().FindTransaction(tampered.Id(), nullptr, nullptr));
+
+  // The same message signed as sent is pooled and relayed to both peers.
+  chain::Transaction honest = DeployTx();
+  ASSERT_TRUE(network_
+                  ->Send(net::Message{"node-1", "node-0", "tx",
+                                      honest.ToJson()})
+                  .ok());
+  simulator_.RunFor(5 * kBlockInterval);
+  EXPECT_EQ(registry_.GetCounter("mempool.reject.bad_signature")->value(), 1u);
+  EXPECT_GT(registry_.GetCounter("net.sent.tx")->value(), 1u);
+  for (auto& node : nodes_) {
+    EXPECT_TRUE(
+        node->blockchain().FindTransaction(honest.Id(), nullptr, nullptr))
+        << node->config().id;
   }
 }
 

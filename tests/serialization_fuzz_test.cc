@@ -181,7 +181,7 @@ TEST_P(FuzzTest, BlockRoundTripPreservesHashAndMerkleRoot) {
     tx.from = key.address();
     tx.to = crypto::KeyPair::FromSeed("t").address();
     tx.nonce = i;
-    tx.method = "m";
+    tx.method.append("m");
     tx.params = RandomJson(&rng, 2);
     tx.timestamp = 1;
     tx.Sign(key);
