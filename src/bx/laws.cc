@@ -67,10 +67,4 @@ Status CheckPutGet(const Lens& lens, const Table& source, const Table& view,
   return Status::OK();
 }
 
-Status CheckWellBehaved(const Lens& lens, const Table& source,
-                        const Table& view, bool* rejected) {
-  MEDSYNC_RETURN_IF_ERROR(CheckGetPut(lens, source));
-  return CheckPutGet(lens, source, view, rejected);
-}
-
 }  // namespace medsync::bx

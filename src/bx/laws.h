@@ -21,10 +21,6 @@ Status CheckGetPut(const Lens& lens, const relational::Table& source);
 Status CheckPutGet(const Lens& lens, const relational::Table& source,
                    const relational::Table& view, bool* rejected);
 
-/// Runs both laws: GetPut on `source`, and PutGet on (source, view).
-Status CheckWellBehaved(const Lens& lens, const relational::Table& source,
-                        const relational::Table& view, bool* rejected);
-
 }  // namespace medsync::bx
 
 #endif  // MEDSYNC_BX_LAWS_H_

@@ -11,6 +11,20 @@ using relational::Row;
 using relational::Table;
 using relational::Value;
 
+namespace {
+
+/// Delay before re-sending an unanswered shared-data fetch, and how many
+/// re-sends a fetch gets before the view is flagged stale.
+constexpr Micros kFetchRetryDelay = 500 * kMicrosPerMilli;
+constexpr int kMaxFetchRetries = 20;
+/// How often a peer reconciles against the chain (SyncWithChain): on every
+/// tick it compares its per-table versions with the contract entry and
+/// re-fetches anything it missed — the partition-heal / post-restart
+/// catch-up path.
+constexpr Micros kCatchUpInterval = 3 * kMicrosPerSecond;
+
+}  // namespace
+
 Peer::Peer(PeerConfig config, net::Scheduler* scheduler,
            net::Network* network, runtime::ChainNode* node)
     : config_(std::move(config)),
@@ -21,8 +35,8 @@ Peer::Peer(PeerConfig config, net::Scheduler* scheduler,
       sync_(&database_, config_.strategy) {
   sync_.set_maintenance(config_.maintenance);
   address_to_name_[key_.address().ToHex()] = config_.name;
-  channel_ = std::make_unique<net::ReliableChannel>(
-      config_.name, scheduler_, network_, this, config_.reliable);
+  channel_ = std::make_unique<net::ReliableChannel>(config_.name, scheduler_,
+                                                     network_, this);
   channel_->set_give_up_callback([this](const net::Message& message) {
     Trace(StrCat("reliable delivery of '", message.type, "' to ",
                  message.to, " gave up; catch-up will reconcile"));
@@ -46,11 +60,11 @@ void Peer::Start() {
       [this, alive = alive_](uint64_t height, const contracts::Event& event) {
         if (*alive) OnChainEvent(height, event);
       });
-  if (config_.catch_up_interval > 0) ScheduleCatchUp();
+  ScheduleCatchUp();
 }
 
 void Peer::ScheduleCatchUp() {
-  scheduler_->Schedule(config_.catch_up_interval, [this, alive = alive_] {
+  scheduler_->Schedule(kCatchUpInterval, [this, alive = alive_] {
     if (!*alive) return;
     // A failing query just means the chain node is busy or the table is
     // not registered yet; the next tick will try again.
@@ -231,7 +245,7 @@ void Peer::StartFetch(const std::string& table_id, uint64_t version,
   LogIfError(SendToPeer(updater_name, "fetch_request", std::move(request)),
              "peer", "fetch request");
   std::string id = table_id;
-  scheduler_->Schedule(config_.fetch_retry_delay, [this, alive = alive_, id] {
+  scheduler_->Schedule(kFetchRetryDelay, [this, alive = alive_, id] {
     if (*alive) RetryFetch(id);
   });
 }
@@ -390,10 +404,12 @@ Result<Peer::TableSyncState> Peer::GetSyncState(
   if (it == tables_.end()) {
     return Status::NotFound(StrCat("no shared table '", table_id, "'"));
   }
+  MEDSYNC_ASSIGN_OR_RETURN(const SyncManager::ViewBinding* binding,
+                           sync_.FindBinding(table_id));
   TableSyncState out;
   out.version = it->second.version;
   out.digest = it->second.digest;
-  out.needs_refresh = it->second.needs_refresh;
+  out.needs_refresh = binding->stale;
   return out;
 }
 
@@ -521,7 +537,6 @@ void Peer::OnReceipt(const contracts::Receipt& receipt) {
     if (table_it != tables_.end() && staged.put_to_source == false) {
       // A cascade the contract refused: the local source is newer than the
       // shared view and must stay flagged until permission arrives.
-      table_it->second.needs_refresh = true;
       LogIfError(sync_.SetViewStale(staged.table_id, true), "peer",
                  "stale flag on denied update");
     }
@@ -546,7 +561,6 @@ void Peer::FinalizeApprovedUpdate(StagedUpdate staged) {
   }
   state.version += 1;
   state.digest = staged.digest;
-  state.needs_refresh = false;
   LogIfError(sync_.SetViewStale(staged.table_id, false), "peer",
              "stale flag clear on commit");
   PersistTableState(state);
@@ -626,8 +640,6 @@ void Peer::CascadeAfterSourceChange(const std::string& source_table,
     } else {
       ++stats_.cascades_blocked;
       metrics::Inc(counters_.cascades_blocked);
-      auto it = tables_.find(refresh.table_id);
-      if (it != tables_.end()) it->second.needs_refresh = true;
       LogIfError(sync_.SetViewStale(refresh.table_id, true), "peer",
                  "stale flag on blocked cascade");
       Trace(StrCat("cascade to '", refresh.table_id,
@@ -671,12 +683,10 @@ void Peer::RetryFetch(const std::string& table_id) {
   auto it = pending_fetches_.find(table_id);
   if (it == pending_fetches_.end()) return;  // satisfied
   PendingFetch& fetch = it->second;
-  if (++fetch.retries > config_.max_fetch_retries) {
+  if (++fetch.retries > kMaxFetchRetries) {
     Trace(StrCat("giving up fetching '", table_id, "' after ",
                  fetch.retries - 1,
                  " retries; stale until the next catch-up tick"));
-    auto table_it = tables_.find(table_id);
-    if (table_it != tables_.end()) table_it->second.needs_refresh = true;
     LogIfError(sync_.SetViewStale(table_id, true), "peer",
                "stale flag on fetch give-up");
     pending_fetches_.erase(it);
@@ -688,7 +698,7 @@ void Peer::RetryFetch(const std::string& table_id) {
   LogIfError(
       SendToPeer(fetch.updater_name, "fetch_request", std::move(request)),
       "peer", "fetch retry");
-  scheduler_->Schedule(config_.fetch_retry_delay,
+  scheduler_->Schedule(kFetchRetryDelay,
                        [this, alive = alive_, table_id] {
                          if (*alive) RetryFetch(table_id);
                        });
@@ -798,7 +808,6 @@ Status Peer::ApplyFetchedUpdate(const std::string& table_id,
   state.digest = digest;
   // A successfully fetched update supersedes any earlier give-up: the view
   // now matches the chain, so it is no longer stale.
-  state.needs_refresh = false;
   LogIfError(sync_.SetViewStale(table_id, false), "peer",
              "stale flag clear on fetch apply");
   PersistTableState(state);

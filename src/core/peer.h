@@ -26,17 +26,6 @@ struct PeerConfig {
   /// How affected sibling views are re-materialized (delta push vs full
   /// lens get); see ViewMaintenance.
   ViewMaintenance maintenance = ViewMaintenance::kIncremental;
-  /// Delay before re-sending an unanswered shared-data fetch.
-  Micros fetch_retry_delay = 500 * kMicrosPerMilli;
-  int max_fetch_retries = 20;
-  /// Tuning of the ReliableChannel (ack/retransmit with exponential
-  /// backoff) that carries every peer-to-peer message.
-  net::ReliableChannel::Options reliable;
-  /// How often the peer reconciles against the chain (SyncWithChain): on
-  /// every tick it compares its per-table versions with the contract entry
-  /// and re-fetches anything it missed — the partition-heal / post-restart
-  /// catch-up path. 0 disables the timer.
-  Micros catch_up_interval = 3 * kMicrosPerSecond;
 };
 
 /// A peer's local half of one shared table: where the source and the
@@ -277,7 +266,6 @@ class Peer : public net::Endpoint {
     SharedTableConfig config;
     uint64_t version = 1;
     std::string digest;
-    bool needs_refresh = false;
   };
 
   /// A locally staged update awaiting contract approval.
@@ -365,8 +353,7 @@ class Peer : public net::Endpoint {
   void StartFetch(const std::string& table_id, uint64_t version,
                   const std::string& digest, const std::string& updater_name);
 
-  /// Sends a peer-to-peer message through the reliable channel when
-  /// enabled, the raw network otherwise.
+  /// Sends a peer-to-peer message through the reliable channel.
   Status SendToPeer(const std::string& to, const std::string& type,
                     Json payload);
   /// Arms the next catch-up tick (periodic SyncWithChain).

@@ -34,8 +34,6 @@ Status ClinicScenario::Bootstrap(const ScenarioOptions& options) {
     config.name = ClinicRoleName(role);
     config.strategy = options.strategy;
     config.maintenance = options.maintenance;
-    config.reliable = options.reliable;
-    config.catch_up_interval = options.peer_catch_up_interval;
     peers().push_back(NewPeer(std::move(config), peers().size()));
     peers().back()->Start();
   }

@@ -46,11 +46,6 @@ struct ScenarioOptions {
   /// are byte-identical across worker counts — core_determinism_test
   /// proves it for 1/2/8.
   size_t worker_threads = 0;
-  /// Tuning of the ReliableChannel (ack/retransmit with seeded exponential
-  /// backoff) that every peer-to-peer message rides; see PeerConfig::reliable.
-  net::ReliableChannel::Options reliable;
-  /// Periodic SyncWithChain reconciliation per peer; 0 disables.
-  Micros peer_catch_up_interval = 3 * kMicrosPerSecond;
   /// Probability that any message is lost, applied AFTER the bootstrap
   /// settles (deploy/registration run loss-free; the fault-tolerance
   /// machinery then has to carry the actual sharing protocol).

@@ -3,13 +3,9 @@
 #include <poll.h>
 
 #include <algorithm>
+#include <vector>
 
 namespace medsync::net {
-
-void EventLoop::Schedule(Micros delay, std::function<void()> fn) {
-  if (delay < 0) delay = 0;
-  timers_.push(Timer{Now() + delay, next_seq_++, std::move(fn)});
-}
 
 void EventLoop::WatchFd(int fd, bool want_read, bool want_write,
                         FdCallback cb) {
@@ -31,11 +27,9 @@ size_t EventLoop::RunDueTimers() {
   // (same fairness shape as the simulator's FIFO tie-break).
   const Micros now = Now();
   size_t ran = 0;
-  while (!timers_.empty() && timers_.top().when <= now) {
-    // pop() before invoking: the callback may push new timers.
-    auto fn = std::move(const_cast<Timer&>(timers_.top()).fn);
-    timers_.pop();
-    fn();
+  while (!timers_.empty() && timers_.next() <= now) {
+    // Pop before invoking: the callback may push new timers.
+    timers_.Pop().fn();
     ++ran;
   }
   return ran;
@@ -44,7 +38,7 @@ size_t EventLoop::RunDueTimers() {
 size_t EventLoop::RunOnce(Micros max_wait) {
   Micros wait = std::max<Micros>(0, max_wait);
   if (!timers_.empty()) {
-    const Micros until_timer = timers_.top().when - Now();
+    const Micros until_timer = timers_.next() - Now();
     wait = std::min(wait, std::max<Micros>(0, until_timer));
   }
 

@@ -4,8 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <queue>
-#include <vector>
+#include <utility>
 
 #include "common/clock.h"
 #include "net/scheduler.h"
@@ -18,10 +17,10 @@ namespace medsync::net {
 /// watching below is for the socket transport.
 ///
 /// Everything — fd callbacks and timers — runs on the thread inside Run(),
-/// so callbacks never race, exactly like simulator events. Timers at equal
-/// deadlines fire in scheduling order (FIFO tie-break, mirroring the
-/// simulator's determinism discipline even though wall time itself is not
-/// deterministic).
+/// so callbacks never race, exactly like simulator events. Timers wait in
+/// the same `TimerQueue` (net/scheduler.h) as simulator events, so equal
+/// deadlines fire in scheduling order here too, though wall time itself is
+/// not deterministic.
 class EventLoop : public Scheduler {
  public:
   /// Bitmask handed to fd callbacks.
@@ -38,7 +37,9 @@ class EventLoop : public Scheduler {
 
   // Scheduler:
   Micros Now() const override { return clock_.Now(); }
-  void Schedule(Micros delay, std::function<void()> fn) override;
+  void Schedule(Micros delay, std::function<void()> fn) override {
+    timers_.Push(Now(), delay, std::move(fn));
+  }
 
   /// Registers `fd` (already non-blocking). `cb` fires with the readiness
   /// bitmask. Re-watching an fd replaces its registration.
@@ -69,17 +70,6 @@ class EventLoop : public Scheduler {
   size_t watched_fds() const { return fds_.size(); }
 
  private:
-  struct Timer {
-    Micros when;
-    uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct TimerLater {
-    bool operator()(const Timer& a, const Timer& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
   struct Watch {
     bool want_read = false;
     bool want_write = false;
@@ -90,8 +80,7 @@ class EventLoop : public Scheduler {
 
   WallClock clock_;
   std::map<int, Watch> fds_;
-  std::priority_queue<Timer, std::vector<Timer>, TimerLater> timers_;
-  uint64_t next_seq_ = 0;
+  TimerQueue timers_;
   bool stopped_ = false;
 };
 

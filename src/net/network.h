@@ -56,19 +56,25 @@ class Endpoint {
 
 /// Datagram-style message plane the protocol layer runs over.
 ///
-/// Two implementations share this contract: `SimNetwork` (below) delivers
-/// through the discrete-event Simulator for deterministic tests, and
-/// `SocketTransport` (net/socket_transport.h) moves the same messages over
-/// framed non-blocking TCP for multi-process deployment. `ReliableChannel`,
-/// `Peer`, and `ChainNode` only ever see this interface, so they run
+/// Two planes implement it: `SimNetwork` (below) delivers through the
+/// discrete-event Simulator for deterministic tests, and `SocketTransport`
+/// (net/socket_transport.h) moves the same messages over framed
+/// non-blocking TCP for multi-process deployment. `ReliableChannel`,
+/// `Peer`, and `ChainNode` only ever see this class, so they run
 /// unmodified over either plane.
 ///
-/// Contract both implementations keep:
+/// The plane-independent half of the contract is written here, once:
 ///  - `Send` to an id nobody can resolve fails fast with NotFound and is
 ///    NOT accounted in stats (nothing was handed to the network).
-///  - A message accepted by `Send` may still be lost (partition, drop
-///    lottery, broken connection, mid-flight detach); loss is silent and
-///    counts as sent + dropped. Reliability is `ReliableChannel`'s job.
+///  - A message accepted by `Send` or `Broadcast` counts as sent, with its
+///    body's serialized size in bytes, before the plane sees it. It may
+///    still be lost (partition, drop lottery, broken connection, mid-flight
+///    detach); loss is silent and counts as dropped. Reliability is
+///    `ReliableChannel`'s job.
+///  - `Broadcast` sizes the body once, shares it, skips the sender, and
+///    fans out in sorted id order.
+/// A plane implements `Transmit`, which moves one accepted message toward
+/// its receiver, and hands arrivals to `DeliverLocal`.
 class Network {
  public:
   /// `sent`/`bytes` only count messages genuinely handed to the network.
@@ -79,37 +85,85 @@ class Network {
     uint64_t bytes = 0;
   };
 
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
   virtual ~Network() = default;
 
   /// Attaches `endpoint` as `id`. The endpoint must outlive its attachment.
-  virtual void Attach(const NodeId& id, Endpoint* endpoint) = 0;
-  virtual void Detach(const NodeId& id) = 0;
+  void Attach(const NodeId& id, Endpoint* endpoint);
+  void Detach(const NodeId& id);
 
   /// Whether `id` is resolvable from here: locally attached, or (for the
   /// socket transport) reachable through the static route map.
-  virtual bool IsAttached(const NodeId& id) const = 0;
+  bool IsAttached(const NodeId& id) const { return nodes_.count(id) > 0; }
+
+  /// Every id resolvable from this plane (local and, for the socket
+  /// transport, routed), sorted.
+  std::vector<NodeId> AttachedNodes() const;
 
   /// Queues `message` for delivery (see class contract for loss semantics).
-  virtual Status Send(Message message) = 0;
+  Status Send(Message message);
 
   /// Sends `type`/`payload` from `from` to every other known node. Every
   /// recipient's message shares the one `payload`.
-  virtual void Broadcast(const NodeId& from, const std::string& type,
-                         SharedJson payload) = 0;
+  void Broadcast(const NodeId& from, const std::string& type,
+                 SharedJson payload);
   void Broadcast(const NodeId& from, const std::string& type, Json payload) {
     Broadcast(from, type, std::make_shared<const Json>(std::move(payload)));
   }
 
-  virtual const Stats& stats() const = 0;
+  const Stats& stats() const { return stats_; }
 
   /// Mirrors Stats into `registry` (net.sent/delivered/dropped/bytes) plus
-  /// implementation-specific extras. The registry must outlive the network;
-  /// nullptr detaches.
-  virtual void set_metrics(metrics::MetricsRegistry* registry) = 0;
+  /// the plane's extras (`BindPlaneMetrics`). The registry must outlive the
+  /// network; nullptr detaches.
+  void set_metrics(metrics::MetricsRegistry* registry);
 
-  /// Every id resolvable from this plane (local and, for the socket
-  /// transport, routed), sorted.
-  virtual std::vector<NodeId> AttachedNodes() const = 0;
+ protected:
+  Network() = default;
+
+  /// Moves `message`, already accepted and counted as sent, toward
+  /// `message.to`, which is resolvable. Delivery must not run inside this
+  /// call: OnMessage never runs inside Send.
+  virtual void Transmit(Message message, size_t payload_bytes) = 0;
+
+  /// Binds the plane's counters beyond the four base ones; nullptr
+  /// detaches.
+  virtual void BindPlaneMetrics(metrics::MetricsRegistry* /*registry*/) {}
+
+  /// Makes `id` resolvable without a local endpoint (a routed remote id).
+  void AddRemote(const NodeId& id) { nodes_[id].remote = true; }
+
+  /// Whether an endpoint is attached as `id` in this process.
+  bool IsLocal(const NodeId& id) const;
+
+  /// Hands `message` to the endpoint attached as `message.to` and counts
+  /// it delivered. With none attached (detached mid-flight) it counts the
+  /// message dropped instead and returns false.
+  bool DeliverLocal(const Message& message);
+
+  /// Counts `n` accepted messages as lost.
+  void CountDropped(uint64_t n);
+
+  metrics::MetricsRegistry* registry() const { return registry_; }
+
+ private:
+  struct Node {
+    Endpoint* endpoint = nullptr;  // null: reachable only through the plane
+    bool remote = false;
+  };
+
+  /// Counts one accepted message as sent and hands it to the plane.
+  void Accept(Message message, size_t payload_bytes);
+
+  std::map<NodeId, Node> nodes_;  // every resolvable id, sorted
+  Stats stats_;
+
+  metrics::MetricsRegistry* registry_ = nullptr;
+  metrics::Counter* sent_counter_ = nullptr;
+  metrics::Counter* delivered_counter_ = nullptr;
+  metrics::Counter* dropped_counter_ = nullptr;
+  metrics::Counter* bytes_counter_ = nullptr;
 };
 
 /// Per-message latency: base + uniform(0, jitter).
@@ -127,57 +181,28 @@ class SimNetwork final : public Network {
  public:
   SimNetwork(Simulator* simulator, LatencyModel latency, uint64_t seed = 42);
 
-  SimNetwork(const SimNetwork&) = delete;
-  SimNetwork& operator=(const SimNetwork&) = delete;
-
-  void Attach(const NodeId& id, Endpoint* endpoint) override;
-  void Detach(const NodeId& id) override;
-  bool IsAttached(const NodeId& id) const override;
-
-  /// Queues `message` for delivery. Fails fast if the destination is
-  /// unknown; silently drops (counting it) if the link is partitioned or
-  /// the drop lottery fires — like a real datagram network would.
-  Status Send(Message message) override;
-
-  using Network::Broadcast;
-  void Broadcast(const NodeId& from, const std::string& type,
-                 SharedJson payload) override;
-
   /// Cuts or heals the (bidirectional) link between `a` and `b`.
   void SetLinkDown(const NodeId& a, const NodeId& b, bool down);
 
   /// Probability in [0,1] that any message is lost.
   void set_drop_probability(double p) { drop_probability_ = p; }
 
-  /// Messages lost to a down link, the drop lottery, or a mid-flight detach
-  /// count as both sent and dropped (datagram semantics).
-  const Stats& stats() const override { return stats_; }
-
-  /// Beyond the base counters, adds lazily created per-message-type
-  /// counters (net.sent.<type>, net.dropped.<type>) and the sampled-delay
-  /// histogram net.latency_us.
-  void set_metrics(metrics::MetricsRegistry* registry) override;
-
-  std::vector<NodeId> AttachedNodes() const override;
-
  private:
-  /// Send with the payload's serialized size precomputed, so Broadcast
-  /// serializes (well, measures) each payload once, not once per receiver.
-  Status SendSized(Message message, size_t payload_bytes);
+  /// Drops the message on a down link or when the drop lottery fires (like
+  /// a real datagram network would); otherwise draws its latency and
+  /// schedules the delivery. Counts net.sent.<type>, net.dropped.<type>
+  /// and the net.latency_us histogram.
+  void Transmit(Message message, size_t payload_bytes) override;
+  void BindPlaneMetrics(metrics::MetricsRegistry* registry) override;
+
+  /// Increments the lazily created per-type counter `<prefix><type>`.
+  void CountType(const char* prefix, const std::string& type);
 
   Simulator* simulator_;
   LatencyModel latency_;
   Rng rng_;
   double drop_probability_ = 0.0;
-  std::map<NodeId, Endpoint*> endpoints_;
   std::set<std::pair<NodeId, NodeId>> down_links_;  // normalized (min,max)
-  Stats stats_;
-
-  metrics::MetricsRegistry* registry_ = nullptr;
-  metrics::Counter* sent_counter_ = nullptr;
-  metrics::Counter* delivered_counter_ = nullptr;
-  metrics::Counter* dropped_counter_ = nullptr;
-  metrics::Counter* bytes_counter_ = nullptr;
   metrics::Histogram* latency_us_ = nullptr;
 };
 

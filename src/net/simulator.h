@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
+#include <utility>
 
 #include "common/clock.h"
 #include "net/scheduler.h"
@@ -20,9 +20,9 @@ namespace medsync::net {
 /// (net/event_loop.h); both serve protocol code through the `Scheduler`
 /// interface.
 ///
-/// Events at equal timestamps fire in scheduling order (FIFO tie-break).
-/// Dispatch moves each event out of the queue, so a scheduled callable and
-/// whatever it captured (a whole network message, say) is never copied.
+/// Events wait in a `TimerQueue` (net/scheduler.h), the same queue the
+/// event loop uses: equal timestamps fire in scheduling order, and
+/// dispatch moves each callback out instead of copying it.
 class Simulator : public Scheduler {
  public:
   explicit Simulator(Micros epoch = SimClock::kDefaultEpoch)
@@ -32,13 +32,11 @@ class Simulator : public Scheduler {
   Simulator& operator=(const Simulator&) = delete;
 
   Micros Now() const override { return clock_.Now(); }
-  const SimClock& clock() const { return clock_; }
 
   /// Schedules `fn` to run `delay` from now (delay < 0 is clamped to 0).
-  void Schedule(Micros delay, std::function<void()> fn) override;
-
-  /// Schedules `fn` at absolute time `when` (clamped to now).
-  void ScheduleAt(Micros when, std::function<void()> fn);
+  void Schedule(Micros delay, std::function<void()> fn) override {
+    queue_.Push(clock_.Now(), delay, std::move(fn));
+  }
 
   /// Runs events until the queue drains. Returns the number executed.
   size_t Run();
@@ -60,24 +58,8 @@ class Simulator : public Scheduler {
   uint64_t events_executed() const { return executed_; }
 
  private:
-  struct Event {
-    Micros when;
-    uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
   SimClock clock_;
-  /// A binary heap under EventLater (std::push_heap/std::pop_heap), so the
-  /// earliest event can be moved out; std::priority_queue only exposes it
-  /// as a const reference.
-  std::vector<Event> queue_;
-  uint64_t next_seq_ = 0;
+  TimerQueue queue_;
   uint64_t executed_ = 0;
 };
 

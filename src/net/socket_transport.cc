@@ -7,7 +7,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -54,7 +53,9 @@ Status ParseAddress(const std::string& host_port, sockaddr_in* out) {
 
 SocketTransport::SocketTransport(EventLoop* loop,
                                  SocketTransportOptions options)
-    : loop_(loop), options_(std::move(options)) {}
+    : loop_(loop), options_(std::move(options)) {
+  for (const auto& [id, address] : options_.routes) AddRemote(id);
+}
 
 SocketTransport::~SocketTransport() {
   if (listen_fd_ >= 0) {
@@ -108,105 +109,43 @@ Status SocketTransport::Listen() {
 
 void SocketTransport::AddRoute(const NodeId& id, const std::string& host_port) {
   options_.routes[id] = host_port;
+  AddRemote(id);
 }
 
-void SocketTransport::Attach(const NodeId& id, Endpoint* endpoint) {
-  endpoints_[id] = endpoint;
+void SocketTransport::BindPlaneMetrics(metrics::MetricsRegistry* registry) {
+  frame_corrupt_counter_ =
+      registry == nullptr ? nullptr : registry->GetCounter("net.frame_corrupt");
 }
 
-void SocketTransport::Detach(const NodeId& id) { endpoints_.erase(id); }
-
-bool SocketTransport::IsAttached(const NodeId& id) const {
-  return endpoints_.count(id) > 0 || options_.routes.count(id) > 0;
-}
-
-void SocketTransport::set_metrics(metrics::MetricsRegistry* registry) {
-  registry_ = registry;
-  if (registry == nullptr) {
-    sent_counter_ = delivered_counter_ = dropped_counter_ = bytes_counter_ =
-        frame_corrupt_counter_ = nullptr;
-    return;
-  }
-  sent_counter_ = registry->GetCounter("net.sent");
-  delivered_counter_ = registry->GetCounter("net.delivered");
-  dropped_counter_ = registry->GetCounter("net.dropped");
-  bytes_counter_ = registry->GetCounter("net.bytes");
-  frame_corrupt_counter_ = registry->GetCounter("net.frame_corrupt");
-}
-
-std::vector<NodeId> SocketTransport::AttachedNodes() const {
-  std::vector<NodeId> out;
-  for (const auto& [id, endpoint] : endpoints_) out.push_back(id);
-  for (const auto& [id, address] : options_.routes) {
-    if (endpoints_.count(id) == 0) out.push_back(id);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-Status SocketTransport::Send(Message message) {
-  const size_t payload_bytes = message.payload().SerializedSize();
-  return SendSized(std::move(message), payload_bytes);
-}
-
-Status SocketTransport::SendSized(Message message, size_t payload_bytes) {
-  if (endpoints_.count(message.to) > 0) {
+void SocketTransport::Transmit(Message message, size_t payload_bytes) {
+  if (IsLocal(message.to)) {
     // Local delivery stays asynchronous (next loop turn), matching the
     // simulator's invariant that OnMessage never runs inside Send.
-    ++stats_.sent;
-    stats_.bytes += payload_bytes;
-    metrics::Inc(sent_counter_);
-    metrics::Inc(bytes_counter_, payload_bytes);
-    loop_->Schedule(0, [this, message = std::move(message)]() mutable {
-      DeliverLocal(std::move(message));
+    loop_->Schedule(0, [this, message = std::move(message)]() {
+      Deliver(message);
     });
-    return Status::OK();
-  }
-  auto route = options_.routes.find(message.to);
-  if (route == options_.routes.end()) {
-    // Nothing was handed to the network, so nothing is accounted
-    // (SimNetwork contract).
-    return Status::NotFound(
-        StrCat("no endpoint '", message.to, "' on the network"));
-  }
-  ++stats_.sent;
-  stats_.bytes += payload_bytes;
-  metrics::Inc(sent_counter_);
-  metrics::Inc(bytes_counter_, payload_bytes);
-  return QueueToAddress(route->second, message, payload_bytes);
-}
-
-void SocketTransport::Broadcast(const NodeId& from, const std::string& type,
-                                SharedJson payload) {
-  const size_t payload_bytes = payload->SerializedSize();
-  for (const NodeId& id : AttachedNodes()) {
-    if (id == from) continue;
-    LogIfError(SendSized(Message(from, id, type, payload), payload_bytes),
-               "net", "broadcast delivery");
-  }
-}
-
-void SocketTransport::DeliverLocal(Message message) {
-  auto it = endpoints_.find(message.to);
-  if (it == endpoints_.end()) {
-    CountDropped(1, "detached mid-flight");
     return;
   }
-  ++stats_.delivered;
-  metrics::Inc(delivered_counter_);
-  it->second->OnMessage(message);
+  QueueToAddress(options_.routes.at(message.to), message, payload_bytes);
 }
 
-Status SocketTransport::QueueToAddress(const std::string& address,
-                                       const Message& message,
-                                       size_t payload_bytes) {
+void SocketTransport::Deliver(const Message& message) {
+  if (!DeliverLocal(message)) {
+    LogIfError(Status::Unavailable("dropped 1 frame(s): detached mid-flight"),
+               "net", "socket transport");
+  }
+}
+
+void SocketTransport::QueueToAddress(const std::string& address,
+                                     const Message& message,
+                                     size_t payload_bytes) {
   Status status = Status::OK();
   Connection* conn = GetOrConnect(address, &status);
   if (conn == nullptr) {
     // Unresolvable address: message accepted then lost (datagram
     // semantics); ReliableChannel retries above.
-    CountDropped(1, status.message().c_str());
-    return Status::OK();
+    DropFrames(1, status.message().c_str());
+    return;
   }
   // The envelope {"body", "from", "to"} in canonical (sorted-key) order,
   // written straight from the shared body: the same bytes as dumping an
@@ -226,7 +165,6 @@ Status SocketTransport::QueueToAddress(const std::string& address,
   conn->outbox.push_back(EncodeFrame(frame));
   if (!conn->connecting) FlushOutbox(conn);
   UpdateInterest(conn);
-  return Status::OK();
 }
 
 SocketTransport::Connection* SocketTransport::GetOrConnect(
@@ -315,7 +253,7 @@ void SocketTransport::OnConnectionReady(int fd, uint32_t events) {
       socklen_t len = sizeof(err);
       ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
       if (err != 0) {
-        CountDropped(conn->outbox.size(),
+        DropFrames(conn->outbox.size(),
                      StrCat("connect failed: ", std::strerror(err)).c_str());
         conn->outbox.clear();
         CloseConnection(fd);
@@ -355,7 +293,7 @@ void SocketTransport::HandleReadable(Connection* conn) {
   // Complete frames decode and deliver even when the stream just ended.
   if (!DrainFrames(conn)) return;  // corrupt stream: connection is gone
   if (closed_by_peer) {
-    CountDropped(conn->outbox.size(), "connection closed with queued frames");
+    DropFrames(conn->outbox.size(), "connection closed with queued frames");
     conn->outbox.clear();
     CloseConnection(fd);
   }
@@ -370,17 +308,14 @@ bool SocketTransport::DrainFrames(Connection* conn) {
       // delivered.
       CountCorrupt("frame", frame.status());
       const int fd = conn->fd;
-      CountDropped(conn->outbox.size(), "corrupt stream with queued frames");
+      DropFrames(conn->outbox.size(), "corrupt stream with queued frames");
       conn->outbox.clear();
       CloseConnection(fd);
       return false;
     }
     if (!frame.value().has_value()) return true;
     Frame f = std::move(*frame.value());
-    Result<Json> envelope = Json::ParseWire(
-        f.payload,
-        Json::ParseLimits{
-            .max_depth = static_cast<int>(options_.max_wire_json_depth)});
+    Result<Json> envelope = Json::ParseWire(f.payload);
     const bool envelope_ok = envelope.ok() &&
                              envelope.value().At("from").is_string() &&
                              envelope.value().At("to").is_string();
@@ -390,7 +325,7 @@ bool SocketTransport::DrainFrames(Connection* conn) {
                                          "envelope missing from/to")
                                    : envelope.status());
       const int fd = conn->fd;
-      CountDropped(conn->outbox.size(), "corrupt stream with queued frames");
+      DropFrames(conn->outbox.size(), "corrupt stream with queued frames");
       conn->outbox.clear();
       CloseConnection(fd);
       return false;
@@ -402,7 +337,7 @@ bool SocketTransport::DrainFrames(Connection* conn) {
     message.to = env.at("to").AsString();
     auto body = env.find("body");
     message.set_payload(body == env.end() ? Json() : std::move(body->second));
-    DeliverLocal(std::move(message));
+    Deliver(message);
   }
 }
 
@@ -420,7 +355,7 @@ void SocketTransport::FlushOutbox(Connection* conn) {
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       const int fd = conn->fd;
-      CountDropped(conn->outbox.size(),
+      DropFrames(conn->outbox.size(),
                    StrCat("write: ", std::strerror(errno)).c_str());
       conn->outbox.clear();
       CloseConnection(fd);
@@ -450,10 +385,9 @@ void SocketTransport::CloseConnection(int fd) {
   connections_.erase(it);
 }
 
-void SocketTransport::CountDropped(uint64_t n, const char* reason) {
+void SocketTransport::DropFrames(uint64_t n, const char* reason) {
   if (n == 0) return;
-  stats_.dropped += n;
-  metrics::Inc(dropped_counter_, n);
+  CountDropped(n);
   LogIfError(Status::Unavailable(StrCat("dropped ", n, " frame(s): ", reason)),
              "net", "socket transport");
 }

@@ -23,11 +23,12 @@ namespace medsync::net {
 /// id lives. Frames (net/frame.h) carry a JSON envelope
 /// {"from","to","body"} so one TCP connection multiplexes all id pairs.
 ///
-/// Loss semantics mirror SimNetwork's datagram contract: Send() to an id
-/// that is neither local nor routed fails NotFound unaccounted; an accepted
-/// message that later hits a broken/unconnectable peer or a corrupt stream
-/// is silently dropped and counted. ReliableChannel above recovers, which
-/// is exactly why it exists.
+/// `Network` owns the contract (net/network.h): resolution, the NotFound
+/// fast path, sent/bytes accounting and the broadcast fan-out are the same
+/// code the simulator runs. Routed ids are resolvable like local ones. This
+/// class implements only `Transmit`: an accepted message that later hits a
+/// broken/unconnectable peer or a corrupt stream is silently dropped and
+/// counted. ReliableChannel above recovers, which is exactly why it exists.
 ///
 /// Single-threaded: everything runs on the owning EventLoop's thread.
 struct SocketTransportOptions {
@@ -36,19 +37,12 @@ struct SocketTransportOptions {
   /// Remote id -> "host:port". Several ids mapping to one address means
   /// one process hosts them all (e.g. a peer and its chain node).
   std::map<NodeId, std::string> routes;
-  /// Wire-input hardening: JSON nesting depth accepted from the network
-  /// (far below the parser's general default — hostile bytes, not our own
-  /// checkpoints).
-  size_t max_wire_json_depth = 64;
 };
 
 class SocketTransport final : public Network {
  public:
   SocketTransport(EventLoop* loop, SocketTransportOptions options);
   ~SocketTransport() override;
-
-  SocketTransport(const SocketTransport&) = delete;
-  SocketTransport& operator=(const SocketTransport&) = delete;
 
   /// Binds + listens and registers with the event loop. Must be called
   /// before messages can arrive; Send() works without it (outbound only).
@@ -60,18 +54,6 @@ class SocketTransport final : public Network {
   /// Adds/overwrites a route after construction (for ephemeral-port
   /// harnesses that learn peer ports only after every transport Listen()s).
   void AddRoute(const NodeId& id, const std::string& host_port);
-
-  // Network:
-  void Attach(const NodeId& id, Endpoint* endpoint) override;
-  void Detach(const NodeId& id) override;
-  bool IsAttached(const NodeId& id) const override;
-  Status Send(Message message) override;
-  using Network::Broadcast;
-  void Broadcast(const NodeId& from, const std::string& type,
-                 SharedJson payload) override;
-  const Stats& stats() const override { return stats_; }
-  void set_metrics(metrics::MetricsRegistry* registry) override;
-  std::vector<NodeId> AttachedNodes() const override;
 
   /// Frames dropped because their stream failed CRC/framing checks
   /// (mirrored to the net.frame_corrupt counter when metrics are attached).
@@ -90,10 +72,14 @@ class SocketTransport final : public Network {
     FrameDecoder decoder;
   };
 
-  Status SendSized(Message message, size_t payload_bytes);
-  void DeliverLocal(Message message);
-  Status QueueToAddress(const std::string& address, const Message& message,
-                        size_t payload_bytes);
+  /// Schedules local delivery on the next loop turn, or frames the message
+  /// onto its route's connection.
+  void Transmit(Message message, size_t payload_bytes) override;
+  void BindPlaneMetrics(metrics::MetricsRegistry* registry) override;
+  /// DeliverLocal, logging a message that no endpoint here takes.
+  void Deliver(const Message& message);
+  void QueueToAddress(const std::string& address, const Message& message,
+                      size_t payload_bytes);
   Connection* GetOrConnect(const std::string& address, Status* status);
   void OnListenReady(uint32_t events);
   void OnConnectionReady(int fd, uint32_t events);
@@ -106,25 +92,18 @@ class SocketTransport final : public Network {
   void UpdateInterest(Connection* conn);
   /// Closes and forgets the connection; queued frames count as dropped.
   void CloseConnection(int fd);
-  void CountDropped(uint64_t n, const char* reason);
+  /// Counts `n` accepted messages as dropped and logs why.
+  void DropFrames(uint64_t n, const char* reason);
   void CountCorrupt(const char* what, const Status& status);
 
   EventLoop* loop_;
   SocketTransportOptions options_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;
-  std::map<NodeId, Endpoint*> endpoints_;
   std::map<int, std::unique_ptr<Connection>> connections_;
   /// Outbound connection per remote address (fd keyed into connections_).
   std::map<std::string, int> outbound_by_address_;
-  Stats stats_;
   uint64_t frame_corrupt_ = 0;
-
-  metrics::MetricsRegistry* registry_ = nullptr;
-  metrics::Counter* sent_counter_ = nullptr;
-  metrics::Counter* delivered_counter_ = nullptr;
-  metrics::Counter* dropped_counter_ = nullptr;
-  metrics::Counter* bytes_counter_ = nullptr;
   metrics::Counter* frame_corrupt_counter_ = nullptr;
 };
 

@@ -48,8 +48,7 @@ class PeerFaultInjectionTest : public ::testing::Test {
   }
 
   /// Starts (or restarts) the durable "archivist" peer against node 2. The
-  /// periodic catch-up (PeerConfig::catch_up_interval) is what heals the
-  /// post-crash gap, so it stays at its default.
+  /// peer's periodic catch-up (every 3 s) is what heals the post-crash gap.
   void BootArchivist() {
     PeerConfig config;
     config.name = "archivist";
