@@ -58,6 +58,7 @@ struct TwoPeerWorld {
     host->RegisterType("metadata", contracts::MetadataContract::Create);
     runtime::NodeConfig node_config;
     node_config.id = "baseline-node";
+    node_config.chain_nodes = {node_config.id};  // the only chain node
     node_config.block_interval = kBlockInterval;
     node_config.sealing_enabled = true;
     world->node = std::make_unique<runtime::ChainNode>(

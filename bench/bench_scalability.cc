@@ -89,6 +89,7 @@ struct HubWorld {
     host->RegisterType("metadata", contracts::MetadataContract::Create);
     runtime::NodeConfig node_config;
     node_config.id = "hub-node";
+    node_config.chain_nodes = {node_config.id};  // the only chain node
     node_config.block_interval = kBlockInterval;
     node_config.max_block_txs = max_block_txs;
     node_config.sealing_enabled = true;

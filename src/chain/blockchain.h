@@ -100,6 +100,13 @@ class Blockchain {
   std::vector<const Block*> CanonicalBlocksSince(
       const crypto::Hash256& old_head) const;
 
+  /// The transaction ids of the canonical block at `height` (at most the
+  /// head's), in block order: hashed once when the block was added, so a
+  /// caller walking CanonicalBlocksSince need not hash them again. O(1).
+  const std::vector<crypto::Hash256>& CanonicalTxIds(uint64_t height) const {
+    return canonical_[height]->tx_ids;
+  }
+
   /// Where a transaction sits on the canonical chain.
   struct TxLocation {
     const Block* block = nullptr;

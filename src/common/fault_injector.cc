@@ -40,20 +40,9 @@ void FaultInjector::Disarm(const std::string& point) {
   armed_.erase(point);
 }
 
-void FaultInjector::DisarmAll() {
-  threading::MutexLock lock(mu_);
-  armed_.clear();
-}
-
 std::vector<std::string> FaultInjector::visits() const {
   threading::MutexLock lock(mu_);
   return visit_log_;
-}
-
-uint64_t FaultInjector::visit_count(const std::string& point) const {
-  threading::MutexLock lock(mu_);
-  auto it = visit_counts_.find(point);
-  return it == visit_counts_.end() ? 0 : it->second;
 }
 
 uint64_t FaultInjector::faults_fired() const {

@@ -51,15 +51,12 @@ class FaultInjector {
   void TornWrite(const std::string& point, size_t keep_bytes,
                  uint64_t at_visit = 1) MEDSYNC_EXCLUDES(mu_);
 
-  /// Disarms one point / everything (visit history is kept).
+  /// Disarms `point` (visit history is kept).
   void Disarm(const std::string& point) MEDSYNC_EXCLUDES(mu_);
-  void DisarmAll() MEDSYNC_EXCLUDES(mu_);
 
   /// Visit log, in order, of every instrumented point reached while this
   /// injector was installed.
   std::vector<std::string> visits() const MEDSYNC_EXCLUDES(mu_);
-  /// Number of times `point` was reached.
-  uint64_t visit_count(const std::string& point) const MEDSYNC_EXCLUDES(mu_);
   /// Number of faults actually fired.
   uint64_t faults_fired() const MEDSYNC_EXCLUDES(mu_);
 

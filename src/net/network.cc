@@ -70,12 +70,12 @@ Status Network::Send(Message message) {
   return Status::OK();
 }
 
-void Network::Broadcast(const NodeId& from, const std::string& type,
-                        SharedJson payload) {
+void Network::Broadcast(const NodeId& from, const NodeGroup& group,
+                        const std::string& type, SharedJson payload) {
   // Measured once for the whole fan-out; every message shares the payload.
   const size_t payload_bytes = payload->SerializedSize();
-  for (const auto& [id, node] : nodes_) {
-    if (id == from) continue;
+  for (const NodeId& id : group) {
+    if (id == from || !IsAttached(id)) continue;
     Accept(Message(from, id, type, payload), payload_bytes);
   }
 }

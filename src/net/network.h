@@ -18,6 +18,10 @@ namespace medsync::net {
 /// Stable node identity on the network (e.g. "doctor", "chain-node-2").
 using NodeId = std::string;
 
+/// The recipients of one fan-out. Sorted by construction, so a broadcast
+/// reaches them in one deterministic order.
+using NodeGroup = std::set<NodeId>;
+
 /// An immutable JSON body, shared by every message that carries it.
 using SharedJson = std::shared_ptr<const Json>;
 
@@ -71,8 +75,9 @@ class Endpoint {
 ///    still be lost (partition, drop lottery, broken connection, mid-flight
 ///    detach); loss is silent and counts as dropped. Reliability is
 ///    `ReliableChannel`'s job.
-///  - `Broadcast` sizes the body once, shares it, skips the sender, and
-///    fans out in sorted id order.
+///  - `Broadcast` sends to the ids of one group in sorted order: it sizes
+///    the body once, shares it, and skips the sender. A group id nobody can
+///    resolve is skipped and not accounted, as `Send` would refuse it.
 /// A plane implements `Transmit`, which moves one accepted message toward
 /// its receiver, and hands arrivals to `DeliverLocal`.
 class Network {
@@ -104,12 +109,14 @@ class Network {
   /// Queues `message` for delivery (see class contract for loss semantics).
   Status Send(Message message);
 
-  /// Sends `type`/`payload` from `from` to every other known node. Every
-  /// recipient's message shares the one `payload`.
-  void Broadcast(const NodeId& from, const std::string& type,
-                 SharedJson payload);
-  void Broadcast(const NodeId& from, const std::string& type, Json payload) {
-    Broadcast(from, type, std::make_shared<const Json>(std::move(payload)));
+  /// Sends `type`/`payload` from `from` to every resolvable id of `group`
+  /// but `from` itself, one message each, all sharing the one `payload`.
+  void Broadcast(const NodeId& from, const NodeGroup& group,
+                 const std::string& type, SharedJson payload);
+  void Broadcast(const NodeId& from, const NodeGroup& group,
+                 const std::string& type, Json payload) {
+    Broadcast(from, group, type,
+              std::make_shared<const Json>(std::move(payload)));
   }
 
   const Stats& stats() const { return stats_; }

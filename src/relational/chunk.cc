@@ -266,13 +266,6 @@ Key Chunk::KeyAt(size_t i) const {
   return key;
 }
 
-void Chunk::GatherRow(size_t i, const std::vector<size_t>& cols,
-                      Row* out) const {
-  out->clear();
-  out->reserve(cols.size());
-  for (size_t c : cols) out->push_back(ValueAt(i, c));
-}
-
 int Chunk::CompareKeyAt(size_t i, const Key& key) const {
   for (size_t k = 0; k < key_cols_.size(); ++k) {
     const Value v = ValueAt(i, key_cols_[k]);

@@ -65,8 +65,6 @@ class Chunk {
   Row RowAt(size_t i) const;
   /// Materializes the primary key of row `i`.
   Key KeyAt(size_t i) const;
-  /// Gathers only the attributes at `cols` from row `i` into `out`.
-  void GatherRow(size_t i, const std::vector<size_t>& cols, Row* out) const;
 
   /// Index of the row with `key`, or nullopt. O(log n) binary search with a
   /// min/max pre-check so non-overlapping probes are O(1).

@@ -160,7 +160,8 @@ void ChainNode::SealTick() {
   if (!heads.AsArray().empty()) {
     Json announce = Json::MakeObject();
     announce.Set("heads", std::move(heads));
-    network_->Broadcast(config_.id, "head_announce", announce);
+    network_->Broadcast(config_.id, config_.chain_nodes, "head_announce",
+                        std::move(announce));
   }
   // Re-gossip pooled transactions: on a lossy network, the broadcast made
   // at submission time may never have reached the authority whose turn it
@@ -169,7 +170,7 @@ void ChainNode::SealTick() {
   // rebroadcast sequence deterministic.
   for (const auto& lane : lanes_) {
     for (const Transaction& tx : lane->mempool.PendingTransactions()) {
-      network_->Broadcast(config_.id, "tx", tx.ToJson());
+      network_->Broadcast(config_.id, config_.chain_nodes, "tx", tx.ToJson());
     }
   }
   scheduler_->Schedule(config_.block_interval, [this, alive = alive_] {
@@ -224,6 +225,7 @@ ChainNode::SealOutcome ChainNode::BuildLaneCandidate(Lane& lane) {
     if (lane.chain.FindTransaction(id, nullptr, nullptr)) {
       stale.insert(id);
     } else {
+      out.tx_ids.insert(id);
       fresh.push_back(std::move(tx));
     }
   }
@@ -299,12 +301,9 @@ void ChainNode::TrySealLanes() {
         << out.block.header.lane << " (" << out.block.transactions.size()
         << " txs)";
 
-    std::set<crypto::Hash256> included;
-    for (const Transaction& tx : out.block.transactions) {
-      included.insert(tx.Id());
-    }
-    lanes_[l]->mempool.RemoveIncluded(included);
-    network_->Broadcast(config_.id, "block", out.block.ToJson());
+    lanes_[l]->mempool.RemoveIncluded(out.tx_ids);
+    network_->Broadcast(config_.id, config_.chain_nodes, "block",
+                        out.block.ToJson());
     advanced = true;
   }
   if (advanced) AdvanceExecution();
@@ -314,7 +313,8 @@ Status ChainNode::SubmitTransaction(Transaction tx) {
   Json payload = tx.ToJson();
   const uint32_t lane = lane_assign_(tx);
   MEDSYNC_RETURN_IF_ERROR(lanes_[lane]->mempool.Add(std::move(tx)));
-  network_->Broadcast(config_.id, "tx", std::move(payload));
+  network_->Broadcast(config_.id, config_.chain_nodes, "tx",
+                      std::move(payload));
   return Status::OK();
 }
 
@@ -368,9 +368,10 @@ void ChainNode::HandleTransactionMessage(const net::Message& message) {
   if (lanes_[lane]->chain.FindTransaction(id, nullptr, nullptr)) return;
   Status added = lanes_[lane]->mempool.Add(std::move(*tx), id);
   if (added.ok()) {
-    // First sighting: relay so the gossip floods the network. The relay
-    // shares the received body instead of copying it.
-    network_->Broadcast(config_.id, "tx", message.shared_payload());
+    // First sighting: relay so the gossip floods the chain nodes. The
+    // relay shares the received body instead of copying it.
+    network_->Broadcast(config_.id, config_.chain_nodes, "tx",
+                        message.shared_payload());
   }
 }
 
@@ -430,18 +431,19 @@ void ChainNode::HandleBlockMessage(const net::Message& message) {
     return;
   }
   if (accepted.ok()) {
-    network_->Broadcast(config_.id, "block", message.shared_payload());
+    network_->Broadcast(config_.id, config_.chain_nodes, "block",
+                        message.shared_payload());
     // Evict what the canonical chain now includes from the lane's pool
     // partition: every block adopted since the old head, from the fork
     // point up. A reorg can adopt blocks at or below the old height (an
     // equal-height tie-break, a side branch overtaking from below), and
     // their transactions must leave the pool too.
+    const chain::Blockchain& lane_chain = lanes_[lane]->chain;
     std::set<crypto::Hash256> included;
-    for (const chain::Block* b :
-         lanes_[lane]->chain.CanonicalBlocksSince(old_head)) {
-      for (const Transaction& tx : b->transactions) {
-        included.insert(tx.Id());
-      }
+    for (const chain::Block* b : lane_chain.CanonicalBlocksSince(old_head)) {
+      const std::vector<crypto::Hash256>& ids =
+          lane_chain.CanonicalTxIds(b->header.height);
+      included.insert(ids.begin(), ids.end());
     }
     if (!included.empty()) lanes_[lane]->mempool.RemoveIncluded(included);
     ScheduleExecution();

@@ -3,8 +3,9 @@
 
 #include <functional>
 #include <map>
-#include <optional>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,11 @@ namespace medsync::runtime {
 
 struct NodeConfig {
   net::NodeId id;
+  /// Every chain node of the deployment, this one included: the recipients
+  /// of all tx, block and head-announce gossip. Peers are never in it; they
+  /// reach the ledger through their trusted node's client API. Empty means
+  /// the node gossips to nobody.
+  net::NodeGroup chain_nodes;
   /// Target block production interval; the paper discusses Ethereum's ~12 s
   /// (Section IV-1) and bench_sec4_throughput sweeps this.
   Micros block_interval = 12 * kMicrosPerSecond;
@@ -57,10 +63,11 @@ struct NodeConfig {
 
 /// A full blockchain node on the simulated network: replicated ledger (one
 /// chain per lane), per-lane mempools, contract execution, transaction and
-/// block gossip, and orphan catch-up. Application peers (doctor/patient/
-/// researcher) talk to the system through their trusted node's client API —
-/// SubmitTransaction, Query, and the event subscription — exactly the "via
-/// a trusted node connected to blockchain" interaction of the paper's
+/// block gossip among the chain nodes (`NodeConfig::chain_nodes`), and
+/// orphan catch-up. Application peers (doctor/patient/researcher) never see
+/// that gossip: they talk to the system through their trusted node's client
+/// API — SubmitTransaction, Query, and the event subscription — exactly the
+/// "via a trusted node connected to blockchain" interaction of the paper's
 /// Section III-E.
 ///
 /// Lane semantics: lanes are fully independent chains sealed from disjoint
@@ -170,6 +177,9 @@ class ChainNode : public net::Endpoint {
   struct SealOutcome {
     bool sealed = false;
     chain::Block block;
+    /// Ids of `block.transactions`, hashed once while building the
+    /// candidate; the pool evicts them once the block is added.
+    std::set<crypto::Hash256> tx_ids;
     size_t deferred = 0;  // conflict-partition holdbacks this tick
   };
 

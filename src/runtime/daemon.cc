@@ -23,6 +23,9 @@ NodeDaemon::NodeDaemon(const NodeDaemonOptions& options,
                        net::Scheduler* scheduler, net::Network* network) {
   NodeConfig config;
   config.id = NodeIdFor(options.node_index);
+  for (size_t i = 0; i < options.authority_count; ++i) {
+    config.chain_nodes.insert(NodeIdFor(i));
+  }
   config.block_interval = options.block_interval;
   config.max_block_txs = options.max_block_txs;
   config.sealing_enabled =

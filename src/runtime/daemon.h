@@ -44,7 +44,8 @@ struct NodeDaemonOptions {
 };
 
 /// Builds and hosts one authority ChainNode — authority-i key and sealer,
-/// metadata ContractHost, genesis, NodeConfig — over any execution plane
+/// metadata ContractHost, genesis, NodeConfig with the chain-node group
+/// chain-node-0..chain-node-<authority_count - 1> — over any execution plane
 /// (Simulator, or EventLoop + SocketTransport). Every harness builds its
 /// chain nodes here; role-playing peers layer on top in core.
 class NodeDaemon {

@@ -391,9 +391,12 @@ TEST_F(BlockchainTest, IndexMatchesReferenceWalkOnRandomTrees) {
       };
       std::vector<Located> located;
       for (const Block* w : walk) {
+        std::vector<crypto::Hash256> ids;
         for (const Transaction& tx : w->transactions) {
-          located.push_back(Located{tx.Id(), &tx, w->header.height});
+          ids.push_back(tx.Id());
+          located.push_back(Located{ids.back(), &tx, w->header.height});
         }
+        ASSERT_EQ(chain.CanonicalTxIds(w->header.height), ids);
       }
       for (const crypto::Hash256& id : universe_ids) {
         auto expected = std::find_if(

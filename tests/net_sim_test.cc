@@ -363,7 +363,9 @@ TYPED_TEST(NetworkContractTest, BroadcastSkipsSenderAndSharesOneBody) {
   const Json body = this->Body();
   const uint64_t size = body.Dump().size();
 
-  this->net().Broadcast("a", "x", body);
+  // The sender is in its own group, as a chain node is in the chain-node
+  // group it gossips to.
+  this->net().Broadcast("a", {"a", "b", "c", "d"}, "x", body);
   // One measured size, accounted once per recipient (all but the sender).
   EXPECT_EQ(this->net().stats().sent, 3u);
   EXPECT_EQ(this->net().stats().bytes, 3 * size);
@@ -388,11 +390,51 @@ TYPED_TEST(NetworkContractTest, BroadcastFansOutInSortedIdOrder) {
   this->net().Attach("b", &b);
   this->net().Attach("a", &a);
   this->net().Attach("c", &c);
-  this->net().Broadcast("c", "x", this->Body());
+  // Listed out of order; the group sorts its ids by construction.
+  this->net().Broadcast("c", NodeGroup{"d", "b", "a", "c"}, "x", this->Body());
   this->Settle();
   // Equal latencies deliver in send order, so arrival order is fan-out
   // order.
   EXPECT_EQ(arrivals, (std::vector<NodeId>{"a", "b", "d"}));
+}
+
+TYPED_TEST(NetworkContractTest, BroadcastSkipsUnresolvableIdsUncounted) {
+  Recorder a, c;
+  this->net().Attach("a", &a);
+  this->net().Attach("c", &c);
+  const Json body = this->Body();
+
+  // "b" and "z" resolve nowhere: skipped like a NotFound Send, not lost.
+  this->net().Broadcast("a", {"a", "b", "c", "z"}, "x", body);
+  EXPECT_EQ(this->net().stats().sent, 1u);
+  EXPECT_EQ(this->net().stats().bytes, body.Dump().size());
+
+  this->Settle();
+  ASSERT_EQ(c.messages.size(), 1u);
+  EXPECT_EQ(c.messages[0].to, "c");
+  EXPECT_EQ(this->net().stats().delivered, 1u);
+  EXPECT_EQ(this->net().stats().dropped, 0u);
+}
+
+TYPED_TEST(NetworkContractTest, BroadcastLeavesIdsOutsideTheGroupAlone) {
+  Recorder node0, node1, doctor, patient;
+  this->net().Attach("chain-node-0", &node0);
+  this->net().Attach("chain-node-1", &node1);
+  this->net().Attach("doctor", &doctor);
+  this->net().Attach("patient", &patient);
+
+  this->net().Broadcast("chain-node-0", {"chain-node-0", "chain-node-1"}, "x",
+                        this->Body());
+  this->Settle();
+  EXPECT_EQ(node1.messages.size(), 1u);
+  EXPECT_TRUE(doctor.messages.empty());
+  EXPECT_TRUE(patient.messages.empty());
+  EXPECT_EQ(this->net().stats().sent, 1u);
+
+  // An empty group sends nothing at all.
+  this->net().Broadcast("chain-node-0", {}, "x", this->Body());
+  this->Settle();
+  EXPECT_EQ(this->net().stats().sent, 1u);
 }
 
 TYPED_TEST(NetworkContractTest, MetricsMirrorStats) {
@@ -403,7 +445,7 @@ TYPED_TEST(NetworkContractTest, MetricsMirrorStats) {
   this->net().Attach("b", &b);
   this->net().Attach("c", &c);
 
-  this->net().Broadcast("a", "x", this->Body());
+  this->net().Broadcast("a", {"a", "b", "c"}, "x", this->Body());
   this->Settle();
   EXPECT_TRUE(
       this->net().Send({"a", "nobody", "x", this->Body()}).IsNotFound());
@@ -450,7 +492,7 @@ TEST(SocketTransportTest, RoutedIdsResolveAndCountAtEachEnd) {
   Json body = Json::MakeObject();
   body.Set("tag", "routed");
   const uint64_t size = body.Dump().size();
-  home.Broadcast("alice", "x", body);  // reaches bob only
+  home.Broadcast("alice", {"alice", "bob"}, "x", body);  // reaches bob only
   ASSERT_TRUE(home.Send({"alice", "bob", "y", body}).ok());
   for (int i = 0; i < 200 && bob.messages.size() < 2; ++i) {
     loop.RunOnce(10 * kMicrosPerMilli);

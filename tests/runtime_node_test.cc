@@ -30,12 +30,15 @@ class NodeClusterTest : public ::testing::Test {
       keys.push_back(std::move(key));
     }
     chain::Block genesis = chain::Blockchain::MakeGenesis(simulator_.Now());
+    net::NodeGroup chain_nodes;
+    for (size_t i = 0; i < n; ++i) chain_nodes.insert(NodeName(i));
     for (size_t i = 0; i < n; ++i) {
       auto sealer = std::make_shared<chain::PoaSealer>(authorities, keys[i]);
       auto host = std::make_unique<contracts::ContractHost>();
       host->RegisterType("metadata", contracts::MetadataContract::Create);
       NodeConfig config;
-      config.id = "node-" + std::to_string(i);
+      config.id = NodeName(i);
+      config.chain_nodes = chain_nodes;
       config.block_interval = kBlockInterval;
       config.sealing_enabled = all_seal || i == 0;
       config.metrics = metrics_;
@@ -45,6 +48,8 @@ class NodeClusterTest : public ::testing::Test {
     }
     for (auto& node : nodes_) node->Start();
   }
+
+  static net::NodeId NodeName(size_t i) { return "node-" + std::to_string(i); }
 
   chain::Transaction DeployTx() {
     chain::Transaction tx;
@@ -82,6 +87,37 @@ TEST_F(NodeClusterTest, TransactionGossipsAndConfirmsEverywhere) {
     ASSERT_NE(receipt, nullptr) << node->config().id;
     EXPECT_TRUE(receipt->ok);
   }
+}
+
+// Chain gossip is addressed to the chain-node group only: a peer attached
+// to the same network never hears tx, block or head-announce traffic (it
+// reaches the ledger through its trusted node's client API instead).
+TEST_F(NodeClusterTest, ChainGossipReachesChainNodesOnly) {
+  struct Spy : net::Endpoint {
+    void OnMessage(const net::Message& message) override {
+      received.push_back(message.type);
+    }
+    std::vector<std::string> received;
+  } spy;
+  metrics_ = &registry_;
+  BuildCluster(3);
+  network_->set_metrics(&registry_);
+  network_->Attach("doctor", &spy);
+
+  chain::Transaction tx = DeployTx();
+  ASSERT_TRUE(nodes_[0]->SubmitTransaction(tx).ok());
+  simulator_.RunFor(3 * kBlockInterval);
+
+  EXPECT_TRUE(spy.received.empty());
+  for (auto& node : nodes_) {
+    EXPECT_TRUE(node->blockchain().FindTransaction(tx.Id(), nullptr, nullptr))
+        << node->config().id;
+  }
+  // Submission: 2 messages. Each receiver relays its first sighting to
+  // the other 2 group members: 2 x 2. At the first seal tick (all three
+  // tick at one instant) the 2 nodes whose turn it is not still pool the
+  // tx and re-gossip it: 2 x 2. No message goes to the spy.
+  EXPECT_EQ(registry_.GetCounter("net.sent.tx")->value(), 10u);
 }
 
 TEST_F(NodeClusterTest, TamperedGossipIsRejectedAndNotRelayed) {

@@ -44,6 +44,9 @@ class NodePersistenceTest : public ::testing::Test {
     host->RegisterType("metadata", contracts::MetadataContract::Create);
     NodeConfig config;
     config.id = id;
+    // Every id the tests below build a node under; ids not attached at the
+    // time are skipped by the fan-out.
+    config.chain_nodes = {"durable-node", "n", "observer", "sealer"};
     config.block_interval = 1 * kMicrosPerSecond;
     config.sealing_enabled = seals;
     auto node = std::make_unique<ChainNode>(

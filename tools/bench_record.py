@@ -1,12 +1,24 @@
 #!/usr/bin/env python3
-"""Appends one row per benchmark workload to BENCH_<workload>.json.
+"""Appends benchmark rows, keyed by git commit, to BENCH_<name>.json.
 
-Each row is what `perfbench/run.py --workload W --seed S --seconds 10`
-reports for one of the four workloads, keyed by the git commit it
-measured:
+Two suites. The default, `--suite workloads`, appends one row per
+benchmark workload to BENCH_<workload>.json: what
+`perfbench/run.py --workload W --seed S --seconds 10` reports for each of
+the four workloads:
 
     {"sha": ..., "workload": ..., "seed": ..., "correct": ...,
      "metrics": {name: {"value": ..., "unit": ...}}}
+
+`--suite scale` builds bench_generated_scale in the checkout's root build
+directory (`build/`), runs it with --benchmark_format=json, and appends
+one row per network size (16/32/64/128 peers) to
+BENCH_generated-scale.json. Host CPU and simulated time are kept apart:
+
+    {"sha": ..., "suite": "generated-scale", "seed": 77, "peers": ...,
+     "iterations": ...,
+     "host": {"cpu_s_per_round": {"value": ..., "unit": "s"}},
+     "simulated": {"s_per_round": ..., "items_per_second": ...,
+                   "chain_height": ...}}
 
 The files live at the repository root and hold a JSON list of rows, oldest
 first, so the trajectory of every end-to-end metric is one command away.
@@ -16,12 +28,13 @@ Usage, from anywhere inside the repository:
     python3 tools/bench_record.py                      # the working tree
     python3 tools/bench_record.py --rev 23c739c        # a committed revision
     python3 tools/bench_record.py --seed 7             # the held-out seed
+    python3 tools/bench_record.py --suite scale        # generated networks
 
 Without --rev the working tree is measured; its sha is HEAD's, suffixed
 with "-dirty" when tracked files other than BENCH_*.json differ from HEAD.
 With --rev the revision's committed files are exported (`git archive`) to
 a temporary directory, measured there and deleted afterwards, so the row
-describes that commit and nothing else. A row whose (sha, seed) is
+describes that commit and nothing else. A row whose (sha, seed, peers) is
 already recorded replaces the old one instead of adding a duplicate.
 """
 
@@ -35,6 +48,10 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("fanout-16", "clinic-8k", "storage-50k", "loopback-tcp")
 SECONDS = 10  # BENCHMARK.json's run_seconds
+SCALE_NAME = "generated-scale"
+SCALE_BENCH = "bench_generated_scale"
+SCALE_SEED = 77  # the generator seed bench_generated_scale fixes
+TIME_UNITS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
 
 def bench_path(root, workload):
@@ -52,12 +69,17 @@ def load_rows(path):
     return rows
 
 
+def row_key(row):
+    """What identifies a row: its commit, seed and (scale rows only) the
+    network size."""
+    return (row.get("sha"), row.get("seed"), row.get("peers"))
+
+
 def append_row(path, row):
     """Adds `row` to the list in `path`, replacing a row with the same
-    sha and seed. Returns the rows written."""
-    key = (row["sha"], row["seed"])
-    rows = [r for r in load_rows(path)
-            if (r.get("sha"), r.get("seed")) != key]
+    key (row_key). Returns the rows written."""
+    key = row_key(row)
+    rows = [r for r in load_rows(path) if row_key(r) != key]
     rows.append(row)
     with open(path + ".tmp", "w") as handle:
         json.dump(rows, handle, indent=1, sort_keys=True)
@@ -75,6 +97,38 @@ def make_row(sha, workload, seed, report):
         "correct": bool(report["correct"]),
         "metrics": report["metrics"],
     }
+
+
+def scale_rows(sha, report):
+    """The rows for one `bench_generated_scale --benchmark_format=json`
+    report: one per network size, host CPU apart from simulated time.
+    With manual time, google-benchmark's real_time is the simulated time
+    per round and cpu_time the host CPU per round."""
+    rows = []
+    for bench in report["benchmarks"]:
+        if bench.get("run_type", "iteration") != "iteration":
+            continue  # aggregates of repetitions, if any were asked for
+        unit = TIME_UNITS[bench.get("time_unit", "ns")]
+        rows.append({
+            "sha": sha,
+            "suite": SCALE_NAME,
+            "seed": SCALE_SEED,
+            "peers": int(bench["peers"]),
+            "iterations": int(bench["iterations"]),
+            "host": {
+                "cpu_s_per_round": {"value": bench["cpu_time"] * unit,
+                                    "unit": "s"},
+            },
+            "simulated": {
+                "s_per_round": {"value": bench["real_time"] * unit,
+                                "unit": "s"},
+                "items_per_second": {"value": bench["items_per_second"],
+                                     "unit": "1/s"},
+                "chain_height": {"value": int(bench["chain_height"]),
+                                 "unit": "count"},
+            },
+        })
+    return rows
 
 
 def git(*args, cwd=ROOT):
@@ -132,17 +186,53 @@ def record(sha, checkout, seed):
     return status
 
 
+def run_scale_bench(checkout):
+    """Builds and runs bench_generated_scale in `checkout`'s root build;
+    returns its parsed JSON report."""
+    build = os.path.join(checkout, "build")
+    jobs = str(min(4, os.cpu_count() or 1))
+    subprocess.run(["cmake", "-B", build, "-S", checkout],
+                   stdout=subprocess.DEVNULL, check=True)
+    subprocess.run(["cmake", "--build", build, "--target", SCALE_BENCH,
+                    "-j", jobs], stdout=subprocess.DEVNULL, check=True)
+    done = subprocess.run(
+        [os.path.join(build, "bench", SCALE_BENCH),
+         "--benchmark_format=json"],
+        stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def record_scale(sha, checkout):
+    """Measures the generated networks in `checkout` and appends a row per
+    size to BENCH_generated-scale.json."""
+    path = bench_path(ROOT, SCALE_NAME)
+    for row in scale_rows(sha, run_scale_bench(checkout)):
+        append_row(path, row)
+        print("%s %s %d peers: cpu %.4f s/round, chain height %d" % (
+            sha[:12], SCALE_NAME, row["peers"],
+            row["host"]["cpu_s_per_round"]["value"],
+            row["simulated"]["chain_height"]["value"]))
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--suite", choices=("workloads", "scale"),
+                        default="workloads")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="perfbench seed (workloads suite only)")
     parser.add_argument("--rev", help="measure this commit, not the tree")
     args = parser.parse_args(argv)
 
+    def measure(sha, checkout):
+        if args.suite == "scale":
+            return record_scale(sha, checkout)
+        return record(sha, checkout, args.seed)
+
     if not args.rev:
-        return record(working_tree_sha(), ROOT, args.seed)
+        return measure(working_tree_sha(), ROOT)
     with tempfile.TemporaryDirectory(prefix="bench-") as checkout:
-        return record(export_revision(args.rev, checkout), checkout,
-                      args.seed)
+        return measure(export_revision(args.rev, checkout), checkout)
 
 
 if __name__ == "__main__":

@@ -75,5 +75,65 @@ class AppendRowTest(unittest.TestCase):
         self.assertEqual(row["seed"], 7)
 
 
+def scale_bench(peers, cpu_time, real_time, time_unit="ns"):
+    """One entry of a bench_generated_scale --benchmark_format=json report."""
+    return {"name": "BM_GeneratedNetworkScale/%d/iterations:3/manual_time"
+                    % peers,
+            "run_type": "iteration", "iterations": 3,
+            "real_time": real_time, "cpu_time": cpu_time,
+            "time_unit": time_unit, "items_per_second": 2.5,
+            "peers": float(peers), "tables": 9.0, "chain_height": 41.0}
+
+
+class ScaleRowsTest(unittest.TestCase):
+    REPORT = {"context": {"num_cpus": 4}, "benchmarks": [
+        scale_bench(16, 3.0e7, 1.2e9),
+        scale_bench(128, 750.0, 4000.0, time_unit="ms"),
+        dict(scale_bench(128, 1.0, 1.0), run_type="aggregate",
+             aggregate_name="mean"),
+    ]}
+
+    def test_one_row_per_size_with_host_and_simulated_apart(self):
+        rows = bench_record.scale_rows("aaa", self.REPORT)
+        self.assertEqual([r["peers"] for r in rows], [16, 128])
+        first = rows[0]
+        self.assertEqual(first["sha"], "aaa")
+        self.assertEqual(first["suite"], "generated-scale")
+        self.assertEqual(first["seed"], 77)
+        self.assertEqual(first["iterations"], 3)
+        self.assertEqual(set(first["host"]), {"cpu_s_per_round"})
+        self.assertEqual(set(first["simulated"]),
+                         {"s_per_round", "items_per_second", "chain_height"})
+        self.assertAlmostEqual(first["host"]["cpu_s_per_round"]["value"],
+                               0.03)
+        self.assertEqual(first["host"]["cpu_s_per_round"]["unit"], "s")
+        self.assertAlmostEqual(first["simulated"]["s_per_round"]["value"],
+                               1.2)
+        self.assertEqual(first["simulated"]["items_per_second"]["value"],
+                         2.5)
+        self.assertEqual(first["simulated"]["chain_height"]["value"], 41)
+
+    def test_time_unit_is_converted_to_seconds(self):
+        last = bench_record.scale_rows("aaa", self.REPORT)[-1]
+        self.assertAlmostEqual(last["host"]["cpu_s_per_round"]["value"],
+                               0.75)
+        self.assertAlmostEqual(last["simulated"]["s_per_round"]["value"],
+                               4.0)
+
+    def test_rows_of_one_sha_differ_by_size_and_replace_per_size(self):
+        with tempfile.TemporaryDirectory() as root:
+            path = bench_record.bench_path(root, "generated-scale")
+            for row in bench_record.scale_rows("aaa", self.REPORT):
+                bench_record.append_row(path, row)
+            for row in bench_record.scale_rows("bbb", self.REPORT):
+                bench_record.append_row(path, row)
+            rows = bench_record.append_row(
+                path, bench_record.scale_rows("aaa", self.REPORT)[0])
+        self.assertTrue(path.endswith("BENCH_generated-scale.json"))
+        self.assertEqual([(r["sha"], r["peers"]) for r in rows],
+                         [("aaa", 128), ("bbb", 16), ("bbb", 128),
+                          ("aaa", 16)])
+
+
 if __name__ == "__main__":
     unittest.main()
