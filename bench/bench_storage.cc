@@ -16,6 +16,7 @@
 #include "relational/aggregate.h"
 #include "relational/chunk.h"
 #include "relational/database.h"
+#include "relational/delta.h"
 #include "relational/index.h"
 #include "relational/query.h"
 
@@ -386,6 +387,63 @@ void BM_SealedTableGet(benchmark::State& state) {
   state.SetLabel(hit ? "hit" : "miss");
 }
 BENCHMARK(BM_SealedTableGet)->ArgsProduct({{4096, 65536}, {1, 0}});
+
+// Digest and delta cost after a small change to a large clinic-shaped
+// table (Fig. 1 full records): what a peer pays to check a view against
+// its on-chain digest after one update, and what a put's delta costs.
+Table SealedRecords(int64_t rows) {
+  Table records = medical::GenerateFullRecords(
+      {.seed = 5, .record_count = static_cast<size_t>(rows)});
+  records.Seal();
+  return records;
+}
+
+void BM_ContentDigestAfterPointUpdate(benchmark::State& state) {
+  // One UpdateAttribute on a rotating key, then ContentDigest. The head
+  // fills with shadows of chunk rows until the seal threshold compacts it,
+  // so this is the steady-state cost over a whole seal cycle.
+  const int64_t rows = state.range(0);
+  Table table = SealedRecords(rows);
+  std::vector<Key> keys;
+  for (const auto& [key, row] : table.scan()) keys.push_back(key);
+  benchmark::DoNotOptimize(table.ContentDigest());
+  size_t i = 0;
+  for (auto _ : state) {
+    const Key& key = keys[(i * 7919) % keys.size()];
+    IgnoreStatusForTest(table.UpdateAttribute(
+        key, medical::kDosage, Value::String(StrCat("dose-", i++))));
+    benchmark::DoNotOptimize(table.ContentDigest());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ContentDigestAfterPointUpdate)->Arg(8192)->Arg(65536);
+
+void BM_ComputeDelta(benchmark::State& state) {
+  // A view before and after one approved put: `after` is a copy sharing
+  // `before`'s chunks with 8 updated rows, one deleted and one inserted.
+  const int64_t rows = state.range(0);
+  const Table before = SealedRecords(rows);
+  Table after = before;
+  for (int64_t n = 0; n < 8; ++n) {
+    IgnoreStatusForTest(after.UpdateAttribute(
+        before.NthKey(static_cast<size_t>(n * rows / 8)), medical::kDosage,
+        Value::String(StrCat("dose-", n))));
+  }
+  IgnoreStatusForTest(after.Delete(before.NthKey(1)));
+  Row extra = *before.Get(before.NthKey(2));
+  int64_t fresh_id = rows;
+  while (before.Contains({Value::Int(fresh_id)})) ++fresh_id;
+  extra[0] = Value::Int(fresh_id);
+  IgnoreStatusForTest(after.Insert(std::move(extra)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputeDelta(before, after));
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_ComputeDelta)
+    ->Arg(8192)
+    ->Arg(65536)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_HashRowForDigest(benchmark::State& state) {
   // One clinic-shaped row (Fig. 1 full record: int id + six strings).

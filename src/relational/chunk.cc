@@ -122,24 +122,27 @@ void AccSub(RowDigestAcc* acc, const RowDigestAcc& delta) {
 // Seal
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<const Chunk> Chunk::Seal(const Schema& schema,
-                                         const std::map<Key, Row>& rows) {
+std::shared_ptr<const Chunk> Chunk::Seal(
+    const Schema& schema, const std::map<Key, Row>& rows,
+    std::optional<RowDigestAcc> digest_acc) {
   std::vector<const Row*> ptrs;
   ptrs.reserve(rows.size());
   for (const auto& [key, row] : rows) ptrs.push_back(&row);
-  return SealImpl(schema, ptrs);
+  return SealImpl(schema, ptrs, digest_acc);
 }
 
-std::shared_ptr<const Chunk> Chunk::Seal(const Schema& schema,
-                                         const std::vector<Row>& rows) {
+std::shared_ptr<const Chunk> Chunk::Seal(
+    const Schema& schema, const std::vector<Row>& rows,
+    std::optional<RowDigestAcc> digest_acc) {
   std::vector<const Row*> ptrs;
   ptrs.reserve(rows.size());
   for (const Row& row : rows) ptrs.push_back(&row);
-  return SealImpl(schema, ptrs);
+  return SealImpl(schema, ptrs, digest_acc);
 }
 
 std::shared_ptr<const Chunk> Chunk::SealImpl(
-    const Schema& schema, const std::vector<const Row*>& rows) {
+    const Schema& schema, const std::vector<const Row*>& rows,
+    std::optional<RowDigestAcc> digest_acc) {
   assert(!rows.empty() && "sealing an empty chunk");
   auto chunk = std::shared_ptr<Chunk>(new Chunk());
   const size_t n = rows.size();
@@ -216,13 +219,33 @@ std::shared_ptr<const Chunk> Chunk::SealImpl(
 
   chunk->min_key_ = chunk->KeyAt(0);
   chunk->max_key_ = chunk->KeyAt(n - 1);
-
-  RowDigestAcc acc{};
-  for (const Row* row : rows) AccAdd(&acc, HashRowForDigest(*row));
-  chunk->digest_acc_ = acc;
-
-  chunk->id_ = crypto::Sha256::Hash(chunk->SerializeCanonical()).ToHex();
+  if (digest_acc.has_value()) {
+    std::call_once(chunk->digest_once_,
+                   [&] { chunk->digest_acc_ = *digest_acc; });
+  }
   return chunk;
+}
+
+// ---------------------------------------------------------------------------
+// Derived values
+// ---------------------------------------------------------------------------
+
+const RowDigestAcc& Chunk::digest_acc() const {
+  std::call_once(digest_once_, [this] {
+    RowDigestAcc acc{};
+    for (size_t i = 0; i < row_count_; ++i) {
+      AccAdd(&acc, HashRowForDigest(RowAt(i)));
+    }
+    digest_acc_ = acc;
+  });
+  return digest_acc_;
+}
+
+const std::string& Chunk::id() const {
+  std::call_once(id_once_, [this] {
+    id_ = crypto::Sha256::Hash(SerializeCanonical()).ToHex();
+  });
+  return id_;
 }
 
 // ---------------------------------------------------------------------------
@@ -505,13 +528,11 @@ Result<std::shared_ptr<const Chunk>> Chunk::Deserialize(
   }
   chunk->min_key_ = chunk->KeyAt(0);
   chunk->max_key_ = chunk->KeyAt(row_count - 1);
-
-  RowDigestAcc acc{};
-  for (uint32_t i = 0; i < row_count; ++i) {
-    AccAdd(&acc, HashRowForDigest(chunk->RowAt(i)));
-  }
-  chunk->digest_acc_ = acc;
-  chunk->id_ = crypto::Sha256::Hash(raw).ToHex();
+  // The id is needed at once (the caller checks it against the file name)
+  // and `raw` is at hand; the digest accumulator waits for first use.
+  std::call_once(chunk->id_once_, [&] {
+    chunk->id_ = crypto::Sha256::Hash(raw).ToHex();
+  });
   return std::shared_ptr<const Chunk>(std::move(chunk));
 }
 

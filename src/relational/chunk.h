@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -17,11 +18,13 @@ namespace medsync::relational {
 
 /// A 256-bit multiset accumulator over row hashes: four independent 64-bit
 /// lanes combined by wrapping addition, so adding and removing rows commute.
-/// The composed table digest (Table::ContentDigest) folds the cached
-/// accumulator of every sealed chunk with the mutable head's rows instead of
-/// re-serializing the whole table — O(head + dead rows) per digest instead
-/// of O(n). Layout-independent by construction: the accumulator depends only
-/// on the multiset of live rows, never on how they are split across chunks.
+/// The composed table digest (Table::ContentDigest) is one accumulator over
+/// the live rows: built once by folding every sealed chunk's accumulator
+/// with the mutable head, then kept by each mutation (subtract the old live
+/// version, add the new row), so a digest after a point update costs O(1)
+/// row hashes, not O(head). Layout-independent by construction: the
+/// accumulator depends only on the multiset of live rows, never on how they
+/// are split across chunks.
 using RowDigestAcc = std::array<uint64_t, 4>;
 
 /// SHA-256 of the row's canonical JSON (the bytes of RowToJson(row).Dump(),
@@ -38,20 +41,29 @@ void AccSub(RowDigestAcc* acc, const RowDigestAcc& delta);
 ///
 /// Chunks are created by Table::Seal() from the mutable head and shared by
 /// value-copies of the table via shared_ptr — copying a table with sealed
-/// history is O(head), not O(history). A chunk also carries:
-///  * a cached RowDigestAcc over its rows (computed once at seal), and
+/// history is O(head), not O(history). A chunk also carries two derived
+/// values, each computed at most once, on first use, and safe to read from
+/// several threads (std::call_once):
+///  * a RowDigestAcc over its rows — handed in by Table::Seal when the
+///    table already knows it, otherwise hashed on the first digest_acc(),
+///    so a table nobody digests never hashes its rows; and
 ///  * a content-address `id()` — hex SHA-256 of the canonical serialization —
 ///    which the streamed checkpoint (Database::Checkpoint, snapshot format 3)
 ///    uses as the chunk's file name so each chunk is written exactly once.
+///    Deserialize sets it eagerly, to check it against the file name.
 class Chunk {
  public:
   /// Seals `rows` (must be in key order — e.g. a Table head map) under
   /// `schema` into an immutable chunk. `rows` must be non-empty.
-  static std::shared_ptr<const Chunk> Seal(const Schema& schema,
-                                           const std::map<Key, Row>& rows);
+  /// `digest_acc`, when given, must be the accumulator over exactly `rows`;
+  /// the chunk then never hashes them.
+  static std::shared_ptr<const Chunk> Seal(
+      const Schema& schema, const std::map<Key, Row>& rows,
+      std::optional<RowDigestAcc> digest_acc = std::nullopt);
   /// Same, from an already key-ordered vector (used by compaction).
-  static std::shared_ptr<const Chunk> Seal(const Schema& schema,
-                                           const std::vector<Row>& rows);
+  static std::shared_ptr<const Chunk> Seal(
+      const Schema& schema, const std::vector<Row>& rows,
+      std::optional<RowDigestAcc> digest_acc = std::nullopt);
 
   size_t row_count() const { return row_count_; }
   const Key& min_key() const { return min_key_; }
@@ -70,11 +82,12 @@ class Chunk {
   /// min/max pre-check so non-overlapping probes are O(1).
   std::optional<size_t> Find(const Key& key) const;
 
-  /// Cached multiset digest accumulator over all rows (seal-time).
-  const RowDigestAcc& digest_acc() const { return digest_acc_; }
+  /// Multiset digest accumulator over all rows; computed on first use.
+  const RowDigestAcc& digest_acc() const;
 
-  /// Content address: hex SHA-256 of SerializeCanonical(), cached at seal.
-  const std::string& id() const { return id_; }
+  /// Content address: hex SHA-256 of SerializeCanonical(); computed on
+  /// first use.
+  const std::string& id() const;
 
   /// Per-column storage, exposed for the vectorized scan paths inside
   /// src/relational/ (query.cc select bitmaps, index.cc rebuilds).
@@ -116,7 +129,8 @@ class Chunk {
   Chunk() = default;
 
   static std::shared_ptr<const Chunk> SealImpl(
-      const Schema& schema, const std::vector<const Row*>& rows);
+      const Schema& schema, const std::vector<const Row*>& rows,
+      std::optional<RowDigestAcc> digest_acc);
 
   /// Compares the key of row `i` with `key`; <0, 0, >0.
   int CompareKeyAt(size_t i, const Key& key) const;
@@ -126,8 +140,13 @@ class Chunk {
   std::vector<Column> columns_;
   Key min_key_;
   Key max_key_;
-  RowDigestAcc digest_acc_{};
-  std::string id_;
+  // Derived values, each written once under its flag (see the class
+  // comment); the flags make Chunk neither copyable nor movable, which the
+  // shared_ptr ownership never needs.
+  mutable std::once_flag digest_once_;
+  mutable RowDigestAcc digest_acc_{};
+  mutable std::once_flag id_once_;
+  mutable std::string id_;
 };
 
 /// LZSS-family byte compressor used for chunk files (12-bit window, 4-bit

@@ -482,8 +482,8 @@ Result<Table> Database::Snapshot(const std::string& name) const {
 // Every mutation below has the same shape: find the table, check the typed
 // arguments read-only (Table::Check* returns exactly the status the
 // mutation would), build and append the WAL record only when durable, then
-// apply once. So a failing op never reaches the WAL, and the apply after a
-// successful append cannot fail.
+// apply once with the unchecked Table::Apply* twin. So a failing op never
+// reaches the WAL, and the apply after a successful append cannot fail.
 
 Status Database::Insert(const std::string& table, Row row) {
   MEDSYNC_ASSIGN_OR_RETURN(Table* t, FindTable(table));
@@ -492,7 +492,8 @@ Status Database::Insert(const std::string& table, Row row) {
     MEDSYNC_RETURN_IF_ERROR(
         wal_->Append(RowOp("insert", table, row)).status());
   }
-  return t->Insert(std::move(row));
+  t->ApplyPut(std::move(row));
+  return Status::OK();
 }
 
 Status Database::Update(const std::string& table, Row row) {
@@ -502,7 +503,8 @@ Status Database::Update(const std::string& table, Row row) {
     MEDSYNC_RETURN_IF_ERROR(
         wal_->Append(RowOp("update", table, row)).status());
   }
-  return t->Update(std::move(row));
+  t->ApplyPut(std::move(row));
+  return Status::OK();
 }
 
 Status Database::Upsert(const std::string& table, Row row) {
@@ -512,7 +514,8 @@ Status Database::Upsert(const std::string& table, Row row) {
     MEDSYNC_RETURN_IF_ERROR(
         wal_->Append(RowOp("upsert", table, row)).status());
   }
-  return t->Upsert(std::move(row));
+  t->ApplyPut(std::move(row));
+  return Status::OK();
 }
 
 Status Database::UpdateAttribute(const std::string& table, const Key& key,
@@ -523,7 +526,8 @@ Status Database::UpdateAttribute(const std::string& table, const Key& key,
     MEDSYNC_RETURN_IF_ERROR(
         wal_->Append(UpdateAttrOp(table, key, attribute, value)).status());
   }
-  return t->UpdateAttribute(key, attribute, std::move(value));
+  t->ApplyUpdateAttribute(key, attribute, std::move(value));
+  return Status::OK();
 }
 
 Status Database::Delete(const std::string& table, const Key& key) {
@@ -532,7 +536,8 @@ Status Database::Delete(const std::string& table, const Key& key) {
   if (durable()) {
     MEDSYNC_RETURN_IF_ERROR(wal_->Append(DeleteOp(table, key)).status());
   }
-  return t->Delete(key);
+  t->ApplyDelete(key);
+  return Status::OK();
 }
 
 Status Database::ApplyTableDelta(const std::string& table,

@@ -52,18 +52,30 @@ Result<TableDelta> ComputeDelta(const Table& before, const Table& after) {
   if (before.schema() != after.schema()) {
     return Status::InvalidArgument("delta requires identical schemas");
   }
+  // One merge of the two key-ordered scans: a key only in `after` is an
+  // insert, only in `before` a delete, in both with different rows an
+  // update. Each output vector comes out in key order.
   TableDelta delta;
-  for (const auto& [key, row] : after.scan()) {
-    std::optional<Row> old = before.Get(key);
-    if (!old.has_value()) {
-      delta.inserts.push_back(row);
-    } else if (*old != row) {
-      delta.updates.push_back(row);
+  auto b = before.scan().begin();
+  auto a = after.scan().begin();
+  const Table::ScanSentinel end{};
+  while (b != end && a != end) {
+    const Table::ScanEntry eb = *b;
+    const Table::ScanEntry ea = *a;
+    if (eb.key < ea.key) {
+      delta.deletes.push_back(eb.key);
+      ++b;
+    } else if (ea.key < eb.key) {
+      delta.inserts.push_back(ea.row);
+      ++a;
+    } else {
+      if (eb.row != ea.row) delta.updates.push_back(ea.row);
+      ++b;
+      ++a;
     }
   }
-  for (const auto& [key, row] : before.scan()) {
-    if (!after.Contains(key)) delta.deletes.push_back(key);
-  }
+  for (; b != end; ++b) delta.deletes.push_back((*b).key);
+  for (; a != end; ++a) delta.inserts.push_back((*a).row);
   return delta;
 }
 
@@ -125,16 +137,11 @@ Status ApplyDelta(const TableDelta& delta, Table* table) {
 
 Status ApplyValidatedDelta(const TableDelta& delta, Table* table) {
   // Deletes first (see ValidateDelta: inserts may legally reuse a deleted
-  // key), then inserts, then updates.
-  for (const Key& key : delta.deletes) {
-    MEDSYNC_RETURN_IF_ERROR(table->Delete(key));
-  }
-  for (const Row& row : delta.inserts) {
-    MEDSYNC_RETURN_IF_ERROR(table->Insert(row));
-  }
-  for (const Row& row : delta.updates) {
-    MEDSYNC_RETURN_IF_ERROR(table->Update(row));
-  }
+  // key), then inserts, then updates. ValidateDelta has checked every row
+  // and key against exactly this order, so the unchecked twins apply them.
+  for (const Key& key : delta.deletes) table->ApplyDelete(key);
+  for (const Row& row : delta.inserts) table->ApplyPut(row);
+  for (const Row& row : delta.updates) table->ApplyPut(row);
   return Status::OK();
 }
 

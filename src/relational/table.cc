@@ -92,19 +92,32 @@ bool Table::ChunkRowIsLive(const Chunk& chunk, size_t i) const {
 // ---------------------------------------------------------------------------
 
 void Table::PutHead(Key key, Row row) {
+  if (live_acc_) AccAdd(&*live_acc_, HashRowForDigest(row));
   auto it = head_.find(key);
   if (it != head_.end()) {
+    if (live_acc_) AccSub(&*live_acc_, HashRowForDigest(it->second));
     it->second = std::move(row);
   } else {
-    if (FindChunk(key).has_value()) {
+    if (auto hit = FindChunkRow(key)) {
       // The chunk version of this key is dead either way: if it was
       // tombstoned the tombstone is subsumed by the head shadow.
-      if (tombstones_.erase(key) == 0) ++dead_count_;
+      if (tombstones_.erase(key) == 0) {
+        ++dead_count_;
+        if (live_acc_) {
+          AccSub(&*live_acc_,
+                 HashRowForDigest(chunks_[hit->first]->RowAt(hit->second)));
+        }
+      }
     }
     head_.emplace(std::move(key), std::move(row));
   }
   InvalidateDigest();
   MaybeSeal();
+}
+
+void Table::ApplyPut(Row row) {
+  Key key = KeyOf(schema_, row);  // before the move — arg order is unspecified
+  PutHead(std::move(key), std::move(row));
 }
 
 Status Table::CheckInsert(const Row& row) const {
@@ -119,8 +132,7 @@ Status Table::CheckInsert(const Row& row) const {
 
 Status Table::Insert(Row row) {
   MEDSYNC_RETURN_IF_ERROR(CheckInsert(row));
-  Key key = KeyOf(schema_, row);  // before the move — arg order is unspecified
-  PutHead(std::move(key), std::move(row));
+  ApplyPut(std::move(row));
   return Status::OK();
 }
 
@@ -130,8 +142,7 @@ Status Table::CheckUpsert(const Row& row) const {
 
 Status Table::Upsert(Row row) {
   MEDSYNC_RETURN_IF_ERROR(CheckUpsert(row));
-  Key key = KeyOf(schema_, row);
-  PutHead(std::move(key), std::move(row));
+  ApplyPut(std::move(row));
   return Status::OK();
 }
 
@@ -146,8 +157,7 @@ Status Table::CheckUpdate(const Row& row) const {
 
 Status Table::Update(Row row) {
   MEDSYNC_RETURN_IF_ERROR(CheckUpdate(row));
-  Key key = KeyOf(schema_, row);
-  PutHead(std::move(key), std::move(row));
+  ApplyPut(std::move(row));
   return Status::OK();
 }
 
@@ -180,10 +190,15 @@ Status Table::CheckUpdateAttribute(const Key& key, std::string_view attribute,
 Status Table::UpdateAttribute(const Key& key, std::string_view attribute,
                               Value value) {
   MEDSYNC_RETURN_IF_ERROR(CheckUpdateAttribute(key, attribute, value));
+  ApplyUpdateAttribute(key, attribute, std::move(value));
+  return Status::OK();
+}
+
+void Table::ApplyUpdateAttribute(const Key& key, std::string_view attribute,
+                                 Value value) {
   Row row = *Get(key);
   row[*schema_.IndexOf(attribute)] = std::move(value);
   PutHead(key, std::move(row));
-  return Status::OK();
 }
 
 Status Table::CheckDelete(const Key& key) const {
@@ -196,22 +211,33 @@ Status Table::CheckDelete(const Key& key) const {
 }
 
 Status Table::Delete(const Key& key) {
+  MEDSYNC_RETURN_IF_ERROR(CheckDelete(key));
+  ApplyDelete(key);
+  return Status::OK();
+}
+
+void Table::ApplyDelete(const Key& key) {
   auto it = head_.find(key);
   if (it != head_.end()) {
+    if (live_acc_) AccSub(&*live_acc_, HashRowForDigest(it->second));
     head_.erase(it);
     if (FindChunk(key).has_value()) {
       // Shadow becomes tombstone; the chunk row stays dead.
       tombstones_.insert(key);
     }
-  } else if (ChunkLive(key)) {
+  } else {
+    // Checked live and not in the head: the live version is a chunk row.
+    const std::optional<std::pair<size_t, size_t>> hit = FindChunkRow(key);
+    assert(hit.has_value() && tombstones_.count(key) == 0);
+    if (live_acc_) {
+      AccSub(&*live_acc_,
+             HashRowForDigest(chunks_[hit->first]->RowAt(hit->second)));
+    }
     tombstones_.insert(key);
     ++dead_count_;
-  } else {
-    return Status::NotFound(StrCat("no row with key ", RowToString(key)));
   }
   InvalidateDigest();
   MaybeSeal();
-  return Status::OK();
 }
 
 void Table::Clear() {
@@ -221,6 +247,7 @@ void Table::Clear() {
   chunk_key_filter_.reset();
   chunk_rows_total_ = 0;
   dead_count_ = 0;
+  live_acc_.reset();
   InvalidateDigest();
 }
 
@@ -251,7 +278,16 @@ void Table::Seal() {
       filter->insert(KeyFilterHash(key));
     }
     chunk_key_filter_ = std::move(filter);
-    chunks_.push_back(Chunk::Seal(schema_, head_));
+    // With no dead chunk rows, the head's accumulator is the live one minus
+    // every chunk's (each already known: the live one was built from them
+    // or handed to them at seal).
+    std::optional<RowDigestAcc> head_acc = live_acc_;
+    if (head_acc) {
+      for (const auto& chunk : chunks_) {
+        AccSub(&*head_acc, chunk->digest_acc());
+      }
+    }
+    chunks_.push_back(Chunk::Seal(schema_, head_, head_acc));
     chunk_rows_total_ += head_.size();
     head_.clear();
     return;
@@ -267,7 +303,7 @@ void Table::Seal() {
   dead_count_ = 0;
   chunk_rows_total_ = live.size();
   if (!live.empty()) {
-    chunks_.push_back(Chunk::Seal(schema_, live));
+    chunks_.push_back(Chunk::Seal(schema_, live, live_acc_));
     auto filter = std::make_shared<std::unordered_set<uint64_t>>();
     filter->reserve(live.size());
     for (const Row& row : live) {
@@ -529,19 +565,24 @@ Result<Table> Table::FromParts(
 std::string Table::ContentDigest() const {
   if (digest_cache_.has_value()) return *digest_cache_;
 
-  RowDigestAcc acc{};
-  for (const auto& chunk : chunks_) AccAdd(&acc, chunk->digest_acc());
-  // Subtract the dead chunk versions: tombstoned keys and head-shadowed keys.
-  auto subtract_chunk_version = [&](const Key& key) {
-    if (auto hit = FindChunkRow(key)) {
-      AccSub(&acc, HashRowForDigest(chunks_[hit->first]->RowAt(hit->second)));
+  if (!live_acc_) {
+    RowDigestAcc acc{};
+    for (const auto& chunk : chunks_) AccAdd(&acc, chunk->digest_acc());
+    // Subtract the dead chunk versions: tombstoned and head-shadowed keys.
+    auto subtract_chunk_version = [&](const Key& key) {
+      if (auto hit = FindChunkRow(key)) {
+        AccSub(&acc,
+               HashRowForDigest(chunks_[hit->first]->RowAt(hit->second)));
+      }
+    };
+    for (const Key& key : tombstones_) subtract_chunk_version(key);
+    for (const auto& [key, row] : head_) {
+      subtract_chunk_version(key);
+      AccAdd(&acc, HashRowForDigest(row));
     }
-  };
-  for (const Key& key : tombstones_) subtract_chunk_version(key);
-  for (const auto& [key, row] : head_) {
-    subtract_chunk_version(key);
-    AccAdd(&acc, HashRowForDigest(row));
+    live_acc_ = acc;
   }
+  const RowDigestAcc& acc = *live_acc_;
 
   crypto::Sha256 hasher;
   hasher.Update("medsync.table.digest.v2\n");

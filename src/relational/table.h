@@ -18,6 +18,9 @@
 
 namespace medsync::relational {
 
+class Database;
+struct TableDelta;
+
 /// An in-memory relation with a primary-key index, stored in two tiers:
 ///
 ///  * a mutable row-oriented **head** (`std::map<Key, Row>`) absorbing all
@@ -78,7 +81,8 @@ class Table {
   // Read-only validation twins of the mutations above: each returns exactly
   // the status its mutating counterpart would, without touching the table.
   // Database's mutators check with these before the op reaches the WAL
-  // (then apply, infallibly), so no op needs a copy of the table.
+  // (then apply with the private Apply* twins below, which check nothing),
+  // so no op needs a copy of the table.
   Status CheckInsert(const Row& row) const;
   Status CheckUpsert(const Row& row) const;
   Status CheckUpdate(const Row& row) const;
@@ -208,9 +212,11 @@ class Table {
   /// Hex SHA-256 digest of the table's content; used as the shared-data
   /// content digest recorded on-chain so peers can prove what they fetched.
   /// Layout-independent (depends only on schema + the multiset of live
-  /// rows) and cached: sealed chunks carry their digest accumulator, so
-  /// recomputation after a mutation folds chunk accumulators with the head
-  /// instead of re-serializing the whole table.
+  /// rows). The first call builds the live-row accumulator from the chunk
+  /// accumulators and the head (O(head + dead rows) row hashes, plus each
+  /// chunk's rows the first time that chunk is digested); from then on
+  /// every mutation keeps it, with at most two row hashes, so a digest after
+  /// a point update costs O(1) row hashes.
   std::string ContentDigest() const;
 
   /// ASCII rendering with a header row, used by examples to print the
@@ -223,6 +229,19 @@ class Table {
   friend bool operator!=(const Table& a, const Table& b) { return !(a == b); }
 
  private:
+  friend class Database;
+  friend Status ApplyValidatedDelta(const TableDelta& delta, Table* table);
+
+  // Apply twins of the mutations, for callers inside src/relational that
+  // have just run the matching Check* (or ValidateDelta) on this table and
+  // mutated nothing since: they skip the checks and cannot fail.
+  /// Insert, Upsert or Update of a checked row.
+  void ApplyPut(Row row);
+  void ApplyUpdateAttribute(const Key& key, std::string_view attribute,
+                            Value value);
+  /// Delete of a key that is live.
+  void ApplyDelete(const Key& key);
+
   /// Index of the chunk containing `key`, or nullopt. At most one matches.
   /// Consults the key-hash filter first, so misses are O(1) regardless of
   /// chunk count.
@@ -235,7 +254,8 @@ class Table {
   bool ChunkLive(const Key& key) const;
 
   /// Moves `row` into the head under `key`, maintaining dead-row accounting
-  /// for a chunk version of the same key, then triggers sealing if due.
+  /// for a chunk version of the same key (and the live accumulator, when
+  /// set), then triggers sealing if due.
   void PutHead(Key key, Row row);
 
   /// Seals or compacts when head size or dead rows reach the threshold.
@@ -259,6 +279,11 @@ class Table {
   size_t chunk_rows_total_ = 0;
   size_t dead_count_ = 0;
   size_t seal_threshold_ = kDefaultSealThreshold;
+  /// Multiset accumulator over the live rows. Unset until the first
+  /// ContentDigest (and again after Clear and in FromParts), so a table
+  /// nobody digests never hashes a row; once set, PutHead and ApplyDelete
+  /// keep it current and Seal hands it to the new chunk.
+  mutable std::optional<RowDigestAcc> live_acc_;
   mutable std::optional<std::string> digest_cache_;
 };
 

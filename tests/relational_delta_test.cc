@@ -226,6 +226,66 @@ TEST_P(DeltaPropertyTest, ApplyComputeRoundTrip) {
   EXPECT_EQ(patched, before);
 }
 
+// The lookup-based ComputeDelta that the one-pass merge replaced, kept as
+// the reference model: a point lookup in `before` per `after` row in key
+// order, then a membership probe in `after` per `before` row in key order.
+TableDelta LookupDelta(const Table& before, const Table& after) {
+  TableDelta delta;
+  for (const auto& [key, row] : after.scan()) {
+    std::optional<Row> old = before.Get(key);
+    if (!old.has_value()) {
+      delta.inserts.push_back(row);
+    } else if (*old != row) {
+      delta.updates.push_back(row);
+    }
+  }
+  for (const auto& [key, row] : before.scan()) {
+    if (!after.Contains(key)) delta.deletes.push_back(key);
+  }
+  return delta;
+}
+
+// Random mutation of `t` over a small key space: upserts (head shadows of
+// chunk rows), deletes (tombstones) and the seals the threshold triggers.
+void Churn(Table* t, Rng* rng, int ops) {
+  for (int i = 0; i < ops; ++i) {
+    const int64_t id = rng->NextInRange(0, 119);
+    if (rng->NextBool(0.3)) {
+      IgnoreStatusForTest(t->Delete({Value::Int(id)}));
+    } else {
+      const std::string v = rng->NextAlnumString(2);
+      ASSERT_TRUE(t->Upsert(R(id, v.c_str())).ok());
+    }
+  }
+}
+
+TEST_P(DeltaPropertyTest, MergeMatchesLookupReference) {
+  Rng rng(GetParam() + 100);
+  for (size_t threshold : {size_t{1}, size_t{5}, size_t{32}, size_t{4096}}) {
+    SCOPED_TRACE(threshold);
+    Table base(S());
+    base.set_seal_threshold(threshold);
+    Churn(&base, &rng, 150);
+    if (rng.NextBool()) base.Seal();
+    // Copies share base's chunks, then diverge in their heads, tombstones
+    // and (for small thresholds) their own seals and compactions.
+    Table before = base;
+    Table after = base;
+    Churn(&before, &rng, static_cast<int>(rng.NextBelow(40)));
+    Churn(&after, &rng, static_cast<int>(rng.NextBelow(40)));
+    for (const auto& [from, to] :
+         {std::pair{&before, &after}, std::pair{&after, &before},
+          std::pair{&base, &after}, std::pair{&before, &before}}) {
+      Result<TableDelta> merged = ComputeDelta(*from, *to);
+      ASSERT_TRUE(merged.ok()) << merged.status();
+      const TableDelta reference = LookupDelta(*from, *to);
+      EXPECT_EQ(merged->inserts, reference.inserts);
+      EXPECT_EQ(merged->updates, reference.updates);
+      EXPECT_EQ(merged->deletes, reference.deletes);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DeltaPropertyTest,
                          ::testing::Range(uint64_t{0}, uint64_t{20}));
 
