@@ -6,11 +6,10 @@
 #include <benchmark/benchmark.h>
 
 #include "bx/compose_lens.h"
-#include "bx/join_lens.h"
 #include "bx/lens_factory.h"
 #include "medical/generator.h"
 #include "medical/records.h"
-#include "relational/query.h"
+#include "relational/predicate.h"
 
 namespace {
 
@@ -103,30 +102,6 @@ void BM_ComposedLensRoundTrip(benchmark::State& state) {
   state.counters["stages"] = static_cast<double>(depth + 1);
 }
 BENCHMARK(BM_ComposedLensRoundTrip)->DenseRange(0, 8, 2);
-
-void BM_LookupJoinRoundTrip(benchmark::State& state) {
-  // Enrichment lens: join the source against the medication catalog and
-  // put an edit back. Linear in rows with an O(log catalog) probe per row.
-  Table full = SourceOf(state.range(0));
-  Table source = *relational::Project(
-      full, {kPatientId, kMedicationName, kDosage}, {kPatientId});
-  Table reference = *relational::Project(
-      full, {kMedicationName, kMechanismOfAction}, {kMedicationName});
-  auto lens = *bx::MakeLookupJoinLens(reference);
-  Table view = *lens->Get(source);
-  IgnoreStatusForTest(view.UpdateAttribute({Value::Int(1000)}, kDosage,
-                             Value::String("edited")));
-  for (auto _ : state) {
-    auto derived = lens->Get(source);
-    auto updated = lens->Put(source, view);
-    benchmark::DoNotOptimize(derived);
-    benchmark::DoNotOptimize(updated);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.counters["catalog_rows"] =
-      static_cast<double>(reference.row_count());
-}
-BENCHMARK(BM_LookupJoinRoundTrip)->Range(8, 8192);
 
 void BM_LensSpecSerializeParse(benchmark::State& state) {
   auto lens = bx::Compose(

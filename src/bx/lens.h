@@ -105,8 +105,8 @@ class Lens {
   /// for deleted/updated rows are looked up in it; O(|delta| log |S|)).
   /// The returned delta is minimal: source changes invisible to the view
   /// are dropped, so an empty result means the view content is unchanged.
-  /// Lenses with no exact translation (the lookup join, grouped
-  /// projections) return Unimplemented — callers fall back to a full Get.
+  /// Lenses with no exact translation (grouped projections) return
+  /// Unimplemented — callers fall back to a full Get.
   Result<relational::TableDelta> PushDelta(
       const relational::Table& source_before,
       const relational::TableDelta& delta) const;

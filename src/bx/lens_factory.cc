@@ -1,7 +1,6 @@
 #include "bx/lens_factory.h"
 
 #include "bx/compose_lens.h"
-#include "bx/join_lens.h"
 #include "bx/project_lens.h"
 #include "bx/rename_lens.h"
 #include "bx/select_lens.h"
@@ -59,11 +58,6 @@ Result<LensPtr> LensFromJson(const Json& json) {
       renames.emplace_back(std::move(from), std::move(to));
     }
     return MakeRenameLens(std::move(renames));
-  }
-  if (kind == "lookup_join") {
-    MEDSYNC_ASSIGN_OR_RETURN(relational::Table reference,
-                             relational::Table::FromJson(json.At("reference")));
-    return MakeLookupJoinLens(std::move(reference));
   }
   if (kind == "compose") {
     const Json& stages_json = json.At("stages");

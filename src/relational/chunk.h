@@ -89,8 +89,8 @@ class Chunk {
   /// first use.
   const std::string& id() const;
 
-  /// Per-column storage, exposed for the vectorized scan paths inside
-  /// src/relational/ (query.cc select bitmaps, index.cc rebuilds).
+  /// Per-column storage, exposed for the vectorized select bitmaps in
+  /// src/relational/query.cc.
   struct Column {
     DataType type = DataType::kNull;
     /// Empty when no cell is NULL; otherwise one flag per row.

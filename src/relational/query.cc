@@ -1,7 +1,6 @@
 #include "relational/query.h"
 
 #include <map>
-#include <set>
 
 #include "common/strings.h"
 #include "relational/chunk.h"
@@ -265,109 +264,6 @@ Result<Table> Rename(
   Table out(out_schema);
   for (const auto& [key, row] : input.scan()) {
     MEDSYNC_RETURN_IF_ERROR(out.Insert(row));
-  }
-  return out;
-}
-
-Result<Table> NaturalJoin(const Table& left, const Table& right) {
-  const Schema& ls = left.schema();
-  const Schema& rs = right.schema();
-
-  // Shared attributes, in left order.
-  std::vector<std::pair<size_t, size_t>> shared;  // (left idx, right idx)
-  for (size_t i = 0; i < ls.attribute_count(); ++i) {
-    std::optional<size_t> j = rs.IndexOf(ls.attributes()[i].name);
-    if (!j.has_value()) continue;
-    if (ls.attributes()[i].type != rs.attributes()[*j].type) {
-      return Status::InvalidArgument(
-          StrCat("join attribute '", ls.attributes()[i].name,
-                 "' has mismatched types"));
-    }
-    shared.emplace_back(i, *j);
-  }
-  if (shared.empty()) {
-    return Status::InvalidArgument("natural join with no shared attributes");
-  }
-
-  std::vector<AttributeDef> out_attrs = ls.attributes();
-  std::vector<size_t> right_extra;
-  for (size_t j = 0; j < rs.attribute_count(); ++j) {
-    if (!ls.HasAttribute(rs.attributes()[j].name)) {
-      out_attrs.push_back(rs.attributes()[j]);
-      right_extra.push_back(j);
-    }
-  }
-
-  std::vector<std::string> out_keys = ls.key_attributes();
-  for (const std::string& key : rs.key_attributes()) {
-    bool present = false;
-    for (const std::string& existing : out_keys) {
-      if (existing == key) {
-        present = true;
-        break;
-      }
-    }
-    if (!present) out_keys.push_back(key);
-  }
-  // Key attributes of the joined relation must be non-nullable even if the
-  // corresponding column was nullable on one side (same tightening rule as
-  // projection).
-  for (AttributeDef& attr : out_attrs) {
-    for (const std::string& key : out_keys) {
-      if (attr.name == key) attr.nullable = false;
-    }
-  }
-  MEDSYNC_ASSIGN_OR_RETURN(Schema out_schema,
-                           Schema::Create(out_attrs, out_keys));
-
-  Table out(out_schema);
-  for (const auto& [lkey, lrow] : left.scan()) {
-    for (const auto& [rkey, rrow] : right.scan()) {
-      bool match = true;
-      for (const auto& [li, ri] : shared) {
-        if (lrow[li] != rrow[ri]) {
-          match = false;
-          break;
-        }
-      }
-      if (!match) continue;
-      Row joined = lrow;
-      for (size_t j : right_extra) joined.push_back(rrow[j]);
-      MEDSYNC_RETURN_IF_ERROR(out.Upsert(std::move(joined)));
-    }
-  }
-  return out;
-}
-
-Result<Table> Union(const Table& left, const Table& right) {
-  if (left.schema() != right.schema()) {
-    return Status::InvalidArgument("union requires identical schemas");
-  }
-  Table out = left;
-  for (const auto& [key, row] : right.scan()) {
-    std::optional<Row> existing = out.Get(key);
-    if (existing.has_value()) {
-      if (*existing != row) {
-        return Status::Conflict(
-            StrCat("union key collision with unequal rows at ",
-                   RowToString(key)));
-      }
-      continue;
-    }
-    MEDSYNC_RETURN_IF_ERROR(out.Insert(row));
-  }
-  return out;
-}
-
-Result<Table> Difference(const Table& left, const Table& right) {
-  if (left.schema() != right.schema()) {
-    return Status::InvalidArgument("difference requires identical schemas");
-  }
-  Table out(left.schema());
-  for (const auto& [key, row] : left.scan()) {
-    if (!right.Contains(key)) {
-      MEDSYNC_RETURN_IF_ERROR(out.Insert(row));
-    }
   }
   return out;
 }

@@ -33,19 +33,6 @@ Result<Table> Rename(
     const Table& input,
     const std::vector<std::pair<std::string, std::string>>& renames);
 
-/// ⋈: natural join on the shared attribute names. The result schema is
-/// left's attributes followed by right's non-shared attributes; the key is
-/// the union of both keys (deduplicated). Shared attributes must have equal
-/// types.
-Result<Table> NaturalJoin(const Table& left, const Table& right);
-
-/// Union of two tables with identical schemas; key collisions with unequal
-/// rows are an error.
-Result<Table> Union(const Table& left, const Table& right);
-
-/// Rows of `left` whose keys are absent from `right` (schemas must match).
-Result<Table> Difference(const Table& left, const Table& right);
-
 }  // namespace medsync::relational
 
 #endif  // MEDSYNC_RELATIONAL_QUERY_H_

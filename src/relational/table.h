@@ -184,9 +184,8 @@ class Table {
     seal_threshold_ = threshold == 0 ? 1 : threshold;
   }
 
-  // Storage-tier introspection for the vectorized paths inside
-  // src/relational/ (query.cc, index.cc) and the streamed checkpoint
-  // (database.cc). Outside callers use scan().
+  // Storage-tier introspection for the vectorized select in
+  // src/relational/query.cc and the streamed checkpoint (database.cc). Outside callers use scan().
   const std::vector<std::shared_ptr<const Chunk>>& chunks() const {
     return chunks_;
   }

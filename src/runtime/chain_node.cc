@@ -232,7 +232,7 @@ ChainNode::SealOutcome ChainNode::BuildLaneCandidate(Lane& lane) {
   if (!stale.empty()) lane.mempool.RemoveIncluded(stale);
   txs = std::move(fresh);
 
-  if (txs.empty() && !config_.seal_empty_blocks) return out;
+  if (txs.empty()) return out;
 
   Block block;
   block.header.lane = lane.chain.lane();

@@ -37,8 +37,6 @@ struct NodeConfig {
   size_t max_block_txs = 100;
   /// Whether this node produces blocks (a miner/authority).
   bool sealing_enabled = false;
-  /// Whether to seal blocks with an empty transaction list.
-  bool seal_empty_blocks = false;
   /// Number of independent chain lanes (shards). 1 = the classic single
   /// chain. With N > 1 the node keeps N chains + N mempool partitions and
   /// seals all lanes each tick (in parallel when `pool` is set); `lane_key`

@@ -204,6 +204,15 @@ TEST(LensFactoryTest, FromSpecTextParses) {
   EXPECT_EQ((*lens)->ToString(), "identity");
   EXPECT_FALSE(LensFromSpec("not json").ok());
   EXPECT_FALSE(LensFromSpec(R"({"lens":"warp"})").ok());
+  // No lens kind embeds a table: a lookup-join spec with a well-formed
+  // reference table is refused as an unknown kind, not half-parsed.
+  Json lookup_join = Json::MakeObject();
+  lookup_join.Set("lens", "lookup_join");
+  lookup_join.Set("reference", Fig1().ToJson());
+  Result<LensPtr> refused = LensFromSpec(lookup_join.Dump());
+  EXPECT_TRUE(refused.status().IsInvalidArgument()) << refused.status();
+  EXPECT_NE(refused.status().ToString().find("unknown lens kind"),
+            std::string::npos);
   EXPECT_FALSE(LensFromSpec(R"({"lens":"compose","stages":[]})").ok());
 }
 

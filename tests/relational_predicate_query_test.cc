@@ -163,61 +163,5 @@ TEST(RenameTest, RejectsBadRenames) {
   EXPECT_FALSE(Rename(Patients(), {{"id", "med"}}).ok());  // collision
 }
 
-TEST(NaturalJoinTest, JoinsOnSharedColumns) {
-  Table meds(*Schema::Create({{"med", DataType::kString, false},
-                              {"moa", DataType::kString, true}},
-                             {"med"}));
-  ASSERT_TRUE(
-      meds.Insert({Value::String("Ibuprofen"), Value::String("cox")}).ok());
-  ASSERT_TRUE(
-      meds.Insert({Value::String("Metformin"), Value::String("ampk")}).ok());
-
-  Result<Table> joined = NaturalJoin(Patients(), meds);
-  ASSERT_TRUE(joined.ok()) << joined.status();
-  EXPECT_EQ(joined->row_count(), 3u);
-  EXPECT_TRUE(joined->schema().HasAttribute("moa"));
-  auto row = joined->Get({Value::Int(2), Value::String("Metformin")});
-  ASSERT_TRUE(row.has_value());
-  EXPECT_EQ(row->back().AsString(), "ampk");
-}
-
-TEST(NaturalJoinTest, RejectsDisjointOrMistyped) {
-  Table other(*Schema::Create({{"x", DataType::kInt, false}}, {"x"}));
-  EXPECT_FALSE(NaturalJoin(Patients(), other).ok());
-  Table mistyped(*Schema::Create({{"med", DataType::kInt, false}}, {"med"}));
-  EXPECT_FALSE(NaturalJoin(Patients(), mistyped).ok());
-}
-
-TEST(UnionTest, MergesAndDetectsConflicts) {
-  Table a = Patients();
-  Table b(PatientsSchema());
-  ASSERT_TRUE(b.Insert({Value::Int(9), Value::Null(), Value::Null(),
-                        Value::Null()})
-                  .ok());
-  Result<Table> u = Union(a, b);
-  ASSERT_TRUE(u.ok());
-  EXPECT_EQ(u->row_count(), 4u);
-
-  Table conflicting(PatientsSchema());
-  ASSERT_TRUE(conflicting
-                  .Insert({Value::Int(1), Value::String("Other"),
-                           Value::Null(), Value::Null()})
-                  .ok());
-  EXPECT_TRUE(Union(a, conflicting).status().IsConflict());
-
-  Table wrong_schema(*Schema::Create({{"x", DataType::kInt, false}}, {"x"}));
-  EXPECT_FALSE(Union(a, wrong_schema).ok());
-}
-
-TEST(DifferenceTest, RemovesMatchingKeys) {
-  Table a = Patients();
-  Table b(PatientsSchema());
-  ASSERT_TRUE(b.Insert(*a.Get({Value::Int(1)})).ok());
-  Result<Table> d = Difference(a, b);
-  ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d->row_count(), 2u);
-  EXPECT_FALSE(d->Contains({Value::Int(1)}));
-}
-
 }  // namespace
 }  // namespace medsync::relational

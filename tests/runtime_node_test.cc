@@ -334,28 +334,6 @@ TEST_F(NodeClusterTest, PeersIgnoreForeignProtocolMessages) {
             nodes_[1]->blockchain().head().header.Hash());
 }
 
-TEST_F(NodeClusterTest, SealEmptyBlocksOption) {
-  network_ = std::make_unique<net::SimNetwork>(&simulator_, net::LatencyModel{},
-                                            7);
-  auto key = std::make_shared<crypto::KeyPair>(
-      crypto::KeyPair::FromSeed("solo-authority"));
-  auto sealer = std::make_shared<chain::PoaSealer>(
-      std::vector<crypto::Address>{key->address()}, key);
-  auto host = std::make_unique<contracts::ContractHost>();
-  NodeConfig config;
-  config.id = "solo";
-  config.block_interval = kBlockInterval;
-  config.sealing_enabled = true;
-  config.seal_empty_blocks = true;
-  ChainNode node(config, &simulator_, network_.get(), std::move(sealer),
-                 chain::Blockchain::MakeGenesis(simulator_.Now()),
-                 nullptr, std::move(host));
-  node.Start();
-  simulator_.RunFor(5 * kBlockInterval);
-  EXPECT_GE(node.blockchain().height(), 4u);
-  EXPECT_GE(node.blocks_sealed(), 4u);
-}
-
 // Regression (found by the ASan preset): SealTick reschedules itself with
 // a raw `this`, so destroying a sealing node while its next tick was still
 // queued in the shared simulator was a heap-use-after-free once the event
