@@ -272,6 +272,7 @@ Json ClinicDaemon::Report() {
     peer_stats.Set("acks_sent", static_cast<int64_t>(stats.acks_sent));
     peer_stats.Set("digest_mismatches",
                    static_cast<int64_t>(stats.digest_mismatches));
+    peer_stats.Set("fetches_full", static_cast<int64_t>(stats.fetches_full));
     info.Set("peer", std::move(peer_stats));
   }
 

@@ -9,6 +9,7 @@ namespace medsync::core {
 using relational::Key;
 using relational::Row;
 using relational::Table;
+using relational::TableDelta;
 using relational::Value;
 
 namespace {
@@ -23,7 +24,35 @@ constexpr int kMaxFetchRetries = 20;
 /// catch-up path.
 constexpr Micros kCatchUpInterval = 3 * kMicrosPerSecond;
 
+/// The receiver's check of a full fetch response: the contents must carry
+/// the on-chain digest. Returns the delta from `view` to them.
+Result<TableDelta> VerifyFetchedContents(const Table& view,
+                                         const Json& contents_json,
+                                         const std::string& expected_digest) {
+  MEDSYNC_ASSIGN_OR_RETURN(Table contents, Table::FromJson(contents_json));
+  if (contents.ContentDigest() != expected_digest) {
+    return Status::Corruption("contents miss the on-chain digest");
+  }
+  return relational::ComputeDelta(view, contents);
+}
+
 }  // namespace
+
+Result<TableDelta> VerifyFetchedDelta(const Table& view,
+                                      const Json& delta_json,
+                                      const std::string& expected_digest) {
+  MEDSYNC_ASSIGN_OR_RETURN(TableDelta delta, TableDelta::FromJson(delta_json));
+  MEDSYNC_RETURN_IF_ERROR(relational::ValidateDelta(delta, view));
+  // The copy shares the view's sealed chunks and carries its live-row
+  // accumulator, so the digest below costs O(|delta|) row hashes. It holds
+  // the view's content, against which the delta was just validated.
+  Table candidate = view;
+  MEDSYNC_RETURN_IF_ERROR(relational::ApplyValidatedDelta(delta, &candidate));
+  if (candidate.ContentDigest() != expected_digest) {
+    return Status::Corruption("delta lands off the on-chain digest");
+  }
+  return delta;
+}
 
 Peer::Peer(PeerConfig config, net::Scheduler* scheduler,
            net::Network* network, runtime::ChainNode* node)
@@ -236,11 +265,9 @@ void Peer::StartFetch(const std::string& table_id, uint64_t version,
   fetch.digest = digest;
   fetch.updater_name = updater_name;
   fetch.started_at = scheduler_->Now();
-  pending_fetches_[table_id] = fetch;
+  Json request = FetchRequest(fetch);
+  pending_fetches_[table_id] = std::move(fetch);
 
-  Json request = Json::MakeObject();
-  request.Set("table_id", table_id);
-  request.Set("version", version);
   RecordStep(5, 8, "fetch_request", table_id, "sent");
   LogIfError(SendToPeer(updater_name, "fetch_request", std::move(request)),
              "peer", "fetch request");
@@ -301,6 +328,7 @@ void Peer::SetMetrics(metrics::MetricsRegistry* registry) {
   counters_.cascades_blocked = registry->GetCounter("peer.cascades_blocked");
   counters_.digest_mismatches =
       registry->GetCounter("peer.digest_mismatches");
+  counters_.fetches_full = registry->GetCounter("peer.fetches_full");
 }
 
 chain::Transaction Peer::MakeTransaction(const crypto::Address& to,
@@ -414,7 +442,8 @@ Result<Peer::TableSyncState> Peer::GetSyncState(
 }
 
 Status Peer::ProposeViewContent(const std::string& table_id,
-                                Table new_view, std::string kind,
+                                Table new_view, TableDelta delta,
+                                std::string kind,
                                 std::vector<std::string> attributes,
                                 bool put_to_source) {
   auto it = tables_.find(table_id);
@@ -428,9 +457,14 @@ Status Peer::ProposeViewContent(const std::string& table_id,
     }
   }
 
+  MEDSYNC_ASSIGN_OR_RETURN(const Table* view,
+                           database_.GetTable(it->second.config.view_table));
   StagedUpdate staged;
   staged.table_id = table_id;
-  staged.digest = new_view.ContentDigest();
+  staged.change.base_version = it->second.version;
+  staged.change.base_digest = view->ContentDigest();
+  staged.change.digest = new_view.ContentDigest();
+  staged.change.delta = std::move(delta);
   staged.staged = std::move(new_view);
   staged.kind = kind;
   staged.attributes = attributes;
@@ -444,7 +478,7 @@ Status Peer::ProposeViewContent(const std::string& table_id,
   params.Set("table_id", table_id);
   params.Set("kind", kind);
   params.Set("attributes", std::move(attrs_json));
-  params.Set("digest", staged.digest);
+  params.Set("digest", staged.change.digest);
 
   chain::Transaction tx = MakeTransaction(it->second.config.contract,
                                           "request_update", std::move(params));
@@ -479,24 +513,30 @@ Status Peer::UpdateSharedAttribute(const std::string& table_id,
   RecordStep(4, 1, "update", table_id, "requested");
   MEDSYNC_ASSIGN_OR_RETURN(Table staged, ReadSharedTable(table_id));
   MEDSYNC_RETURN_IF_ERROR(staged.UpdateAttribute(key, attribute, value));
-  return ProposeViewContent(table_id, std::move(staged), "update",
-                            {attribute}, /*put_to_source=*/true);
+  TableDelta delta;
+  delta.updates.push_back(*staged.Get(key));
+  return ProposeViewContent(table_id, std::move(staged), std::move(delta),
+                            "update", {attribute}, /*put_to_source=*/true);
 }
 
 Status Peer::InsertSharedRow(const std::string& table_id, Row row) {
   RecordStep(4, 1, "create", table_id, "requested");
   MEDSYNC_ASSIGN_OR_RETURN(Table staged, ReadSharedTable(table_id));
+  TableDelta delta;
+  delta.inserts.push_back(row);
   MEDSYNC_RETURN_IF_ERROR(staged.Insert(std::move(row)));
-  return ProposeViewContent(table_id, std::move(staged), "insert", {},
-                            /*put_to_source=*/true);
+  return ProposeViewContent(table_id, std::move(staged), std::move(delta),
+                            "insert", {}, /*put_to_source=*/true);
 }
 
 Status Peer::DeleteSharedRow(const std::string& table_id, const Key& key) {
   RecordStep(4, 1, "delete", table_id, "requested");
   MEDSYNC_ASSIGN_OR_RETURN(Table staged, ReadSharedTable(table_id));
   MEDSYNC_RETURN_IF_ERROR(staged.Delete(key));
-  return ProposeViewContent(table_id, std::move(staged), "delete", {},
-                            /*put_to_source=*/true);
+  TableDelta delta;
+  delta.deletes.push_back(key);
+  return ProposeViewContent(table_id, std::move(staged), std::move(delta),
+                            "delete", {}, /*put_to_source=*/true);
 }
 
 Result<std::string> Peer::SubmitChangePermission(const std::string& table_id,
@@ -553,17 +593,24 @@ void Peer::FinalizeApprovedUpdate(StagedUpdate staged) {
   if (table_it == tables_.end()) return;
   TableState& state = table_it->second;
 
-  Status applied = sync_.ApplyViewContent(staged.table_id, staged.staged);
+  Status applied = [&]() -> Status {
+    MEDSYNC_ASSIGN_OR_RETURN(const Table* view,
+                             database_.GetTable(state.config.view_table));
+    if (view->ContentDigest() != staged.change.base_digest) {
+      // A fetched update landed on the view after staging; the approved
+      // content is still exactly what was staged.
+      MEDSYNC_ASSIGN_OR_RETURN(staged.change.delta,
+                               relational::ComputeDelta(*view, staged.staged));
+      staged.change.base_digest = view->ContentDigest();
+    }
+    staged.change.base_version = state.version;
+    return CommitViewDelta(state, std::move(staged.change), state.version + 1);
+  }();
   if (!applied.ok()) {
     Trace(StrCat("FAILED to apply approved update locally: ",
                  applied.ToString()));
     return;
   }
-  state.version += 1;
-  state.digest = staged.digest;
-  LogIfError(sync_.SetViewStale(staged.table_id, false), "peer",
-             "stale flag clear on commit");
-  PersistTableState(state);
   ++stats_.updates_committed;
   metrics::Inc(counters_.updates_committed);
   RecordStep(5, 4, "commit", staged.table_id, "committed");
@@ -630,10 +677,10 @@ void Peer::CascadeAfterSourceChange(const std::string& source_table,
     }
     Trace(StrCat("dependency check: view '", refresh.table_id,
                  "' affected, proposing ", kind));
-    Status proposed =
-        ProposeViewContent(refresh.table_id, std::move(refresh.new_view),
-                           kind, refresh.written_attributes,
-                           /*put_to_source=*/false);
+    Status proposed = ProposeViewContent(
+        refresh.table_id, std::move(refresh.new_view),
+        std::move(refresh.delta), kind, refresh.written_attributes,
+        /*put_to_source=*/false);
     if (proposed.ok()) {
       ++stats_.cascades_proposed;
       metrics::Inc(counters_.cascades_proposed);
@@ -692,11 +739,8 @@ void Peer::RetryFetch(const std::string& table_id) {
     pending_fetches_.erase(it);
     return;
   }
-  Json request = Json::MakeObject();
-  request.Set("table_id", table_id);
-  request.Set("version", fetch.version);
   LogIfError(
-      SendToPeer(fetch.updater_name, "fetch_request", std::move(request)),
+      SendToPeer(fetch.updater_name, "fetch_request", FetchRequest(fetch)),
       "peer", "fetch retry");
   scheduler_->Schedule(kFetchRetryDelay,
                        [this, alive = alive_, table_id] {
@@ -719,83 +763,154 @@ void Peer::OnMessage(const net::Message& message) {
   }
 }
 
+Json Peer::FetchRequest(const PendingFetch& fetch) const {
+  Json request = Json::MakeObject();
+  request.Set("table_id", fetch.table_id);
+  request.Set("version", fetch.version);
+  if (fetch.delta_rejected) return request;
+  auto table_it = tables_.find(fetch.table_id);
+  if (table_it == tables_.end()) return request;
+  Result<const SyncManager::ViewBinding*> binding =
+      sync_.FindBinding(fetch.table_id);
+  if (!binding.ok() || (*binding)->stale) return request;
+  Result<const Table*> view =
+      database_.GetTable(table_it->second.config.view_table);
+  if (!view.ok()) return request;
+  request.Set("have_version", table_it->second.version);
+  request.Set("have_digest", (*view)->ContentDigest());
+  return request;
+}
+
 void Peer::HandleFetchRequest(const net::Message& message) {
-  auto table_id = message.payload().GetString("table_id");
+  const Json& request = message.payload();
+  auto table_id = request.GetString("table_id");
   if (!table_id.ok()) return;
   auto table_it = tables_.find(*table_id);
   if (table_it == tables_.end()) return;
+  const TableState& state = table_it->second;
 
   // Serve the staged content if the requested update has not been
-  // finalized locally yet, otherwise the committed view table.
+  // finalized locally yet, otherwise the committed view table; each with
+  // the delta that produced it, if one is known.
   const Table* content = nullptr;
-  Table committed;
+  const ViewDelta* change = nullptr;
   for (const auto& [tx_id, staged] : staged_) {
     if (staged.table_id == *table_id) {
       content = &staged.staged;
+      change = &staged.change;
       break;
     }
   }
   if (content == nullptr) {
-    Result<Table> snapshot =
-        database_.Snapshot(table_it->second.config.view_table);
-    if (!snapshot.ok()) return;
-    committed = std::move(*snapshot);
-    content = &committed;
+    Result<const Table*> view = database_.GetTable(state.config.view_table);
+    if (!view.ok()) return;
+    content = *view;
+    if (state.last_delta.has_value() &&
+        state.last_delta->digest == content->ContentDigest()) {
+      change = &*state.last_delta;
+    }
   }
+  // The delta goes out only if it starts at exactly the base the receiver
+  // holds; otherwise the full view does.
+  auto have_version = request.GetInt("have_version");
+  auto have_digest = request.GetString("have_digest");
+  const bool send_delta =
+      change != nullptr && have_version.ok() && have_digest.ok() &&
+      *have_version == static_cast<int64_t>(change->base_version) &&
+      *have_digest == change->base_digest;
 
   ++stats_.fetches_served;
   metrics::Inc(counters_.fetches_served);
   Json response = Json::MakeObject();
   response.Set("table_id", *table_id);
-  response.Set("version", table_it->second.version);
+  response.Set("version", state.version);
   response.Set("digest", content->ContentDigest());
-  response.Set("contents", content->ToJson());
+  if (send_delta) {
+    response.Set("delta", change->delta.ToJson());
+  } else {
+    response.Set("contents", content->ToJson());
+  }
   LogIfError(SendToPeer(message.from, "fetch_response", std::move(response)),
              "peer", "fetch response");
 }
 
 void Peer::HandleFetchResponse(const net::Message& message) {
-  auto table_id = message.payload().GetString("table_id");
+  const Json& response = message.payload();
+  auto table_id = response.GetString("table_id");
   if (!table_id.ok()) return;
   auto fetch_it = pending_fetches_.find(*table_id);
   if (fetch_it == pending_fetches_.end()) return;  // stale response
+  PendingFetch& fetch = fetch_it->second;
+  auto table_it = tables_.find(*table_id);
+  if (table_it == tables_.end()) return;
 
-  auto digest = message.payload().GetString("digest");
+  auto digest = response.GetString("digest");
   if (!digest.ok()) return;
-  if (*digest != fetch_it->second.digest) {
+  if (*digest != fetch.digest) {
     // The updater has not finalized yet or sent stale data; the retry
     // timer will ask again.
     ++stats_.digest_mismatches;
     metrics::Inc(counters_.digest_mismatches);
     return;
   }
-  Result<Table> content = Table::FromJson(message.payload().At("contents"));
-  if (!content.ok()) {
-    Trace(StrCat("bad fetch response for '", *table_id,
-                 "': ", content.status().ToString()));
-    return;
-  }
-  if (content->ContentDigest() != *digest) {
+  Result<const Table*> view =
+      database_.GetTable(table_it->second.config.view_table);
+  if (!view.ok()) return;
+  // Nothing is exposed until the response is proven to land on the
+  // on-chain digest.
+  const bool is_delta = response.Has("delta");
+  Result<TableDelta> delta =
+      is_delta ? VerifyFetchedDelta(**view, response.At("delta"), fetch.digest)
+               : VerifyFetchedContents(**view, response.At("contents"),
+                                       fetch.digest);
+  if (!delta.ok()) {
     ++stats_.digest_mismatches;
     metrics::Inc(counters_.digest_mismatches);
+    // The retry asks for the full view instead.
+    if (is_delta) fetch.delta_rejected = true;
     RecordStep(5, 9, "verify_fetch", *table_id, "digest_mismatch");
     Trace(StrCat("fetch response for '", *table_id,
-                 "' fails digest verification; rejecting"));
+                 "' fails verification; rejecting: ",
+                 delta.status().ToString()));
     return;
   }
-  PendingFetch fetch = fetch_it->second;
+  if (!is_delta) {
+    ++stats_.fetches_full;
+    metrics::Inc(counters_.fetches_full);
+  }
+  ViewDelta change;
+  change.base_version = table_it->second.version;
+  change.base_digest = (*view)->ContentDigest();
+  change.digest = fetch.digest;
+  change.delta = std::move(*delta);
+  const uint64_t version = fetch.version;
+  const Micros started_at = fetch.started_at;
   pending_fetches_.erase(fetch_it);
-  Status applied = ApplyFetchedUpdate(*table_id, *content, fetch.version,
-                                      fetch.digest, fetch.started_at);
+  Status applied =
+      ApplyFetchedUpdate(*table_id, std::move(change), version, started_at);
   if (!applied.ok()) {
     Trace(StrCat("applying fetched update of '", *table_id,
                  "' failed: ", applied.ToString()));
   }
 }
 
+Status Peer::CommitViewDelta(TableState& state, ViewDelta change,
+                             uint64_t version) {
+  MEDSYNC_RETURN_IF_ERROR(
+      database_.ApplyTableDelta(state.config.view_table, change.delta));
+  state.version = version;
+  state.digest = change.digest;
+  state.last_delta = std::move(change);
+  // The view now matches the chain, so it is no longer stale (a committed
+  // or fetched update supersedes any earlier give-up).
+  LogIfError(sync_.SetViewStale(state.config.table_id, false), "peer",
+             "stale flag clear on commit");
+  PersistTableState(state);
+  return Status::OK();
+}
+
 Status Peer::ApplyFetchedUpdate(const std::string& table_id,
-                                const Table& content, uint64_t version,
-                                const std::string& digest,
+                                ViewDelta fetched, uint64_t version,
                                 Micros started_at) {
   auto table_it = tables_.find(table_id);
   if (table_it == tables_.end()) {
@@ -803,14 +918,7 @@ Status Peer::ApplyFetchedUpdate(const std::string& table_id,
   }
   TableState& state = table_it->second;
 
-  MEDSYNC_RETURN_IF_ERROR(sync_.ApplyViewContent(table_id, content));
-  state.version = version;
-  state.digest = digest;
-  // A successfully fetched update supersedes any earlier give-up: the view
-  // now matches the chain, so it is no longer stale.
-  LogIfError(sync_.SetViewStale(table_id, false), "peer",
-             "stale flag clear on fetch apply");
-  PersistTableState(state);
+  MEDSYNC_RETURN_IF_ERROR(CommitViewDelta(state, std::move(fetched), version));
   ++stats_.fetches_applied;
   metrics::Inc(counters_.fetches_applied);
   RecordStep(5, 9, "apply_fetch", table_id, "applied",
@@ -832,7 +940,7 @@ Status Peer::ApplyFetchedUpdate(const std::string& table_id,
   }
 
   // Ack on-chain so the update round can complete (Fig. 4 step 5/6).
-  MEDSYNC_RETURN_IF_ERROR(SubmitAck(state, version, digest));
+  MEDSYNC_RETURN_IF_ERROR(SubmitAck(state, version, state.digest));
   Trace(StrCat("acked '", table_id, "' version ", version, " on-chain"));
 
   if (change.ok()) {

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,15 @@ struct SharedTableConfig {
   bx::LensPtr lens;
   crypto::Address contract;
 };
+
+/// The receiver's check of a delta fetch response (Fig. 5 step 9): decodes
+/// `delta_json`, validates it against `view`, applies it to a chunk-sharing
+/// copy of `view` and compares the copy's content digest, which costs
+/// O(|delta|) row hashes, with the on-chain `expected_digest`. Returns the
+/// delta only if all of that passes; `view` is never changed.
+Result<relational::TableDelta> VerifyFetchedDelta(
+    const relational::Table& view, const Json& delta_json,
+    const std::string& expected_digest);
 
 /// A sharing peer: the Client + Server App + Database manager stack of the
 /// paper's Fig. 2, bound to a local Database and a trusted chain node.
@@ -239,7 +249,15 @@ class Peer : public net::Endpoint {
     uint64_t acks_sent = 0;
     uint64_t cascades_proposed = 0;
     uint64_t cascades_blocked = 0;
+    /// Fetch responses rejected before anything was exposed: a digest that
+    /// is not the on-chain one, contents that miss their digest, or a delta
+    /// that does not decode, validate or land on the on-chain digest.
     uint64_t digest_mismatches = 0;
+    /// Fetches applied from the full view instead of a delta: the heal
+    /// path after a stale view or a rejected delta, or when the responder
+    /// held no delta from the stated base (the fetch-side counterpart of
+    /// sync.full_fallbacks).
+    uint64_t fetches_full = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -262,17 +280,33 @@ class Peer : public net::Endpoint {
   void OnMessage(const net::Message& message) override;
 
  private:
+  /// A view delta with the state it starts from and the content digest it
+  /// lands on. A fetch response carries it instead of the whole view when
+  /// the receiver states exactly this base.
+  struct ViewDelta {
+    uint64_t base_version = 0;
+    std::string base_digest;
+    std::string digest;
+    relational::TableDelta delta;
+  };
+
   struct TableState {
     SharedTableConfig config;
     uint64_t version = 1;
     std::string digest;
+    /// The delta that produced the current view (this peer's own commit or
+    /// an applied fetch), kept to serve the counterpart's next fetch. Only
+    /// the last one is kept.
+    std::optional<ViewDelta> last_delta;
   };
 
   /// A locally staged update awaiting contract approval.
   struct StagedUpdate {
     std::string table_id;
     relational::Table staged;
-    std::string digest;
+    /// Current view -> `staged`; `change.digest` is the digest proposed
+    /// on-chain.
+    ViewDelta change;
     std::string kind;
     std::vector<std::string> attributes;
     /// Whether to run lens put into the source after approval (false when
@@ -293,14 +327,19 @@ class Peer : public net::Endpoint {
     /// Sim time the first fetch_request went out (step 8) — the step-9
     /// apply span is measured from here.
     Micros started_at = 0;
+    /// A delta response to this fetch was rejected: later requests ask
+    /// for the full view.
+    bool delta_rejected = false;
   };
 
   chain::Transaction MakeTransaction(const crypto::Address& to,
                                      const std::string& method, Json params);
 
-  /// Stages `new_view` and submits a request_update transaction.
+  /// Stages `new_view`, which `delta` takes the current view to, and
+  /// submits a request_update transaction.
   Status ProposeViewContent(const std::string& table_id,
-                            relational::Table new_view, std::string kind,
+                            relational::Table new_view,
+                            relational::TableDelta delta, std::string kind,
                             std::vector<std::string> attributes,
                             bool put_to_source);
 
@@ -317,12 +356,21 @@ class Peer : public net::Endpoint {
   /// put into the source, and cascade.
   void FinalizeApprovedUpdate(StagedUpdate staged);
 
-  /// Applies a fetched foreign update and acks it on-chain. `started_at`
-  /// is the sim time the fetch began (for the step-9 span).
-  Status ApplyFetchedUpdate(const std::string& table_id,
-                            const relational::Table& content,
-                            uint64_t version, const std::string& digest,
-                            Micros started_at);
+  /// Applies a fetched and verified foreign update (`fetched` takes the
+  /// local view to the on-chain content) and acks it on-chain.
+  /// `started_at` is the sim time the fetch began (for the step-9 span).
+  Status ApplyFetchedUpdate(const std::string& table_id, ViewDelta fetched,
+                            uint64_t version, Micros started_at);
+
+  /// Applies `change` to the view of `state` (a validate-then-apply
+  /// database delta), moves the table to `version` and `change.digest`,
+  /// and keeps `change` as the table's last delta.
+  Status CommitViewDelta(TableState& state, ViewDelta change,
+                         uint64_t version);
+
+  /// The fetch_request for `fetch`. It states the local view as a delta
+  /// base unless the view is stale or a delta for this fetch was rejected.
+  Json FetchRequest(const PendingFetch& fetch) const;
 
   /// Submits an ack_update transaction for `version`/`digest` of the
   /// table. Used on every fetch apply and by SyncWithChain when an earlier
@@ -393,6 +441,7 @@ class Peer : public net::Endpoint {
     metrics::Counter* cascades_proposed = nullptr;
     metrics::Counter* cascades_blocked = nullptr;
     metrics::Counter* digest_mismatches = nullptr;
+    metrics::Counter* fetches_full = nullptr;
   };
   StatCounters counters_;
   bool started_ = false;

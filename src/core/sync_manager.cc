@@ -336,18 +336,4 @@ Status SyncManager::ApplyRefresh(const ViewRefresh& refresh) {
   return database_->ReplaceTable(binding->view_table, refresh.new_view);
 }
 
-Status SyncManager::ApplyViewContent(const std::string& table_id,
-                                     const Table& content) {
-  MEDSYNC_ASSIGN_OR_RETURN(const ViewBinding* binding, FindBinding(table_id));
-  if (maintenance_ == ViewMaintenance::kIncremental) {
-    MEDSYNC_ASSIGN_OR_RETURN(const Table* current,
-                             database_->GetTable(binding->view_table));
-    MEDSYNC_ASSIGN_OR_RETURN(TableDelta delta,
-                             relational::ComputeDelta(*current, content));
-    // ApplyTableDelta skips the WAL for an empty delta.
-    return database_->ApplyTableDelta(binding->view_table, delta);
-  }
-  return database_->ReplaceTable(binding->view_table, content);
-}
-
 }  // namespace medsync::core

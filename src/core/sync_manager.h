@@ -126,12 +126,6 @@ class SyncManager {
   /// mode.
   Status ApplyRefresh(const ViewRefresh& refresh);
 
-  /// Applies full replacement content (e.g. a fetched remote update) to
-  /// the materialized view table. In incremental mode the content is
-  /// diffed against the current materialization and committed as a delta.
-  Status ApplyViewContent(const std::string& table_id,
-                          const relational::Table& content);
-
   /// Marks `table_id`'s materialization as lagging its source (a blocked
   /// or failed propagation). A stale view is excluded from the
   /// incremental path — its content no longer equals Get(source-before),

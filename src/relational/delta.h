@@ -12,9 +12,15 @@ namespace medsync::relational {
 
 /// A keyed row-level difference between two versions of a table with the
 /// same schema. Deltas are what sharing peers actually transfer after an
-/// update is approved on-chain (step 4/10 of the paper's Fig. 5 "fetch this
-/// update on shared data"): instead of re-sending the whole view, the
-/// provider ships the delta and the receiver applies it.
+/// update is approved on-chain (steps 8-9 of the paper's Fig. 5, "fetch
+/// this update on shared data"): a fetch_request states the receiver's
+/// version and view digest, and when the provider's last delta starts at
+/// exactly that base it ships the delta instead of the whole view. Before
+/// exposing anything the receiver validates the delta against its view,
+/// applies it to a chunk-sharing copy and checks the copy's content digest
+/// (O(|delta|) row hashes) against the on-chain one
+/// (core::VerifyFetchedDelta); a delta that fails any step is rejected and
+/// the retry asks for the whole view.
 struct TableDelta {
   /// Rows present in `after` but not `before`.
   std::vector<Row> inserts;

@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "core/audit.h"
 #include "contracts/metadata_contract.h"
 #include "core/scenario.h"
 #include "medical/records.h"
+#include "net/reliable_channel.h"
+#include "relational/delta.h"
 
 namespace medsync::core {
 namespace {
@@ -19,6 +24,7 @@ using medical::kDosage;
 using medical::kMechanismOfAction;
 using medical::kMedicationName;
 using relational::Table;
+using relational::TableDelta;
 using relational::Value;
 
 constexpr char kPD[] = "D13&D31";  // patient <-> doctor
@@ -393,6 +399,258 @@ TEST_F(PeerScenarioTest, ReadIsLocalAndChainFree) {
   clinic_->simulator().RunFor(100 * kMicrosPerMilli);
   // Reads produced no transactions and no blocks.
   EXPECT_EQ(clinic_->node(0).blockchain().height(), height_before);
+}
+
+// -- Fetch path: delta responses and the checks that reject a fetch --------
+
+/// Stands between the patient and the doctor on the fetch path. The patient
+/// resolves the doctor's address to "mallory", so its fetch requests come
+/// here; mallory forwards each to the doctor and relays the doctor's
+/// response to the patient, after `tamper` rewrote the first one. It
+/// records every request and response, and the patient's view and
+/// mismatch count as each request arrives.
+class FetchProxy : public net::Endpoint {
+ public:
+  using Tamper = std::function<Json(const Json& honest)>;
+
+  FetchProxy(ClinicScenario* clinic, Tamper tamper)
+      : clinic_(clinic),
+        tamper_(std::move(tamper)),
+        channel_("mallory", &clinic->simulator(), &clinic->network(), this) {
+    channel_.Attach();
+    clinic_->patient().AddKnownPeer("mallory", clinic_->doctor().address());
+  }
+  ~FetchProxy() override { channel_.Detach(); }
+
+  void OnMessage(const net::Message& message) override {
+    if (message.type == "fetch_request") {
+      requests.push_back(message.payload());
+      views_at_request.push_back(*clinic_->patient().ReadSharedTable(kPD));
+      mismatches_at_request.push_back(
+          clinic_->patient().stats().digest_mismatches);
+      clinic_->doctor().OnMessage(net::Message(
+          "mallory", "doctor", message.type, message.payload()));
+    } else if (message.type == "fetch_response") {
+      responses.push_back(message.payload());
+      Json relayed = responses.size() == 1 && tamper_
+                         ? tamper_(message.payload())
+                         : message.payload();
+      Status sent = channel_.Send(
+          net::Message("mallory", "patient", message.type, std::move(relayed)));
+      EXPECT_TRUE(sent.ok()) << sent;
+    }
+  }
+
+  std::vector<Json> requests;
+  std::vector<Json> responses;
+  std::vector<Table> views_at_request;
+  std::vector<uint64_t> mismatches_at_request;
+
+ private:
+  ClinicScenario* clinic_;
+  Tamper tamper_;
+  net::ReliableChannel channel_;
+};
+
+/// A fetch response with `field` ("delta" or "contents") set to `body` and
+/// the honest response's table id, version and digest.
+Json ResponseWith(const Json& honest, const char* field, Json body) {
+  Json response = Json::MakeObject();
+  response.Set("table_id", honest.At("table_id"));
+  response.Set("version", honest.At("version"));
+  response.Set("digest", honest.At("digest"));
+  response.Set(field, std::move(body));
+  return response;
+}
+
+class FetchPathTest : public PeerScenarioTest {
+ protected:
+  void SetUp() override {
+    PeerScenarioTest::SetUp();
+    before_ = *clinic_->patient().ReadSharedTable(kPD);
+  }
+
+  /// The doctor's dosage update of patient 188, settled.
+  void UpdateAndSettle() {
+    ASSERT_TRUE(clinic_->doctor()
+                    .UpdateSharedAttribute(kPD, {Value::Int(188)}, kDosage,
+                                           Value::String("two tablets"))
+                    .ok());
+    Settle();
+  }
+
+  /// The patient's view after the update: version 2, equal to the
+  /// doctor's, on the on-chain digest, acked.
+  void ExpectLandedOnChain() {
+    Table view = *clinic_->patient().ReadSharedTable(kPD);
+    EXPECT_EQ(view, *clinic_->doctor().ReadSharedTable(kPD));
+    EXPECT_EQ(view.Get({Value::Int(188)})->at(3).AsString(), "two tablets");
+    Json entry = *clinic_->Entry(kPD);
+    EXPECT_EQ(*entry.GetInt("version"), 2);
+    EXPECT_EQ(*entry.GetString("content_digest"), view.ContentDigest());
+    EXPECT_EQ(entry.At("pending_acks").size(), 0u);
+    EXPECT_EQ(clinic_->patient().GetSyncState(kPD)->version, 2u);
+    EXPECT_EQ(clinic_->patient().stats().fetches_applied, 1u);
+    EXPECT_EQ(clinic_->patient().stats().acks_sent, 1u);
+  }
+
+  /// Runs the update with the first response rewritten by `tamper`, then
+  /// checks that the receiver rejected it without exposing anything, that
+  /// its retry stated (or omitted) its base as `retry_states_base` says,
+  /// and that the retry landed on the on-chain digest.
+  void ExpectRejectedThenHealed(const FetchProxy::Tamper& tamper,
+                                bool retry_states_base) {
+    FetchProxy proxy(clinic_.get(), tamper);
+    UpdateAndSettle();
+    ASSERT_EQ(proxy.requests.size(), 2u);
+    EXPECT_TRUE(proxy.requests[0].Has("have_version"));
+    // When the retry went out, the rejected response had changed nothing.
+    EXPECT_EQ(proxy.views_at_request[1], before_);
+    EXPECT_EQ(proxy.mismatches_at_request[1], 1u);
+    EXPECT_EQ(proxy.requests[1].Has("have_version"), retry_states_base);
+    EXPECT_EQ(proxy.requests[1].Has("have_digest"), retry_states_base);
+    // A stated base gets the delta, no stated base the full view.
+    ASSERT_EQ(proxy.responses.size(), 2u);
+    EXPECT_EQ(proxy.responses[1].Has("delta"), retry_states_base);
+    EXPECT_EQ(proxy.responses[1].Has("contents"), !retry_states_base);
+    ExpectLandedOnChain();
+    EXPECT_EQ(clinic_->patient().stats().digest_mismatches, 1u);
+    EXPECT_EQ(clinic_->patient().stats().fetches_full,
+              retry_states_base ? 0u : 1u);
+  }
+
+  Table before_;
+};
+
+TEST_F(FetchPathTest, HonestFetchShipsTheDeltaFromTheStatedBase) {
+  FetchProxy proxy(clinic_.get(), nullptr);
+  UpdateAndSettle();
+  ASSERT_EQ(proxy.requests.size(), 1u);
+  EXPECT_EQ(*proxy.requests[0].GetInt("have_version"), 1);
+  EXPECT_EQ(*proxy.requests[0].GetString("have_digest"),
+            before_.ContentDigest());
+  ASSERT_EQ(proxy.responses.size(), 1u);
+  EXPECT_FALSE(proxy.responses[0].Has("contents"));
+  Result<TableDelta> shipped =
+      TableDelta::FromJson(proxy.responses[0].At("delta"));
+  ASSERT_TRUE(shipped.ok()) << shipped.status();
+  EXPECT_EQ(shipped->updates.size(), 1u);
+  EXPECT_EQ(shipped->size(), 1u);
+  ExpectLandedOnChain();
+  EXPECT_EQ(clinic_->patient().stats().digest_mismatches, 0u);
+  EXPECT_EQ(clinic_->patient().stats().fetches_full, 0u);
+}
+
+TEST_F(FetchPathTest, EveryCommitOfARunShipsADelta) {
+  // Without a proxy: updates by both sides and a cascade to the
+  // researcher, each fetched as a delta (no full view is applied).
+  ASSERT_TRUE(clinic_->doctor()
+                  .UpdateSharedAttribute(kPD, {Value::Int(188)}, kDosage,
+                                         Value::String("two tablets"))
+                  .ok());
+  Settle();
+  ASSERT_TRUE(clinic_->patient()
+                  .UpdateSharedAttribute(kPD, {Value::Int(188)},
+                                         kClinicalData,
+                                         Value::String("self-reported"))
+                  .ok());
+  Settle();
+  ASSERT_TRUE(clinic_->doctor()
+                  .UpdateSharedAttribute(kPD, {Value::Int(188)},
+                                         kMedicationName,
+                                         Value::String("Naproxen"))
+                  .ok());
+  Settle();
+  EXPECT_EQ(*clinic_->Entry(kPD)->GetInt("version"), 4);
+  EXPECT_EQ(*clinic_->Entry(kDR)->GetInt("version"), 2);
+  EXPECT_EQ(*clinic_->patient().ReadSharedTable(kPD),
+            *clinic_->doctor().ReadSharedTable(kPD));
+  EXPECT_EQ(*clinic_->researcher().ReadSharedTable(kDR),
+            *clinic_->doctor().ReadSharedTable(kDR));
+  uint64_t applied = 0;
+  for (Peer* peer : {&clinic_->doctor(), &clinic_->patient(),
+                     &clinic_->researcher()}) {
+    EXPECT_EQ(peer->stats().fetches_full, 0u) << peer->name();
+    EXPECT_EQ(peer->stats().digest_mismatches, 0u) << peer->name();
+    applied += peer->stats().fetches_applied;
+  }
+  EXPECT_EQ(applied, 4u);
+}
+
+TEST_F(FetchPathTest, DriftedBaseGetsTheFullViewAndHeals) {
+  // The patient's view no longer holds the base its version names, so the
+  // doctor's delta does not start there: the full view answers the stated
+  // base, and the fetch counts as a full one.
+  ASSERT_TRUE(clinic_->patient()
+                  .database()
+                  .UpdateAttribute("D13", {Value::Int(189)}, kDosage,
+                                   Value::String("drifted"))
+                  .ok());
+  FetchProxy proxy(clinic_.get(), nullptr);
+  UpdateAndSettle();
+  ASSERT_EQ(proxy.responses.size(), 1u);
+  EXPECT_TRUE(proxy.requests[0].Has("have_version"));
+  EXPECT_TRUE(proxy.responses[0].Has("contents"));
+  ExpectLandedOnChain();
+  EXPECT_EQ(clinic_->patient().stats().fetches_full, 1u);
+  EXPECT_EQ(clinic_->patient().stats().digest_mismatches, 0u);
+}
+
+TEST_F(FetchPathTest, RejectsFullViewWhoseRowsMissItsDigest) {
+  ExpectRejectedThenHealed(
+      [this](const Json& honest) {
+        Table forged = before_;
+        EXPECT_TRUE(forged
+                        .UpdateAttribute({Value::Int(189)}, kDosage,
+                                         Value::String("forged"))
+                        .ok());
+        return ResponseWith(honest, "contents", forged.ToJson());
+      },
+      /*retry_states_base=*/true);
+}
+
+TEST_F(FetchPathTest, RejectsDeltaThatLandsOffTheOnChainDigest) {
+  ExpectRejectedThenHealed(
+      [](const Json& honest) {
+        Result<TableDelta> delta = TableDelta::FromJson(honest.At("delta"));
+        EXPECT_TRUE(delta.ok() && delta->updates.size() == 1u);
+        if (delta.ok() && !delta->updates.empty()) {
+          delta->updates[0][3] = Value::String("three tablets");
+        }
+        return ResponseWith(honest, "delta", delta->ToJson());
+      },
+      /*retry_states_base=*/false);
+}
+
+TEST_F(FetchPathTest, RejectsDeltaBuiltOnTheWrongBase) {
+  ExpectRejectedThenHealed(
+      [this](const Json& honest) {
+        // The delta from a base holding an extra row to the right target.
+        Table target = before_;
+        EXPECT_TRUE(relational::ApplyDelta(
+                        *TableDelta::FromJson(honest.At("delta")), &target)
+                        .ok());
+        Table wrong_base = before_;
+        EXPECT_TRUE(wrong_base
+                        .Insert({Value::Int(999), Value::String("Aspirin"),
+                                 Value::String("CliD9"),
+                                 Value::String("81 mg")})
+                        .ok());
+        Result<TableDelta> delta = relational::ComputeDelta(wrong_base, target);
+        EXPECT_TRUE(delta.ok());
+        return ResponseWith(honest, "delta", delta->ToJson());
+      },
+      /*retry_states_base=*/false);
+}
+
+TEST_F(FetchPathTest, RejectsMalformedDelta) {
+  ExpectRejectedThenHealed(
+      [](const Json& honest) {
+        Json malformed = Json::MakeObject();
+        malformed.Set("updates", "not an array");
+        return ResponseWith(honest, "delta", std::move(malformed));
+      },
+      /*retry_states_base=*/false);
 }
 
 }  // namespace

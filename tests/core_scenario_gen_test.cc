@@ -189,9 +189,14 @@ TEST(ScenarioGenTest, SmallWorldConvergesWithRepeatableFingerprint) {
   // gossip stopped going to peers (chain-node group only): the message
   // counters the fingerprint hashes fell, and fewer messages draw fewer
   // latencies from the network RNG, so block timestamps and head hashes
-  // moved too.
+  // moved too. Re-pinned when fetch responses began to carry the view
+  // delta instead of the whole view: the hashed metrics snapshot has a
+  // smaller net.bytes and the new peer.fetches_full counter. Simulated
+  // time, chain heads and LaneInvariantFingerprint (below) did not move.
   EXPECT_EQ(first.fingerprint,
-            "95229c06cca8900c97b383c691b4c81e689e48801cd88055173d1c7d0a713c21");
+            "9f0ee122b815fcb20c1de636a6d3c2cf95d440de8089bf0d1cad118d55b7d898");
+  EXPECT_EQ(first.lane_invariant_fingerprint,
+            "74ea61e994317bef7c4a4201d63bb544c66fc19f9dea29c7834a441ebd38bea8");
 }
 
 TEST(ScenarioGenTest, GeneratedWorldStartsAtSeedDerivedEpoch) {

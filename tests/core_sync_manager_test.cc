@@ -279,18 +279,6 @@ TEST_F(SyncManagerTest, StaleViewFallsBackToFullGet) {
             "30mg");
 }
 
-TEST_F(SyncManagerTest, ApplyViewContent) {
-  ASSERT_TRUE(sync_.RegisterView("D13&D31", "D3", "D31", lens31_).ok());
-  Table replacement = *db_.Snapshot("D31");
-  ASSERT_TRUE(replacement
-                  .UpdateAttribute({Value::Int(189)}, kClinicalData,
-                                   Value::String("fetched content"))
-                  .ok());
-  ASSERT_TRUE(sync_.ApplyViewContent("D13&D31", replacement).ok());
-  EXPECT_EQ(*db_.Snapshot("D31"), replacement);
-  EXPECT_FALSE(sync_.ApplyViewContent("nope", replacement).ok());
-}
-
 TEST_F(SyncManagerTest, RoundTripPutThenDeriveIsConsistent) {
   // PutGet at the manager level: put a view edit into the source, then
   // re-derive — must reproduce the edited view exactly.

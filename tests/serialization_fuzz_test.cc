@@ -2,7 +2,8 @@
 // the protocol depends on: JSON documents, tables, deltas, lens specs,
 // transactions, and blocks. A wire-format asymmetry anywhere here would
 // silently break digests, signatures, or replica determinism, so these
-// sweeps are cheap insurance.
+// sweeps are cheap insurance. The fetch_response delta payload is also fed
+// hostile bytes and hostile structure through the receiver's check.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "chain/block.h"
 #include "common/random.h"
 #include "common/strings.h"
+#include "core/peer.h"
 #include "medical/generator.h"
 #include "medical/records.h"
 #include "relational/delta.h"
@@ -222,6 +224,142 @@ TEST_P(FuzzTest, LensSpecsRoundTripAndBehaveIdentically) {
   ASSERT_TRUE(v1.ok());
   ASSERT_TRUE(v2.ok());
   EXPECT_EQ(*v1, *v2);
+}
+
+/// One structural mutation of a delta payload: rows dropped, duplicated,
+/// moved between sections or reshaped, values retyped, sections replaced.
+void MutateDeltaStructure(Rng* rng, Json* delta) {
+  static const char* const kSections[] = {"inserts", "deletes", "updates"};
+  Json& section = delta->AsObject()[kSections[rng->NextBelow(3)]];
+  if (!section.is_array() || section.AsArray().empty() ||
+      rng->NextBool(0.1)) {
+    section = RandomJson(rng, 2);
+    return;
+  }
+  Json::Array& rows = section.AsArray();
+  const size_t r = rng->NextIndex(rows.size());
+  switch (rng->NextBelow(6)) {
+    case 0:
+      rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(r));
+      break;
+    case 1:
+      rows.push_back(rows[r]);
+      break;
+    case 2: {
+      Json moved = rows[r];
+      rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(r));
+      delta->AsObject()[kSections[rng->NextBelow(3)]].Append(
+          std::move(moved));
+      break;
+    }
+    case 3:
+      if (rows[r].is_array() && !rows[r].AsArray().empty()) {
+        rows[r].AsArray().pop_back();
+      } else {
+        rows[r] = RandomJson(rng, 1);
+      }
+      break;
+    case 4:
+      if (rows[r].is_array() && !rows[r].AsArray().empty()) {
+        Json::Array& values = rows[r].AsArray();
+        values[rng->NextIndex(values.size())] = RandomJson(rng, 0);
+      }
+      break;
+    default:
+      rows[r].Append(RandomJson(rng, 0));
+      break;
+  }
+}
+
+TEST_P(FuzzTest, FetchedDeltaPayloadIsRejectedOrLandsOnTarget) {
+  Rng rng(GetParam());
+  medical::GeneratorConfig config;
+  config.seed = GetParam() * 7907 + 11;
+  config.record_count = 40;
+  relational::Table view = medical::GenerateFullRecords(config);
+  // Sealed chunks, so the receiver's copy shares them.
+  view.set_seal_threshold(8);
+  view.Seal();
+  relational::Table target = view;
+  std::vector<relational::Row> rows = view.RowsInKeyOrder();
+  for (int i = 0; i < 6; ++i) {
+    const relational::Row& victim = rows[rng.NextIndex(rows.size())];
+    relational::Key key = relational::KeyOf(view.schema(), victim);
+    if (rng.NextBool(0.25)) {
+      IgnoreStatusForTest(target.Delete(key));
+    } else if (rng.NextBool(0.3)) {
+      relational::Row fresh = victim;
+      fresh[0] = relational::Value::Int(static_cast<int64_t>(
+          config.first_patient_id + config.record_count + i));
+      IgnoreStatusForTest(target.Insert(std::move(fresh)));
+    } else {
+      IgnoreStatusForTest(target.UpdateAttribute(
+          key, medical::kDosage,
+          relational::Value::String(rng.NextAlnumString(6))));
+    }
+  }
+  const std::string digest = target.ContentDigest();
+  const relational::Table original = view;
+  const std::string original_digest = view.ContentDigest();
+  Result<relational::TableDelta> honest =
+      relational::ComputeDelta(view, target);
+  ASSERT_TRUE(honest.ok());
+  Json response = Json::MakeObject();
+  response.Set("table_id", "D13&D31");
+  response.Set("version", 2);
+  response.Set("digest", digest);
+  response.Set("delta", honest->ToJson());
+
+  // The receiver's check accepts the payload, or rejects it with a
+  // status; an accepted one lands exactly on the full fetch's table.
+  size_t accepted = 0;
+  auto check = [&](const Json& payload) {
+    Result<relational::TableDelta> verified =
+        core::VerifyFetchedDelta(view, payload.At("delta"), digest);
+    EXPECT_EQ(view, original);
+    EXPECT_EQ(view.ContentDigest(), original_digest);
+    if (!verified.ok()) return;
+    ++accepted;
+    relational::Table applied = view;
+    ASSERT_TRUE(relational::ApplyDelta(*verified, &applied).ok());
+    EXPECT_EQ(applied, target);
+  };
+  check(response);
+  ASSERT_EQ(accepted, 1u);
+
+  // Byte mutations of the whole fetch_response body, decoded as the socket
+  // transport decodes wire bytes.
+  const std::string text = response.Dump();
+  for (int i = 0; i < 200; ++i) {
+    std::string mutated = text;
+    for (int n = 1 + static_cast<int>(rng.NextBelow(3)); n > 0; --n) {
+      const size_t pos = rng.NextBelow(mutated.size());
+      switch (rng.NextBelow(3)) {
+        case 0:
+          mutated[pos] = static_cast<char>(rng.NextBelow(256));
+          break;
+        case 1:
+          mutated.insert(pos, 1, static_cast<char>(rng.NextBelow(256)));
+          break;
+        default:
+          mutated.erase(pos, 1);
+          break;
+      }
+    }
+    Result<Json> parsed = Json::ParseWire(mutated);
+    if (parsed.ok()) check(*parsed);
+  }
+
+  // Structural mutations of the delta itself.
+  for (int i = 0; i < 200; ++i) {
+    Json mutated = response;
+    Json delta = response.At("delta");
+    for (int n = 1 + static_cast<int>(rng.NextBelow(3)); n > 0; --n) {
+      MutateDeltaStructure(&rng, &delta);
+    }
+    mutated.Set("delta", std::move(delta));
+    check(mutated);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest,

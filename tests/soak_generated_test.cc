@@ -6,8 +6,8 @@
 // assertion message carries a medsync_cli replay handle.
 //
 // Registered with ctest under the `soak` label (one entry per seed, see
-// tests/CMakeLists.txt); tools/check.sh skips the label by default and
-// includes it with --full.
+// tests/CMakeLists.txt); tier-1 ctest, CI and tools/check.sh run it with
+// the rest.
 
 #include <gtest/gtest.h>
 #include <unistd.h>

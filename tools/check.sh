@@ -4,9 +4,10 @@
 #   2. build (clang: -Werror=thread-safety; gcc: annotations are no-ops)
 #   3. medsync-sca over the tree (per-line rules MS001-MS009, whole-program
 #      rules MS101-MS104) + its fixture self-test
-#   4. tier-1 ctest
+#   4. tier-1 ctest, the generated soak suite (label `soak`, DESIGN.md
+#      section 13) included
 #   5. sharded-lane suite (`ctest -L lanes`, quick legs; the heavy
-#      lane-determinism soak leg carries both labels and rides in --full)
+#      lane-determinism soak leg carries both labels and ran in stage 4)
 #   6. columnar storage suite (`ctest -L storage`: chunk format + LZ codec,
 #      chunked-vs-row equivalence properties, million-row
 #      seal/scan/checkpoint/recover — DESIGN.md section 15)
@@ -16,21 +17,12 @@
 #      section 16)
 #
 # Usage: tools/check.sh [build-dir]          (default: build-check)
-#        tools/check.sh --full [dir]         also run the `soak` label
-#                                            (generated 100-peer networks,
-#                                            ~3 min serial; see DESIGN.md
-#                                            section 13)
 #
 # A pre-push gate, not a ctest entry: the analyzer stage on its own is the
 # `lint` label (`ctest -L lint`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FULL=0
-if [[ "${1:-}" == "--full" ]]; then
-  FULL=1
-  shift
-fi
 BUILD_DIR="${1:-build-check}"
 
 echo "== [1/7] configure ($BUILD_DIR) =="
@@ -43,17 +35,11 @@ python3 tools/medsync_sca.py
 python3 tools/medsync_sca_test.py
 
 echo "== [4/7] tier-1 ctest =="
-# -LE lint: the analyzer stage just ran above. The generated soak suite
-# (label `soak`) is excluded from the default tier and included by --full.
-EXCLUDE='lint|soak'
-if [[ "$FULL" == 1 ]]; then
-  EXCLUDE='lint'
-fi
-ctest --test-dir "$BUILD_DIR" --output-on-failure -LE "$EXCLUDE" \
-  -j"$(nproc)"
+# -LE lint: the analyzer stage just ran above.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -LE lint -j"$(nproc)"
 echo "== [5/7] sharded-lane suite (ctest -L lanes) =="
-# Quick legs only by default; --full already covered the soak-labeled
-# lane-determinism leg in stage 4, so always exclude `soak` here.
+# Quick legs only: stage 4 already ran the soak-labeled lane-determinism
+# leg.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L lanes -LE soak \
   -j"$(nproc)"
 echo "== [6/7] columnar storage suite (ctest -L storage) =="
