@@ -82,9 +82,7 @@ Result<SourceFootprint> IdentityLens::Footprint(
   SourceFootprint fp;
   for (const relational::AttributeDef& attr : source_schema.attributes()) {
     fp.read.insert(attr.name);
-    fp.written.insert(attr.name);
   }
-  fp.affects_membership = true;
   return fp;
 }
 
@@ -92,17 +90,6 @@ Json IdentityLens::ToJson() const {
   Json out = Json::MakeObject();
   out.Set("lens", "identity");
   return out;
-}
-
-bool FootprintsMayOverlap(const SourceFootprint& a, const SourceFootprint& b) {
-  if (a.affects_membership || b.affects_membership) return true;
-  for (const std::string& attr : a.written) {
-    if (b.read.count(attr) > 0) return true;
-  }
-  for (const std::string& attr : b.written) {
-    if (a.read.count(attr) > 0) return true;
-  }
-  return false;
 }
 
 }  // namespace medsync::bx

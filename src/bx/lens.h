@@ -42,19 +42,13 @@ struct AnnotatedDelta {
 };
 
 /// The set of source attributes a lens's view content depends on. Used by
-/// the overlap analysis behind step 6 of the paper's Fig. 5 workflow: two
-/// views of the same source are independent if their footprints are
-/// disjoint, in which case writing one back can never change the other.
+/// the step-6 dependency check of the paper's Fig. 5 (bx/overlap.h): a
+/// source change that writes none of these attributes and moves no rows
+/// cannot change the view.
 struct SourceFootprint {
   /// Attributes whose values flow into the view (projection columns plus
   /// predicate columns).
   std::set<std::string> read;
-  /// Attributes a Put can modify in the source (excludes predicate-only
-  /// columns).
-  std::set<std::string> written;
-  /// Whether a Put can insert or delete whole source rows (then it can
-  /// affect any other view regardless of attribute footprints).
-  bool affects_membership = false;
 };
 
 /// An asymmetric lens between a keyed source table and a keyed view table
@@ -118,7 +112,7 @@ class Lens {
       const relational::Schema& source_schema,
       const AnnotatedDelta& delta) const;
 
-  /// Conservative footprint on `source_schema` for the overlap analysis.
+  /// Conservative read set on `source_schema` for the dependency check.
   virtual Result<SourceFootprint> Footprint(
       const relational::Schema& source_schema) const = 0;
 
@@ -157,12 +151,6 @@ class IdentityLens : public Lens {
   Json ToJson() const override;
   std::string ToString() const override { return "identity"; }
 };
-
-/// True if two views with the given footprints may share source data, i.e.
-/// writing one back may require re-deriving the other (Fig. 5 step 6). The
-/// test is conservative: membership-affecting lenses always overlap; two
-/// lenses overlap if one's written set intersects the other's read set.
-bool FootprintsMayOverlap(const SourceFootprint& a, const SourceFootprint& b);
 
 }  // namespace medsync::bx
 

@@ -8,66 +8,16 @@ using relational::Schema;
 using relational::Table;
 using relational::TableDelta;
 
-namespace {
-/// Adds every attribute of `row` holding a non-null value to `out`.
-void AddNonNullAttributes(const Schema& schema, const relational::Row& row,
-                          std::set<std::string>* out) {
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (!row[i].is_null()) out->insert(schema.attributes()[i].name);
-  }
-}
-}  // namespace
-
-Result<SourceChange> AnalyzeSourceChange(const Table& before,
-                                         const Table& after) {
-  if (before.schema() != after.schema()) {
-    return Status::InvalidArgument(
-        "source change analysis requires identical schemas");
-  }
-  const Schema& schema = before.schema();
-  SourceChange change;
-  for (const auto& [key, row] : after.scan()) {
-    std::optional<relational::Row> old = before.Get(key);
-    if (!old.has_value()) {
-      // An inserted row writes every non-null attribute it carries; an
-      // insert-only change must not report an empty attribute set, or
-      // per-attribute permission checks downstream under-report what was
-      // written.
-      change.membership_changed = true;
-      AddNonNullAttributes(schema, row, &change.changed_attributes);
-      continue;
-    }
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (row[i] != (*old)[i]) {
-        change.changed_attributes.insert(schema.attributes()[i].name);
-      }
-    }
-  }
-  for (const auto& [key, row] : before.scan()) {
-    if (!after.Contains(key)) {
-      change.membership_changed = true;
-      AddNonNullAttributes(schema, row, &change.changed_attributes);
-    }
-  }
-  return change;
-}
-
 Result<SourceChange> SourceChangeFromDelta(const Table& before,
                                            const TableDelta& delta) {
   const Schema& schema = before.schema();
   SourceChange change;
-  for (const relational::Row& row : delta.inserts) {
-    change.membership_changed = true;
-    AddNonNullAttributes(schema, row, &change.changed_attributes);
-  }
+  change.membership_changed = !delta.inserts.empty() || !delta.deletes.empty();
   for (const relational::Key& key : delta.deletes) {
-    std::optional<relational::Row> old = before.Get(key);
-    if (!old.has_value()) {
+    if (!before.Contains(key)) {
       return Status::InvalidArgument(
           "SourceChangeFromDelta: delete targets missing key");
     }
-    change.membership_changed = true;
-    AddNonNullAttributes(schema, *old, &change.changed_attributes);
   }
   for (const relational::Row& row : delta.updates) {
     std::optional<relational::Row> old =
@@ -78,44 +28,11 @@ Result<SourceChange> SourceChangeFromDelta(const Table& before,
     }
     for (size_t i = 0; i < row.size(); ++i) {
       if (row[i] != (*old)[i]) {
-        change.changed_attributes.insert(schema.attributes()[i].name);
+        change.written_attributes.insert(schema.attributes()[i].name);
       }
     }
   }
   return change;
-}
-
-Result<std::set<std::string>> WrittenAttributes(const Table& before,
-                                                const TableDelta& delta) {
-  const Schema& schema = before.schema();
-  std::set<std::string> written;
-  // Updates write exactly the attributes whose value changed.
-  for (const relational::Row& row : delta.updates) {
-    std::optional<relational::Row> old =
-        before.Get(relational::KeyOf(schema, row));
-    if (!old.has_value()) {
-      return Status::InvalidArgument(
-          "WrittenAttributes: update targets missing row");
-    }
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (row[i] != (*old)[i]) written.insert(schema.attributes()[i].name);
-    }
-  }
-  // Inserts and deletes are intentionally excluded: row addition/removal is
-  // governed by the membership permission (contract kinds "insert"/"delete"
-  // check membership only), not per-attribute write permission. Charging an
-  // inserted row's attributes to the writer would demand per-attribute
-  // permission just to add a row — e.g. a key-change cascade that arrives as
-  // delete+insert would be denied on attributes whose values never changed.
-  // Use SourceChangeFromDelta for the full analysis-facing attribute set.
-  return written;
-}
-
-Result<bool> LensesMayInteract(const Lens& a, const Lens& b,
-                               const Schema& source_schema) {
-  MEDSYNC_ASSIGN_OR_RETURN(SourceFootprint fa, a.Footprint(source_schema));
-  MEDSYNC_ASSIGN_OR_RETURN(SourceFootprint fb, b.Footprint(source_schema));
-  return FootprintsMayOverlap(fa, fb);
 }
 
 Result<bool> ChangeMayAffectView(const Lens& lens,
@@ -125,7 +42,7 @@ Result<bool> ChangeMayAffectView(const Lens& lens,
   MEDSYNC_ASSIGN_OR_RETURN(SourceFootprint fp, lens.Footprint(source_schema));
   // Inserted/deleted source rows can enter or leave any view.
   if (change.membership_changed) return true;
-  for (const std::string& attr : change.changed_attributes) {
+  for (const std::string& attr : change.written_attributes) {
     if (fp.read.count(attr) > 0) return true;
   }
   return false;

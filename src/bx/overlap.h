@@ -9,48 +9,32 @@
 
 namespace medsync::bx {
 
-/// What actually changed in a source table between two versions — the
-/// dynamic counterpart of the static SourceFootprint. Step 6 of the
-/// paper's Fig. 5 asks: after writing view A back into the source, does
-/// view B need to be re-derived and propagated? Comparing the concrete
-/// change against B's footprint answers that without recomputing B.
+/// What a delta changed in a table — the dynamic counterpart of the static
+/// SourceFootprint. Step 6 of the paper's Fig. 5 asks: after writing view A
+/// back into the source, does view B need to be re-derived and propagated?
+/// Comparing the concrete change against B's footprint answers that
+/// without recomputing B. On a view delta, the same two fields are what
+/// the permission contract checks.
 struct SourceChange {
-  /// Attribute names whose value differs in at least one surviving row.
-  std::set<std::string> changed_attributes;
+  /// Attributes whose value an update changed in a surviving row. Inserted
+  /// and deleted rows contribute nothing: row addition and removal is
+  /// governed by the membership permission (contract kinds
+  /// "insert"/"delete"), not by per-attribute write permissions, and any
+  /// membership change may reach any view anyway.
+  std::set<std::string> written_attributes;
   /// Whether rows were inserted or deleted.
   bool membership_changed = false;
 
   bool empty() const {
-    return changed_attributes.empty() && !membership_changed;
+    return written_attributes.empty() && !membership_changed;
   }
 };
 
-/// Computes the change between two versions of the same-schema table.
-/// Inserted and deleted rows contribute their non-null attributes to
-/// `changed_attributes` (and set `membership_changed`), so an insert-only
-/// change never reports an empty attribute set.
-Result<SourceChange> AnalyzeSourceChange(const relational::Table& before,
-                                         const relational::Table& after);
-
-/// Same analysis computed from a delta against the pre-change table,
-/// without materializing `after`. Produces identical results to
-/// AnalyzeSourceChange(before, ApplyDelta(delta, before)).
+/// Analyzes `delta` against `before`, the table it applies to. Every
+/// delete and update must target a row of `before` (InvalidArgument
+/// otherwise). Costs O(|delta| log |before|).
 Result<SourceChange> SourceChangeFromDelta(const relational::Table& before,
                                            const relational::TableDelta& delta);
-
-/// The attributes a writer actually wrote VALUES into: updates contribute
-/// the attributes whose value changed. Inserted and deleted rows contribute
-/// nothing — row addition/removal is governed by the membership permission
-/// (contract kinds "insert"/"delete"), not per-attribute write permissions.
-/// This is what ViewRefresh reports to the permission contract.
-Result<std::set<std::string>> WrittenAttributes(
-    const relational::Table& before, const relational::TableDelta& delta);
-
-/// Static test: may the views of `a` and `b` over `source_schema` share
-/// source data at all? (If not, no update to one ever requires refreshing
-/// the other.) Conservative — false positives allowed, false negatives not.
-Result<bool> LensesMayInteract(const Lens& a, const Lens& b,
-                               const relational::Schema& source_schema);
 
 /// Dynamic test: given a concrete source change, may `lens`'s view have
 /// changed? Conservative. Used by SyncManager's "analyze" dependency-check

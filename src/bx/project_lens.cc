@@ -230,11 +230,7 @@ Result<SourceFootprint> ProjectLens::Footprint(
     const Schema& source_schema) const {
   MEDSYNC_RETURN_IF_ERROR(ViewSchema(source_schema).status());
   SourceFootprint fp;
-  for (const std::string& name : attributes_) {
-    fp.read.insert(name);
-    fp.written.insert(name);
-  }
-  fp.affects_membership = true;  // Put can insert/delete source rows.
+  fp.read.insert(attributes_.begin(), attributes_.end());
   return fp;
 }
 

@@ -50,9 +50,7 @@ Result<SourceFootprint> RenameLens::Footprint(
   SourceFootprint fp;
   for (const relational::AttributeDef& attr : source_schema.attributes()) {
     fp.read.insert(attr.name);
-    fp.written.insert(attr.name);
   }
-  fp.affects_membership = true;
   return fp;
 }
 

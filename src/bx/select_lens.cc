@@ -106,9 +106,7 @@ Result<SourceFootprint> SelectLens::Footprint(
   SourceFootprint fp;
   for (const relational::AttributeDef& attr : source_schema.attributes()) {
     fp.read.insert(attr.name);
-    fp.written.insert(attr.name);
   }
-  fp.affects_membership = true;
   return fp;
 }
 

@@ -442,14 +442,16 @@ Result<Peer::TableSyncState> Peer::GetSyncState(
 }
 
 Status Peer::ProposeViewContent(const std::string& table_id,
-                                Table new_view, TableDelta delta,
-                                std::string kind,
+                                TableDelta delta, std::string kind,
                                 std::vector<std::string> attributes,
                                 bool put_to_source) {
   auto it = tables_.find(table_id);
   if (it == tables_.end()) {
     return Status::NotFound(StrCat("no shared table '", table_id, "'"));
   }
+  MEDSYNC_ASSIGN_OR_RETURN(const Table* view,
+                           database_.GetTable(it->second.config.view_table));
+  MEDSYNC_RETURN_IF_ERROR(relational::ValidateDelta(delta, *view));
   for (const auto& [tx_id, staged] : staged_) {
     if (staged.table_id == table_id) {
       return Status::FailedPrecondition(
@@ -457,15 +459,17 @@ Status Peer::ProposeViewContent(const std::string& table_id,
     }
   }
 
-  MEDSYNC_ASSIGN_OR_RETURN(const Table* view,
-                           database_.GetTable(it->second.config.view_table));
   StagedUpdate staged;
   staged.table_id = table_id;
+  // The copy shares the view's sealed chunks and carries its live-row
+  // accumulator, so the staged digest costs O(|delta|) row hashes.
+  staged.staged = *view;
+  MEDSYNC_RETURN_IF_ERROR(
+      relational::ApplyValidatedDelta(delta, &staged.staged));
   staged.change.base_version = it->second.version;
   staged.change.base_digest = view->ContentDigest();
-  staged.change.digest = new_view.ContentDigest();
+  staged.change.digest = staged.staged.ContentDigest();
   staged.change.delta = std::move(delta);
-  staged.staged = std::move(new_view);
   staged.kind = kind;
   staged.attributes = attributes;
   staged.put_to_source = put_to_source;
@@ -501,8 +505,8 @@ Status Peer::UpdateSourceAndPropagate(
   MEDSYNC_RETURN_IF_ERROR(mutation(&database_));
   Trace(StrCat("updated local source '", source_table,
                "', checking shared views"));
-  CascadeAfterSourceChange(source_table, before, /*exclude_table_id=*/"",
-                           /*fig5_step=*/6);
+  CascadeAfterSourceChange(source_table, before, /*delta=*/nullptr,
+                           /*exclude_table_id=*/"", /*fig5_step=*/6);
   return Status::OK();
 }
 
@@ -511,32 +515,35 @@ Status Peer::UpdateSharedAttribute(const std::string& table_id,
                                    const std::string& attribute,
                                    Value value) {
   RecordStep(4, 1, "update", table_id, "requested");
-  MEDSYNC_ASSIGN_OR_RETURN(Table staged, ReadSharedTable(table_id));
-  MEDSYNC_RETURN_IF_ERROR(staged.UpdateAttribute(key, attribute, value));
+  auto it = tables_.find(table_id);
+  if (it == tables_.end()) {
+    return Status::NotFound(StrCat("no shared table '", table_id, "'"));
+  }
+  MEDSYNC_ASSIGN_OR_RETURN(const Table* view,
+                           database_.GetTable(it->second.config.view_table));
+  MEDSYNC_RETURN_IF_ERROR(view->CheckUpdateAttribute(key, attribute, value));
+  Row row = *view->Get(key);
+  row[*view->schema().IndexOf(attribute)] = std::move(value);
   TableDelta delta;
-  delta.updates.push_back(*staged.Get(key));
-  return ProposeViewContent(table_id, std::move(staged), std::move(delta),
-                            "update", {attribute}, /*put_to_source=*/true);
+  delta.updates.push_back(std::move(row));
+  return ProposeViewContent(table_id, std::move(delta), "update", {attribute},
+                            /*put_to_source=*/true);
 }
 
 Status Peer::InsertSharedRow(const std::string& table_id, Row row) {
   RecordStep(4, 1, "create", table_id, "requested");
-  MEDSYNC_ASSIGN_OR_RETURN(Table staged, ReadSharedTable(table_id));
   TableDelta delta;
-  delta.inserts.push_back(row);
-  MEDSYNC_RETURN_IF_ERROR(staged.Insert(std::move(row)));
-  return ProposeViewContent(table_id, std::move(staged), std::move(delta),
-                            "insert", {}, /*put_to_source=*/true);
+  delta.inserts.push_back(std::move(row));
+  return ProposeViewContent(table_id, std::move(delta), "insert", {},
+                            /*put_to_source=*/true);
 }
 
 Status Peer::DeleteSharedRow(const std::string& table_id, const Key& key) {
   RecordStep(4, 1, "delete", table_id, "requested");
-  MEDSYNC_ASSIGN_OR_RETURN(Table staged, ReadSharedTable(table_id));
-  MEDSYNC_RETURN_IF_ERROR(staged.Delete(key));
   TableDelta delta;
   delta.deletes.push_back(key);
-  return ProposeViewContent(table_id, std::move(staged), std::move(delta),
-                            "delete", {}, /*put_to_source=*/true);
+  return ProposeViewContent(table_id, std::move(delta), "delete", {},
+                            /*put_to_source=*/true);
 }
 
 Result<std::string> Peer::SubmitChangePermission(const std::string& table_id,
@@ -619,31 +626,32 @@ void Peer::FinalizeApprovedUpdate(StagedUpdate staged) {
 
   if (staged.put_to_source) {
     const std::string source = state.config.source_table;
-    Result<Table> before = database_.Snapshot(source);
-    Result<bx::SourceChange> change = sync_.PutViewIntoSource(staged.table_id);
-    if (!change.ok()) {
+    Result<SourcePut> put = sync_.PutViewIntoSource(staged.table_id);
+    if (!put.ok()) {
       RecordStep(5, 5, "bx_put", staged.table_id, "failed");
       Trace(StrCat("BX put into '", source,
-                   "' failed: ", change.status().ToString()));
+                   "' failed: ", put.status().ToString()));
       return;
     }
     RecordStep(5, 5, "bx_put", staged.table_id, "ok");
     Trace(StrCat("BX put reflected '", staged.table_id, "' into source '",
                  source, "'"));
-    if (before.ok()) {
-      CascadeAfterSourceChange(source, *before, staged.table_id,
-                               /*fig5_step=*/6);
-    }
+    CascadeAfterSourceChange(source, put->before, &put->delta,
+                             staged.table_id, /*fig5_step=*/6);
   }
 }
 
 void Peer::CascadeAfterSourceChange(const std::string& source_table,
                                     const Table& before,
+                                    const TableDelta* delta,
                                     const std::string& exclude_table_id,
                                     int fig5_step) {
   const Micros check_start = scheduler_->Now();
   Result<std::vector<ViewRefresh>> refreshes =
-      sync_.FindAffectedViews(source_table, before, exclude_table_id);
+      delta != nullptr ? sync_.FindAffectedViews(source_table, before, *delta,
+                                                 exclude_table_id)
+                       : sync_.FindAffectedViews(source_table, before,
+                                                 exclude_table_id);
   const Micros check_span = scheduler_->Now() - check_start;
   if (!refreshes.ok()) {
     RecordStep(5, fig5_step, "dependency_check", source_table, "failed",
@@ -666,10 +674,8 @@ void Peer::CascadeAfterSourceChange(const std::string& source_table,
     if (refresh.membership_changed && !refresh.written_attributes.empty()) {
       kind = "replace";
     } else if (refresh.membership_changed) {
-      // Pure membership change: classify as insert/delete by row count.
-      auto current = ReadSharedTable(refresh.table_id);
-      kind = (current.ok() &&
-              refresh.new_view.row_count() >= current->row_count())
+      // Pure membership change: an insert if the view does not shrink.
+      kind = refresh.delta.inserts.size() >= refresh.delta.deletes.size()
                  ? "insert"
                  : "delete";
     } else {
@@ -678,9 +684,8 @@ void Peer::CascadeAfterSourceChange(const std::string& source_table,
     Trace(StrCat("dependency check: view '", refresh.table_id,
                  "' affected, proposing ", kind));
     Status proposed = ProposeViewContent(
-        refresh.table_id, std::move(refresh.new_view),
-        std::move(refresh.delta), kind, refresh.written_attributes,
-        /*put_to_source=*/false);
+        refresh.table_id, std::move(refresh.delta), kind,
+        refresh.written_attributes, /*put_to_source=*/false);
     if (proposed.ok()) {
       ++stats_.cascades_proposed;
       metrics::Inc(counters_.cascades_proposed);
@@ -927,11 +932,10 @@ Status Peer::ApplyFetchedUpdate(const std::string& table_id,
 
   // Reflect the change into the local source via the BX program.
   const std::string source = state.config.source_table;
-  MEDSYNC_ASSIGN_OR_RETURN(Table before, database_.Snapshot(source));
-  Result<bx::SourceChange> change = sync_.PutViewIntoSource(table_id);
-  if (!change.ok()) {
+  Result<SourcePut> put = sync_.PutViewIntoSource(table_id);
+  if (!put.ok()) {
     Trace(StrCat("BX put of fetched '", table_id, "' into '", source,
-                 "' failed: ", change.status().ToString()));
+                 "' failed: ", put.status().ToString()));
     // Still ack: we do hold the newest shared data, even though the local
     // source rejected the merge (an operator has to reconcile).
   } else {
@@ -943,8 +947,9 @@ Status Peer::ApplyFetchedUpdate(const std::string& table_id,
   MEDSYNC_RETURN_IF_ERROR(SubmitAck(state, version, state.digest));
   Trace(StrCat("acked '", table_id, "' version ", version, " on-chain"));
 
-  if (change.ok()) {
-    CascadeAfterSourceChange(source, before, table_id, /*fig5_step=*/11);
+  if (put.ok()) {
+    CascadeAfterSourceChange(source, put->before, &put->delta, table_id,
+                             /*fig5_step=*/11);
   }
   return Status::OK();
 }
@@ -1084,11 +1089,8 @@ void Peer::HandleShareOffer(const net::Message& message) {
 
     // Initialize our full data from the shared piece (the BX put inserts
     // the offered rows; hidden attributes default to NULL).
-    Result<bx::SourceChange> change = sync_.PutViewIntoSource(*table_id);
-    if (!change.ok()) {
-      return change.status().WithPrefix("initial put into local source");
-    }
-    return Status::OK();
+    return sync_.PutViewIntoSource(*table_id).status().WithPrefix(
+        "initial put into local source");
   };
 
   Status adopted = validate_and_adopt();

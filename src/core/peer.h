@@ -335,10 +335,9 @@ class Peer : public net::Endpoint {
   chain::Transaction MakeTransaction(const crypto::Address& to,
                                      const std::string& method, Json params);
 
-  /// Stages `new_view`, which `delta` takes the current view to, and
-  /// submits a request_update transaction.
+  /// Validates `delta` against the current view, stages the content it
+  /// leads to, and submits a request_update transaction.
   Status ProposeViewContent(const std::string& table_id,
-                            relational::Table new_view,
                             relational::TableDelta delta, std::string kind,
                             std::vector<std::string> attributes,
                             bool put_to_source);
@@ -378,10 +377,14 @@ class Peer : public net::Endpoint {
   Status SubmitAck(const TableState& state, uint64_t version,
                    const std::string& digest);
 
-  /// Propagates a source change to sibling shared views. `fig5_step` is 6
-  /// when this peer initiated the update, 11 when it follows a fetched one.
+  /// Propagates a source change to sibling shared views. `delta` took the
+  /// source from `before` to its current content; null when the caller
+  /// changed the database directly, and the check diffs it once.
+  /// `fig5_step` is 6 when this peer initiated the update, 11 when it
+  /// follows a fetched one.
   void CascadeAfterSourceChange(const std::string& source_table,
                                 const relational::Table& before,
+                                const relational::TableDelta* delta,
                                 const std::string& exclude_table_id,
                                 int fig5_step);
 

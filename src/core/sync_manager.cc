@@ -101,15 +101,7 @@ Result<Table> SyncManager::DeriveView(const std::string& table_id) const {
   return binding->lens->Get(*source);
 }
 
-Status SyncManager::MaterializeView(const std::string& table_id) {
-  MEDSYNC_ASSIGN_OR_RETURN(const ViewBinding* binding, FindBinding(table_id));
-  MEDSYNC_ASSIGN_OR_RETURN(Table derived, DeriveView(table_id));
-  ++gets_executed_;
-  metrics::Inc(gets_executed_counter_);
-  return database_->ReplaceTable(binding->view_table, derived);
-}
-
-Result<bx::SourceChange> SyncManager::PutViewIntoSource(
+Result<SourcePut> SyncManager::PutViewIntoSource(
     const std::string& table_id) {
   MEDSYNC_ASSIGN_OR_RETURN(const ViewBinding* binding, FindBinding(table_id));
   MEDSYNC_ASSIGN_OR_RETURN(Table source,
@@ -127,20 +119,12 @@ Result<bx::SourceChange> SyncManager::PutViewIntoSource(
             .WithPrefix(StrCat("BX law oracle: PutGet violated putting '",
                                table_id, "'")));
   }
-  if (maintenance_ == ViewMaintenance::kIncremental) {
-    // Commit the put as a delta: the WAL records O(|delta|) instead of
-    // serializing the whole source table.
-    MEDSYNC_ASSIGN_OR_RETURN(TableDelta delta,
-                             relational::ComputeDelta(source, updated));
-    MEDSYNC_RETURN_IF_ERROR(
-        database_->ApplyTableDelta(binding->source_table, delta));
-    metrics::Inc(puts_counter_);
-    return bx::SourceChangeFromDelta(source, delta);
-  }
+  MEDSYNC_ASSIGN_OR_RETURN(TableDelta delta,
+                           relational::ComputeDelta(source, updated));
   MEDSYNC_RETURN_IF_ERROR(
-      database_->ReplaceTable(binding->source_table, updated));
+      database_->ApplyTableDelta(binding->source_table, delta));
   metrics::Inc(puts_counter_);
-  return bx::AnalyzeSourceChange(source, updated);
+  return SourcePut{std::move(source), std::move(delta)};
 }
 
 namespace {
@@ -161,13 +145,21 @@ struct SiblingScan {
 Result<std::vector<ViewRefresh>> SyncManager::FindAffectedViews(
     const std::string& source_table, const Table& before,
     const std::string& exclude_table_id) {
+  MEDSYNC_ASSIGN_OR_RETURN(const Table* after,
+                           database_->GetTable(source_table));
+  MEDSYNC_ASSIGN_OR_RETURN(TableDelta delta,
+                           relational::ComputeDelta(before, *after));
+  return FindAffectedViews(source_table, before, delta, exclude_table_id);
+}
+
+Result<std::vector<ViewRefresh>> SyncManager::FindAffectedViews(
+    const std::string& source_table, const Table& before,
+    const TableDelta& src_delta, const std::string& exclude_table_id) {
   MEDSYNC_ASSIGN_OR_RETURN(const Table* after_ptr,
                            database_->GetTable(source_table));
   const Table& after = *after_ptr;
   // One delta for the whole dependency check; every sibling translates it
   // (incremental mode) or falls back to its own get.
-  MEDSYNC_ASSIGN_OR_RETURN(TableDelta src_delta,
-                           relational::ComputeDelta(before, after));
   MEDSYNC_ASSIGN_OR_RETURN(bx::SourceChange change,
                            bx::SourceChangeFromDelta(before, src_delta));
 
@@ -179,7 +171,7 @@ Result<std::vector<ViewRefresh>> SyncManager::FindAffectedViews(
     candidates.push_back(&binding);
   }
 
-  // The per-sibling work — overlap analysis, delta push or lens get, diff
+  // The per-sibling work — footprint check, delta push or lens get, diff
   // against the materialization — only READS the database and the
   // immutable lenses, so the scans run concurrently, one result slot
   // each. Merging (and all counters) happens after the join, in candidate
@@ -211,26 +203,18 @@ Result<std::vector<ViewRefresh>> SyncManager::FindAffectedViews(
 
     // Both paths produce the refresh from the VIEW delta, so the contract
     // sees identical attribute sets either way.
-    auto emit_refresh = [&](TableDelta vd, Table new_view) {
+    auto emit_refresh = [&](TableDelta vd) {
       Result<bx::SourceChange> analysis =
           bx::SourceChangeFromDelta(**current, vd);
       if (!analysis.ok()) {
         out.status = analysis.status();
         return;
       }
-      Result<std::set<std::string>> written =
-          bx::WrittenAttributes(**current, vd);
-      if (!written.ok()) {
-        out.status = written.status();
-        return;
-      }
       ViewRefresh refresh;
       refresh.table_id = binding.table_id;
-      refresh.new_view = std::move(new_view);
       refresh.delta = std::move(vd);
-      refresh.changed_attributes.assign(analysis->changed_attributes.begin(),
-                                        analysis->changed_attributes.end());
-      refresh.written_attributes.assign(written->begin(), written->end());
+      refresh.written_attributes.assign(analysis->written_attributes.begin(),
+                                        analysis->written_attributes.end());
       refresh.membership_changed = analysis->membership_changed;
       out.refresh = std::move(refresh);
     };
@@ -247,11 +231,9 @@ Result<std::vector<ViewRefresh>> SyncManager::FindAffectedViews(
             out.delta_pushed = true;
             return;
           }
-          Table new_view = **current;
-          Status applied = relational::ApplyDelta(*pushed, &new_view);
-          if (applied.ok()) {
+          if (relational::ValidateDelta(*pushed, **current).ok()) {
             out.delta_pushed = true;
-            emit_refresh(std::move(*pushed), std::move(new_view));
+            emit_refresh(std::move(*pushed));
             return;
           }
           // The materialization disagrees with the pushed delta (it lagged
@@ -285,7 +267,7 @@ Result<std::vector<ViewRefresh>> SyncManager::FindAffectedViews(
       return;
     }
     if (vd->empty()) return;
-    emit_refresh(std::move(*vd), std::move(*derived));
+    emit_refresh(std::move(*vd));
   };
   if (pool_ != nullptr && candidates.size() > 1) {
     threading::TaskGroup group(pool_);
@@ -329,11 +311,8 @@ Result<std::vector<ViewRefresh>> SyncManager::FindAffectedViews(
 Status SyncManager::ApplyRefresh(const ViewRefresh& refresh) {
   MEDSYNC_ASSIGN_OR_RETURN(const ViewBinding* binding,
                            FindBinding(refresh.table_id));
-  if (maintenance_ == ViewMaintenance::kIncremental) {
-    if (refresh.delta.empty()) return Status::OK();
-    return database_->ApplyTableDelta(binding->view_table, refresh.delta);
-  }
-  return database_->ReplaceTable(binding->view_table, refresh.new_view);
+  if (refresh.delta.empty()) return Status::OK();
+  return database_->ApplyTableDelta(binding->view_table, refresh.delta);
 }
 
 }  // namespace medsync::core

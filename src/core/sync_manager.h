@@ -23,21 +23,22 @@ enum class DependencyStrategy {
   /// Re-run get for every sibling view and diff against its current
   /// materialization. Always correct; costs one get per sibling.
   kAlwaysRederive,
-  /// First run the static/dynamic overlap analysis (bx/overlap.h) on the
-  /// concrete source change; only views the change can reach are re-derived.
+  /// First analyze the concrete source delta (bx/overlap.h); only views
+  /// whose footprint the change can reach are re-derived.
   kAnalyzeChange,
 };
 
-/// How affected sibling views are re-materialized once the dependency
-/// check decides they changed.
+/// How the dependency check finds an affected sibling view's new content.
+/// Either way the result is a view delta, applied as a delta.
 enum class ViewMaintenance {
-  /// Translate the source delta through the lens (Lens::PushDelta) and
-  /// apply the resulting view delta — O(|delta| log n) per view. Lenses
-  /// without an exact translation (and views marked stale) fall back to
-  /// the full get, counted in sync.full_fallbacks.
+  /// Translate the source delta through the lens (Lens::PushDelta) —
+  /// O(|delta| log n) per view. Lenses without an exact translation (and
+  /// views marked stale) fall back to the full get, counted in
+  /// sync.full_fallbacks.
   kIncremental,
-  /// Always re-derive with a full lens get and swap the whole table
-  /// (the pre-incremental behavior; kept as the correctness oracle).
+  /// Always re-derive with a full lens get and diff it against the
+  /// materialization (the pre-incremental behavior; kept as the
+  /// correctness oracle and the ablation's baseline).
   kFullGet,
 };
 
@@ -45,21 +46,23 @@ enum class ViewMaintenance {
 /// propagated to its sharing peers.
 struct ViewRefresh {
   std::string table_id;
-  relational::Table new_view;
-  /// The delta taking the current materialization to `new_view` (what
-  /// cascade step 6 actually ships in incremental mode).
+  /// The delta taking the current materialization to the view's new
+  /// content; what the cascade proposes.
   relational::TableDelta delta;
-  /// Full change analysis (view-schema names): attributes whose values
-  /// changed in surviving rows plus the non-null attributes of inserted
-  /// and deleted rows. Feeds overlap analysis and reporting.
-  std::vector<std::string> changed_attributes;
-  /// The attributes the update actually WROTE values into existing rows
-  /// of: update-changed attributes only. This is what the permission
-  /// contract checks — inserted/deleted rows are governed by the
-  /// membership permission, not per-attribute write permissions.
+  /// The attributes whose values the delta's updates changed (view-schema
+  /// names). This is what the permission contract checks: inserted and
+  /// deleted rows are governed by the membership permission, not
+  /// per-attribute write permissions.
   std::vector<std::string> written_attributes;
   /// Whether rows were inserted/deleted.
   bool membership_changed = false;
+};
+
+/// A committed put: the source as it was before, and the delta the put
+/// applied to it. The step-6 dependency check runs on exactly these.
+struct SourcePut {
+  relational::Table before;
+  relational::TableDelta delta;
 };
 
 /// The "Database manager" box of the paper's Fig. 2: owns the association
@@ -97,33 +100,37 @@ class SyncManager {
   /// get: derives fresh view content for `table_id` from its source.
   Result<relational::Table> DeriveView(const std::string& table_id) const;
 
-  /// Refreshes the materialized view table from the source (get +
-  /// ReplaceTable).
-  Status MaterializeView(const std::string& table_id);
-
   /// put: writes the CURRENT materialized view content back into the
-  /// source table. In incremental mode the source change is committed as
-  /// a delta (WAL-logs O(|delta|) instead of the whole table); in full
-  /// mode it is a ReplaceTable. Returns the source change that resulted.
-  Result<bx::SourceChange> PutViewIntoSource(const std::string& table_id);
+  /// source table, committed as a delta (the WAL logs O(|delta|) instead
+  /// of the whole table). Returns the pre-put source and that delta, for
+  /// the delta form of FindAffectedViews.
+  Result<SourcePut> PutViewIntoSource(const std::string& table_id);
 
-  /// The Fig. 5 step-6 dependency check: given that `source_table` changed
-  /// from `before` to its current database content, finds every OTHER
-  /// registered view of that source (excluding `exclude_table_id`) whose
-  /// derived content now differs from its materialization. Does NOT apply
-  /// anything — the caller owns propagation (permissions may deny it).
+  /// The Fig. 5 step-6 dependency check: given that `delta` took
+  /// `source_table` from `before` to its current database content, finds
+  /// every OTHER registered view of that source (excluding
+  /// `exclude_table_id`) whose derived content now differs from its
+  /// materialization. Does NOT apply anything — the caller owns
+  /// propagation (permissions may deny it).
   ///
-  /// Computes ONE source delta (ComputeDelta(before, after)); in
-  /// incremental mode each sibling translates it through Lens::PushDelta
-  /// instead of running a full get, falling back to the full get when the
-  /// lens has no exact translation or the view is marked stale.
+  /// In incremental mode each sibling translates `delta` through
+  /// Lens::PushDelta instead of running a full get, falling back to the
+  /// full get when the lens has no exact translation, the view is marked
+  /// stale, or the pushed delta does not validate against it.
+  Result<std::vector<ViewRefresh>> FindAffectedViews(
+      const std::string& source_table, const relational::Table& before,
+      const relational::TableDelta& delta,
+      const std::string& exclude_table_id);
+
+  /// The same check for a caller that changed the database directly:
+  /// diffs `before` against the current source once, then runs the delta
+  /// form.
   Result<std::vector<ViewRefresh>> FindAffectedViews(
       const std::string& source_table, const relational::Table& before,
       const std::string& exclude_table_id);
 
   /// Applies a refresh produced by FindAffectedViews to the materialized
-  /// view table: the delta in incremental mode, the full new_view in full
-  /// mode.
+  /// view table.
   Status ApplyRefresh(const ViewRefresh& refresh);
 
   /// Marks `table_id`'s materialization as lagging its source (a blocked

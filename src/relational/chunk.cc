@@ -356,21 +356,12 @@ std::string Chunk::SerializeCanonical() const {
   return out;
 }
 
-std::string Chunk::SerializeFile(bool compress) const {
+std::string Chunk::SerializeFile() const {
   const std::string raw = SerializeCanonical();
-  std::string payload;
-  bool compressed = false;
-  if (compress) {
-    payload = LzCompress(raw);
-    // Incompressible payloads are stored raw so decompression never inflates.
-    if (payload.size() < raw.size()) {
-      compressed = true;
-    } else {
-      payload = raw;
-    }
-  } else {
-    payload = raw;
-  }
+  std::string payload = LzCompress(raw);
+  // Incompressible payloads are stored raw so decompression never inflates.
+  const bool compressed = payload.size() < raw.size();
+  if (!compressed) payload = raw;
   std::string out;
   out.reserve(kChunkMagic.size() + 9 + payload.size());
   out.append(kChunkMagic);

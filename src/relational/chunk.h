@@ -115,9 +115,10 @@ class Chunk {
   /// hashes exactly these bytes, independent of file-level compression.
   std::string SerializeCanonical() const;
 
-  /// File encoding: magic + header + (optionally LZ-compressed) canonical
-  /// payload with a CRC-32. `compress` trades checkpoint bytes for CPU.
-  std::string SerializeFile(bool compress) const;
+  /// File encoding: magic + header + canonical payload with a CRC-32. The
+  /// payload is LZ-compressed unless that would not make it smaller; an
+  /// incompressible payload is stored raw, flagged in the header.
+  std::string SerializeFile() const;
 
   /// Parses a file encoding produced by SerializeFile and validates it
   /// against `schema` (arity, column types). Returns Corruption on any

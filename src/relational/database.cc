@@ -639,7 +639,7 @@ Status Database::Checkpoint() {
         }
       }
       MEDSYNC_RETURN_IF_ERROR(
-          WriteChunkFile(path, chunk->SerializeFile(/*compress=*/true)));
+          WriteChunkFile(path, chunk->SerializeFile()));
       wrote_chunk = true;
     }
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bx/lens_factory.h"
+#include "relational/delta.h"
 #include "medical/records.h"
 
 namespace medsync::bx {
@@ -18,6 +19,13 @@ using relational::Value;
 
 Table Fig1() { return medical::MakeFig1FullRecords(); }
 
+/// The change that takes `before` to `after`, analyzed from their delta.
+Result<SourceChange> ChangeBetween(const Table& before, const Table& after) {
+  MEDSYNC_ASSIGN_OR_RETURN(relational::TableDelta delta,
+                           relational::ComputeDelta(before, after));
+  return SourceChangeFromDelta(before, delta);
+}
+
 TEST(SourceChangeTest, DetectsAttributeChanges) {
   Table before = Fig1();
   Table after = before;
@@ -25,10 +33,10 @@ TEST(SourceChangeTest, DetectsAttributeChanges) {
                   .UpdateAttribute({Value::Int(188)}, kDosage,
                                    Value::String("x"))
                   .ok());
-  Result<SourceChange> change = AnalyzeSourceChange(before, after);
+  Result<SourceChange> change = ChangeBetween(before, after);
   ASSERT_TRUE(change.ok());
   EXPECT_FALSE(change->membership_changed);
-  EXPECT_EQ(change->changed_attributes,
+  EXPECT_EQ(change->written_attributes,
             (std::set<std::string>{kDosage}));
   EXPECT_FALSE(change->empty());
 }
@@ -37,7 +45,7 @@ TEST(SourceChangeTest, DetectsMembershipChanges) {
   Table before = Fig1();
   Table after = before;
   ASSERT_TRUE(after.Delete({Value::Int(189)}).ok());
-  Result<SourceChange> change = AnalyzeSourceChange(before, after);
+  Result<SourceChange> change = ChangeBetween(before, after);
   ASSERT_TRUE(change.ok());
   EXPECT_TRUE(change->membership_changed);
 
@@ -46,44 +54,40 @@ TEST(SourceChangeTest, DetectsMembershipChanges) {
   relational::Row extra = *before.Get({Value::Int(188)});
   extra[0] = Value::Int(500);
   ASSERT_TRUE(with_insert.Insert(extra).ok());
-  change = AnalyzeSourceChange(before, with_insert);
+  change = ChangeBetween(before, with_insert);
   ASSERT_TRUE(change.ok());
   EXPECT_TRUE(change->membership_changed);
 }
 
-TEST(SourceChangeTest, InsertOnlyChangeReportsNonNullAttributes) {
-  // An insert-only change must not report an empty attribute set — the
-  // inserted row wrote every non-null attribute it carries. Null-valued
-  // attributes of the new row are NOT reported.
+TEST(SourceChangeTest, InsertOnlyChangeWritesNoAttribute) {
+  // An inserted row is a membership change, not a write of its attribute
+  // values, so the change is not empty even though nothing was written.
   Table before = Fig1();
   Table after = before;
   relational::Row extra = *before.Get({Value::Int(188)});
   extra[0] = Value::Int(500);
   extra[3] = Value::Null();  // a3_address left unset
   ASSERT_TRUE(after.Insert(extra).ok());
-  Result<SourceChange> change = AnalyzeSourceChange(before, after);
+  Result<SourceChange> change = ChangeBetween(before, after);
   ASSERT_TRUE(change.ok());
   EXPECT_TRUE(change->membership_changed);
-  EXPECT_EQ(change->changed_attributes,
-            (std::set<std::string>{kPatientId, kMedicationName, kClinicalData,
-                                   kDosage, kMechanismOfAction,
-                                   medical::kModeOfAction}));
+  EXPECT_TRUE(change->written_attributes.empty());
+  EXPECT_FALSE(change->empty());
 }
 
-TEST(SourceChangeTest, DeleteOnlyChangeReportsDeletedRowAttributes) {
+TEST(SourceChangeTest, DeleteOnlyChangeWritesNoAttribute) {
   Table before = Fig1();
   Table after = before;
   ASSERT_TRUE(after.Delete({Value::Int(189)}).ok());
-  Result<SourceChange> change = AnalyzeSourceChange(before, after);
+  Result<SourceChange> change = ChangeBetween(before, after);
   ASSERT_TRUE(change.ok());
   EXPECT_TRUE(change->membership_changed);
-  // Row 189 has every attribute non-null.
-  EXPECT_EQ(change->changed_attributes.size(), 7u);
+  EXPECT_TRUE(change->written_attributes.empty());
 }
 
-TEST(SourceChangeTest, FromDeltaMatchesAnalyze) {
-  // SourceChangeFromDelta(before, ComputeDelta(before, after)) must agree
-  // with AnalyzeSourceChange(before, after) for a mixed change.
+TEST(SourceChangeTest, MixedChangeWritesOnlyUpdatedAttributes) {
+  // An update, a delete and an insert in one delta: only the update's
+  // changed attribute is written (membership permission governs the rest).
   Table before = Fig1();
   Table after = before;
   ASSERT_TRUE(after
@@ -95,15 +99,37 @@ TEST(SourceChangeTest, FromDeltaMatchesAnalyze) {
   extra[0] = Value::Int(500);
   ASSERT_TRUE(after.Insert(extra).ok());
 
-  Result<SourceChange> analyzed = AnalyzeSourceChange(before, after);
-  ASSERT_TRUE(analyzed.ok());
-  Result<relational::TableDelta> delta =
-      relational::ComputeDelta(before, after);
-  ASSERT_TRUE(delta.ok());
-  Result<SourceChange> from_delta = SourceChangeFromDelta(before, *delta);
-  ASSERT_TRUE(from_delta.ok());
-  EXPECT_EQ(from_delta->changed_attributes, analyzed->changed_attributes);
-  EXPECT_EQ(from_delta->membership_changed, analyzed->membership_changed);
+  Result<SourceChange> change = ChangeBetween(before, after);
+  ASSERT_TRUE(change.ok());
+  EXPECT_EQ(change->written_attributes, (std::set<std::string>{kDosage}));
+  EXPECT_TRUE(change->membership_changed);
+}
+
+TEST(SourceChangeTest, OnlyUpdateChangedAttributesAreWritten) {
+  // The contract-facing set on a hand-built delta: an update row carrying
+  // an unchanged attribute writes only the attribute that changed, and an
+  // insert/delete-only delta writes no attribute values at all.
+  Table before = Fig1();
+  relational::TableDelta delta;
+  relational::Row updated = *before.Get({Value::Int(188)});
+  updated[4] = Value::String("new dosage");
+  delta.updates.push_back(updated);
+  delta.deletes.push_back({Value::Int(189)});
+  relational::Row extra = *before.Get({Value::Int(188)});
+  extra[0] = Value::Int(500);
+  delta.inserts.push_back(extra);
+
+  Result<SourceChange> change = SourceChangeFromDelta(before, delta);
+  ASSERT_TRUE(change.ok());
+  EXPECT_EQ(change->written_attributes, (std::set<std::string>{kDosage}));
+
+  relational::TableDelta membership_only;
+  membership_only.deletes.push_back({Value::Int(189)});
+  membership_only.inserts.push_back(extra);
+  change = SourceChangeFromDelta(before, membership_only);
+  ASSERT_TRUE(change.ok());
+  EXPECT_TRUE(change->written_attributes.empty());
+  EXPECT_TRUE(change->membership_changed);
 }
 
 TEST(SourceChangeTest, FromDeltaRejectsMissingTargets) {
@@ -120,43 +146,10 @@ TEST(SourceChangeTest, FromDeltaRejectsMissingTargets) {
       SourceChangeFromDelta(before, bad_update).status().IsInvalidArgument());
 }
 
-TEST(WrittenAttributesTest, OnlyUpdateChangedAttributesCount) {
-  // The contract-facing set: updates contribute their changed attributes;
-  // inserted and deleted rows contribute NOTHING (membership permission
-  // governs row addition/removal, not per-attribute write permission).
-  Table before = Fig1();
-  relational::TableDelta delta;
-  relational::Row updated = *before.Get({Value::Int(188)});
-  updated[4] = Value::String("new dosage");
-  delta.updates.push_back(updated);
-  delta.deletes.push_back({Value::Int(189)});
-  relational::Row extra = *before.Get({Value::Int(188)});
-  extra[0] = Value::Int(500);
-  delta.inserts.push_back(extra);
-
-  Result<std::set<std::string>> written = WrittenAttributes(before, delta);
-  ASSERT_TRUE(written.ok());
-  EXPECT_EQ(*written, (std::set<std::string>{kDosage}));
-
-  // Insert/delete-only delta writes no attribute values at all.
-  relational::TableDelta membership_only;
-  membership_only.deletes.push_back({Value::Int(189)});
-  membership_only.inserts.push_back(extra);
-  written = WrittenAttributes(before, membership_only);
-  ASSERT_TRUE(written.ok());
-  EXPECT_TRUE(written->empty());
-}
-
 TEST(SourceChangeTest, IdenticalTablesAreEmptyChange) {
-  Result<SourceChange> change = AnalyzeSourceChange(Fig1(), Fig1());
+  Result<SourceChange> change = ChangeBetween(Fig1(), Fig1());
   ASSERT_TRUE(change.ok());
   EXPECT_TRUE(change->empty());
-}
-
-TEST(SourceChangeTest, SchemaMismatchRejected) {
-  Table other(*relational::Schema::Create(
-      {{"x", relational::DataType::kInt, false}}, {"x"}));
-  EXPECT_FALSE(AnalyzeSourceChange(Fig1(), other).ok());
 }
 
 TEST(OverlapTest, DisjointProjectionsDoNotInteract) {
@@ -169,7 +162,7 @@ TEST(OverlapTest, DisjointProjectionsDoNotInteract) {
                              {kMedicationName});
 
   SourceChange mechanism_only;
-  mechanism_only.changed_attributes.insert(kMechanismOfAction);
+  mechanism_only.written_attributes.insert(kMechanismOfAction);
 
   Result<bool> d31_affected =
       ChangeMayAffectView(*d31, Fig1().schema(), mechanism_only);
@@ -188,7 +181,7 @@ TEST(OverlapTest, SharedAttributeForcesInteraction) {
   auto d31 = MakeProjectLens(
       {kPatientId, kMedicationName, kClinicalData, kDosage}, {kPatientId});
   SourceChange med_change;
-  med_change.changed_attributes.insert(kMedicationName);
+  med_change.written_attributes.insert(kMedicationName);
   EXPECT_TRUE(*ChangeMayAffectView(*d31, Fig1().schema(), med_change));
 }
 
@@ -202,31 +195,6 @@ TEST(OverlapTest, MembershipChangeAffectsEveryView) {
 TEST(OverlapTest, EmptyChangeAffectsNothing) {
   auto lens = MakeIdentityLens();
   EXPECT_FALSE(*ChangeMayAffectView(*lens, Fig1().schema(), SourceChange{}));
-}
-
-TEST(OverlapTest, StaticLensInteraction) {
-  auto d31 = MakeProjectLens(
-      {kPatientId, kMedicationName, kClinicalData, kDosage}, {kPatientId});
-  auto d32 = MakeProjectLens({kMedicationName, kMechanismOfAction},
-                             {kMedicationName});
-  // Conservative static analysis: both lens Puts can change membership, so
-  // they may interact.
-  EXPECT_TRUE(*LensesMayInteract(*d31, *d32, Fig1().schema()));
-}
-
-TEST(FootprintOverlapTest, DisjointNonMembershipFootprints) {
-  SourceFootprint a;
-  a.read = {"x"};
-  a.written = {"x"};
-  SourceFootprint b;
-  b.read = {"y"};
-  b.written = {"y"};
-  EXPECT_FALSE(FootprintsMayOverlap(a, b));
-  b.read.insert("x");
-  EXPECT_TRUE(FootprintsMayOverlap(a, b));
-  SourceFootprint membership;
-  membership.affects_membership = true;
-  EXPECT_TRUE(FootprintsMayOverlap(a, membership));
 }
 
 }  // namespace

@@ -40,9 +40,7 @@ class EditDroppingLens : public bx::Lens {
     bx::SourceFootprint footprint;
     for (const auto& attribute : source_schema.attributes()) {
       footprint.read.insert(attribute.name);
-      footprint.written.insert(attribute.name);
     }
-    footprint.affects_membership = true;
     return footprint;
   }
   Json ToJson() const override {
@@ -73,9 +71,7 @@ class RowDroppingLens : public bx::Lens {
     bx::SourceFootprint footprint;
     for (const auto& attribute : source_schema.attributes()) {
       footprint.read.insert(attribute.name);
-      footprint.written.insert(attribute.name);
     }
-    footprint.affects_membership = true;
     return footprint;
   }
   Json ToJson() const override {
@@ -127,7 +123,7 @@ TEST_F(BxOracleTest, PutGetViolationCaughtOnPut) {
 
   // With the oracle the same put is rejected, naming the broken law.
   sync_.set_check_bx_laws(true);
-  Result<bx::SourceChange> put = sync_.PutViewIntoSource("bad");
+  Result<SourcePut> put = sync_.PutViewIntoSource("bad");
   ASSERT_FALSE(put.ok());
   EXPECT_TRUE(put.status().IsFailedPrecondition()) << put.status();
   EXPECT_NE(put.status().message().find("BX law oracle"), std::string::npos)
@@ -191,7 +187,7 @@ TEST_F(BxOracleTest, LawAbidingLensPassesWithOracleOn) {
   ASSERT_TRUE(db_.UpdateAttribute("PV", {Value::Int(188)}, kDosage,
                                   Value::String("new dose"))
                   .ok());
-  Result<bx::SourceChange> put = sync_.PutViewIntoSource("ok");
+  Result<SourcePut> put = sync_.PutViewIntoSource("ok");
   ASSERT_TRUE(put.ok()) << put.status();
   EXPECT_EQ(db_.Snapshot("S")->Get({Value::Int(188)})->at(3).AsString(),
             "new dose");

@@ -9,6 +9,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/strings.h"
 #include "core/audit.h"
 #include "contracts/metadata_contract.h"
 #include "core/scenario.h"
@@ -399,6 +400,144 @@ TEST_F(PeerScenarioTest, ReadIsLocalAndChainFree) {
   clinic_->simulator().RunFor(100 * kMicrosPerMilli);
   // Reads produced no transactions and no blocks.
   EXPECT_EQ(clinic_->node(0).blockchain().height(), height_before);
+}
+
+TEST_F(PeerScenarioTest, CascadeKindFollowsTheViewDelta) {
+  // One source change per cascade kind at the doctor. D31 is keyed by
+  // patient id, D32 by medication name; each request_update's kind and
+  // attributes come from the view delta the dependency check found.
+  ASSERT_TRUE(clinic_->researcher()
+                  .SubmitChangePermission(kDR, kMechanismOfAction,
+                                          clinic_->doctor().address(),
+                                          /*grant=*/true)
+                  .ok());
+  Settle();
+  auto change_d3 = [&](std::function<Status(relational::Database*)> edit) {
+    ASSERT_TRUE(clinic_->doctor().UpdateSourceAndPropagate("D3", edit).ok());
+    Settle();
+  };
+  auto set_mechanism = [](relational::Database* db, int64_t id,
+                          const char* mechanism) {
+    return db->UpdateAttribute("D3", {Value::Int(id)}, kMechanismOfAction,
+                               Value::String(mechanism));
+  };
+  auto insert_patient = [](relational::Database* db, int64_t id,
+                           const char* medication) {
+    return db->Insert("D3", {Value::Int(id), Value::String(medication),
+                             Value::String("CliD9"), Value::String("MeA9"),
+                             Value::String("5 mg")});
+  };
+  // update: a value change inside D32 only.
+  change_d3([&](relational::Database* db) {
+    return set_mechanism(db, 188, "MeA1'");
+  });
+  // insert: a new patient on a new medication reaches both views.
+  change_d3([&](relational::Database* db) {
+    return insert_patient(db, 300, "Metformin");
+  });
+  // delete: the same patient leaves both views.
+  change_d3([&](relational::Database* db) {
+    return db->Delete("D3", {Value::Int(300)});
+  });
+  // replace: D32 both gains a row and changes a value; D31 only gains one.
+  change_d3([&](relational::Database* db) {
+    MEDSYNC_RETURN_IF_ERROR(set_mechanism(db, 189, "MeA2'"));
+    return insert_patient(db, 301, "Aspirin");
+  });
+
+  auto proposals = [&](const char* table_id) {
+    std::vector<std::string> out;
+    for (const AuditRecord& record :
+         BuildAuditTrail(clinic_->node(0).blockchain(),
+                         clinic_->node(0).host(), table_id)) {
+      if (record.method != "request_update") continue;
+      EXPECT_EQ(record.actor, clinic_->doctor().address().ToHex());
+      EXPECT_TRUE(record.committed) << record.denial_reason;
+      out.push_back(record.kind + "[" + Join(record.attributes, ",") + "]");
+    }
+    return out;
+  };
+  const std::string mechanism = kMechanismOfAction;
+  EXPECT_EQ(proposals(kDR),
+            (std::vector<std::string>{"update[" + mechanism + "]", "insert[]",
+                                      "delete[]",
+                                      "replace[" + mechanism + "]"}));
+  EXPECT_EQ(proposals(kPD),
+            (std::vector<std::string>{"insert[]", "delete[]", "insert[]"}));
+  EXPECT_EQ(clinic_->doctor().stats().cascades_proposed, 7u);
+  EXPECT_EQ(clinic_->doctor().stats().cascades_blocked, 0u);
+}
+
+TEST_F(PeerScenarioTest, RejectedSharedEditsProposeNothing) {
+  Peer& doctor = clinic_->doctor();
+  const Value missing = Value::Int(999);
+  const relational::Row duplicate = {Value::Int(188), Value::String("x"),
+                                     Value::String("y"), Value::String("z")};
+  struct Case {
+    const char* name;
+    std::function<Status()> edit;
+    StatusCode code;
+  };
+  const std::vector<Case> cases = {
+      {"update unknown table",
+       [&] {
+         return doctor.UpdateSharedAttribute("nope", {Value::Int(188)},
+                                             kDosage, Value::String("x"));
+       },
+       StatusCode::kNotFound},
+      {"update missing key",
+       [&] {
+         return doctor.UpdateSharedAttribute(kPD, {missing}, kDosage,
+                                             Value::String("x"));
+       },
+       StatusCode::kNotFound},
+      {"update unknown attribute",
+       [&] {
+         return doctor.UpdateSharedAttribute(kPD, {Value::Int(188)}, "nope",
+                                             Value::String("x"));
+       },
+       StatusCode::kNotFound},
+      {"update key attribute",
+       [&] {
+         return doctor.UpdateSharedAttribute(kPD, {Value::Int(188)},
+                                             medical::kPatientId,
+                                             Value::Int(190));
+       },
+       StatusCode::kInvalidArgument},
+      {"update wrong type",
+       [&] {
+         return doctor.UpdateSharedAttribute(kPD, {Value::Int(188)}, kDosage,
+                                             Value::Int(5));
+       },
+       StatusCode::kInvalidArgument},
+      {"insert unknown table",
+       [&] { return doctor.InsertSharedRow("nope", duplicate); },
+       StatusCode::kNotFound},
+      {"insert wrong type",
+       [&] {
+         return doctor.InsertSharedRow(
+             kPD, {Value::String("300"), Value::String("x"),
+                   Value::String("y"), Value::String("z")});
+       },
+       StatusCode::kInvalidArgument},
+      {"insert duplicate",
+       [&] { return doctor.InsertSharedRow(kPD, duplicate); },
+       StatusCode::kAlreadyExists},
+      {"delete unknown table",
+       [&] { return doctor.DeleteSharedRow("nope", {Value::Int(188)}); },
+       StatusCode::kNotFound},
+      {"delete missing key",
+       [&] { return doctor.DeleteSharedRow(kPD, {missing}); },
+       StatusCode::kNotFound},
+  };
+  const Table view_before = *doctor.database().Snapshot("D31");
+  for (const Case& c : cases) {
+    Status status = c.edit();
+    EXPECT_EQ(status.code(), c.code) << c.name << ": " << status;
+    EXPECT_EQ(doctor.stats().updates_proposed, 0u) << c.name;
+  }
+  EXPECT_FALSE(doctor.HasPendingWork());
+  EXPECT_EQ(*doctor.database().Snapshot("D31"), view_before);
 }
 
 // -- Fetch path: delta responses and the checks that reject a fetch --------

@@ -17,6 +17,16 @@ using medical::kPatientId;
 using relational::Table;
 using relational::Value;
 
+/// Two refreshes agree on everything the cascade proposes.
+void ExpectSameRefresh(const ViewRefresh& a, const ViewRefresh& b) {
+  EXPECT_EQ(a.table_id, b.table_id);
+  EXPECT_EQ(a.delta.inserts, b.delta.inserts) << a.table_id;
+  EXPECT_EQ(a.delta.deletes, b.delta.deletes) << a.table_id;
+  EXPECT_EQ(a.delta.updates, b.delta.updates) << a.table_id;
+  EXPECT_EQ(a.written_attributes, b.written_attributes) << a.table_id;
+  EXPECT_EQ(a.membership_changed, b.membership_changed) << a.table_id;
+}
+
 class SyncManagerTest : public ::testing::Test {
  protected:
   SyncManagerTest() : sync_(&db_, DependencyStrategy::kAnalyzeChange) {
@@ -65,33 +75,70 @@ TEST_F(SyncManagerTest, RegisterValidatesBindings) {
   EXPECT_EQ(sync_.ViewIds(), std::vector<std::string>{"D13&D31"});
 }
 
-TEST_F(SyncManagerTest, DeriveAndMaterialize) {
+TEST_F(SyncManagerTest, DeriveTracksTheSource) {
   ASSERT_TRUE(sync_.RegisterView("D13&D31", "D3", "D31", lens31_).ok());
   Result<Table> derived = sync_.DeriveView("D13&D31");
   ASSERT_TRUE(derived.ok());
   EXPECT_EQ(*derived, *db_.Snapshot("D31"));
   EXPECT_FALSE(sync_.DeriveView("nope").ok());
 
-  // Change the source; materialize refreshes the view table.
+  // Change the source; the derived view follows it.
   ASSERT_TRUE(db_.UpdateAttribute("D3", {Value::Int(188)}, kDosage,
                                   Value::String("changed"))
                   .ok());
-  ASSERT_TRUE(sync_.MaterializeView("D13&D31").ok());
-  EXPECT_EQ(db_.Snapshot("D31")->Get({Value::Int(188)})->at(3).AsString(),
-            "changed");
+  derived = sync_.DeriveView("D13&D31");
+  ASSERT_TRUE(derived.ok());
+  EXPECT_EQ(derived->Get({Value::Int(188)})->at(3).AsString(), "changed");
 }
 
-TEST_F(SyncManagerTest, PutViewIntoSourceReportsChange) {
+TEST_F(SyncManagerTest, PutViewIntoSourceReturnsItsDelta) {
   ASSERT_TRUE(sync_.RegisterView("D13&D31", "D3", "D31", lens31_).ok());
+  Table source_before = *db_.Snapshot("D3");
   ASSERT_TRUE(db_.UpdateAttribute("D31", {Value::Int(188)}, kDosage,
                                   Value::String("put me"))
                   .ok());
-  Result<bx::SourceChange> change = sync_.PutViewIntoSource("D13&D31");
-  ASSERT_TRUE(change.ok()) << change.status();
-  EXPECT_EQ(change->changed_attributes, std::set<std::string>{kDosage});
-  EXPECT_FALSE(change->membership_changed);
-  EXPECT_EQ(db_.Snapshot("D3")->Get({Value::Int(188)})->at(4).AsString(),
-            "put me");
+  for (ViewMaintenance mode :
+       {ViewMaintenance::kIncremental, ViewMaintenance::kFullGet}) {
+    sync_.set_maintenance(mode);
+    ASSERT_TRUE(db_.ReplaceTable("D3", source_before).ok());
+    Result<SourcePut> put = sync_.PutViewIntoSource("D13&D31");
+    ASSERT_TRUE(put.ok()) << put.status();
+    // The pre-put source, and the one-row delta the put applied to it.
+    EXPECT_EQ(put->before, source_before);
+    ASSERT_EQ(put->delta.size(), 1u);
+    ASSERT_EQ(put->delta.updates.size(), 1u);
+    EXPECT_EQ(put->delta.updates[0].at(4).AsString(), "put me");
+    Result<bx::SourceChange> change =
+        bx::SourceChangeFromDelta(put->before, put->delta);
+    ASSERT_TRUE(change.ok());
+    EXPECT_EQ(change->written_attributes, std::set<std::string>{kDosage});
+    EXPECT_FALSE(change->membership_changed);
+    EXPECT_EQ(db_.Snapshot("D3")->Get({Value::Int(188)})->at(4).AsString(),
+              "put me");
+  }
+}
+
+TEST_F(SyncManagerTest, DeltaFormMatchesDiffingTheDatabase) {
+  ASSERT_TRUE(sync_.RegisterView("D13&D31", "D3", "D31", lens31_).ok());
+  ASSERT_TRUE(sync_.RegisterView("D23&D32", "D3", "D32", lens32_).ok());
+  // A medication rename put back through D31 reaches D32. The delta the
+  // put returns gives the same refresh as diffing the database afterwards.
+  ASSERT_TRUE(db_.UpdateAttribute("D31", {Value::Int(188)}, kMedicationName,
+                                  Value::String("Naproxen"))
+                  .ok());
+  Result<SourcePut> put = sync_.PutViewIntoSource("D13&D31");
+  ASSERT_TRUE(put.ok()) << put.status();
+  Result<std::vector<ViewRefresh>> from_delta =
+      sync_.FindAffectedViews("D3", put->before, put->delta, "D13&D31");
+  Result<std::vector<ViewRefresh>> from_diff =
+      sync_.FindAffectedViews("D3", put->before, "D13&D31");
+  ASSERT_TRUE(from_delta.ok()) << from_delta.status();
+  ASSERT_TRUE(from_diff.ok()) << from_diff.status();
+  ASSERT_EQ(from_delta->size(), 1u);
+  ASSERT_EQ(from_diff->size(), 1u);
+  EXPECT_EQ((*from_delta)[0].table_id, "D23&D32");
+  EXPECT_TRUE((*from_delta)[0].membership_changed);
+  ExpectSameRefresh((*from_delta)[0], (*from_diff)[0]);
 }
 
 TEST_F(SyncManagerTest, FindAffectedViewsDisjointChangeSkips) {
@@ -221,18 +268,11 @@ TEST_F(SyncManagerTest, IncrementalAndFullGetAgreeOnViewState) {
   }
   ASSERT_EQ(inc_refreshes.size(), full_refreshes.size());
   for (size_t i = 0; i < inc_refreshes.size(); ++i) {
-    EXPECT_EQ(inc_refreshes[i].table_id, full_refreshes[i].table_id);
-    EXPECT_EQ(inc_refreshes[i].new_view, full_refreshes[i].new_view);
-    EXPECT_EQ(inc_refreshes[i].changed_attributes,
-              full_refreshes[i].changed_attributes);
-    EXPECT_EQ(inc_refreshes[i].written_attributes,
-              full_refreshes[i].written_attributes);
-    EXPECT_EQ(inc_refreshes[i].membership_changed,
-              full_refreshes[i].membership_changed);
+    ExpectSameRefresh(inc_refreshes[i], full_refreshes[i]);
   }
 }
 
-TEST_F(SyncManagerTest, InsertOnlyChangeReportsInsertedAttributes) {
+TEST_F(SyncManagerTest, InsertOnlyChangeWritesNoAttribute) {
   ASSERT_TRUE(sync_.RegisterView("D13&D31", "D3", "D31", lens31_).ok());
   Table before = *db_.Snapshot("D3");
   ASSERT_TRUE(db_.Insert("D3", {Value::Int(200), Value::String("Aspirin"),
@@ -245,13 +285,11 @@ TEST_F(SyncManagerTest, InsertOnlyChangeReportsInsertedAttributes) {
   ASSERT_EQ(refreshes->size(), 1u);
   const ViewRefresh& refresh = (*refreshes)[0];
   EXPECT_TRUE(refresh.membership_changed);
-  // The analysis-facing attribute set names the inserted row's non-null
-  // attributes (satellite: an insert-only change must not look empty)...
-  EXPECT_EQ(refresh.changed_attributes,
-            (std::vector<std::string>{kPatientId, kMedicationName,
-                                      kClinicalData, kDosage}));
-  // ...while the contract-facing set stays empty: inserts are governed by
-  // the membership permission, not per-attribute write permissions.
+  // The refresh carries the inserted row, while the contract-facing set
+  // stays empty: inserts are governed by the membership permission, not
+  // per-attribute write permissions.
+  ASSERT_EQ(refresh.delta.inserts.size(), 1u);
+  EXPECT_EQ(refresh.delta.size(), 1u);
   EXPECT_TRUE(refresh.written_attributes.empty());
   ASSERT_TRUE(sync_.ApplyRefresh(refresh).ok());
   EXPECT_TRUE(db_.Snapshot("D31")->Contains({Value::Int(200)}));

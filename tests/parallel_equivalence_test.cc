@@ -290,8 +290,10 @@ TEST(ParallelEquivalenceTest, CascadeRederivationMatchesSerial) {
         const core::ViewRefresh& a = serial.refreshes[i];
         const core::ViewRefresh& b = parallel.refreshes[i];
         EXPECT_EQ(a.table_id, b.table_id) << "slot " << i;
-        EXPECT_EQ(a.new_view, b.new_view) << a.table_id;
-        EXPECT_EQ(a.changed_attributes, b.changed_attributes) << a.table_id;
+        EXPECT_EQ(a.delta.inserts, b.delta.inserts) << a.table_id;
+        EXPECT_EQ(a.delta.deletes, b.delta.deletes) << a.table_id;
+        EXPECT_EQ(a.delta.updates, b.delta.updates) << a.table_id;
+        EXPECT_EQ(a.written_attributes, b.written_attributes) << a.table_id;
         EXPECT_EQ(a.membership_changed, b.membership_changed) << a.table_id;
       }
     }
