@@ -1,7 +1,8 @@
 // BX experiment (Section II-B): lens get/put cost as a function of source
 // size and composition depth. The shape to observe: both directions are
 // linear in rows; composition adds a constant factor per stage; put is a
-// small multiple of get (it re-derives intermediates).
+// small multiple of get (it re-derives intermediates). The delta put of a
+// one-row edit reads one source row, so its time is flat in rows.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include "bx/lens_factory.h"
 #include "medical/generator.h"
 #include "medical/records.h"
+#include "relational/delta.h"
 #include "relational/predicate.h"
 
 namespace {
@@ -52,6 +54,23 @@ void BM_ProjectLensPut(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ProjectLensPut)->Range(8, 8192);
+
+void BM_ProjectLensPutDelta(benchmark::State& state) {
+  // The same one-row edit as BM_ProjectLensPut, put back as a view delta:
+  // reads only the edited source row.
+  Table source = SourceOf(state.range(0));
+  bx::LensPtr lens = PatientDoctorLens();
+  Table view = *lens->Get(source);
+  relational::Row edited = *view.Get({Value::Int(1000)});
+  edited[*view.schema().IndexOf(kDosage)] = Value::String("edited");
+  relational::TableDelta view_delta;
+  view_delta.updates.push_back(std::move(edited));
+  for (auto _ : state) {
+    auto put = lens->PutDelta(source, view_delta);
+    benchmark::DoNotOptimize(put);
+  }
+}
+BENCHMARK(BM_ProjectLensPutDelta)->Range(8, 8192);
 
 void BM_GroupedLensPut(benchmark::State& state) {
   // Researcher-style grouped lens (view keyed by medication name).

@@ -6,6 +6,7 @@
 
 namespace medsync::bx {
 
+using relational::Row;
 using relational::Schema;
 using relational::Table;
 
@@ -59,6 +60,54 @@ Result<AnnotatedDelta> ComposeLens::PushDeltaAnnotated(
     MEDSYNC_ASSIGN_OR_RETURN(current,
                              stage->PushDeltaAnnotated(schema, current));
     MEDSYNC_ASSIGN_OR_RETURN(schema, stage->ViewSchema(schema));
+  }
+  return current;
+}
+
+Result<RowGet> ComposeLens::BindRowGet(const Schema& source_schema) const {
+  Schema schema = source_schema;
+  std::vector<RowGet> gets;
+  gets.reserve(stages_.size());
+  for (const LensPtr& stage : stages_) {
+    MEDSYNC_ASSIGN_OR_RETURN(RowGet get, stage->BindRowGet(schema));
+    gets.push_back(std::move(get));
+    MEDSYNC_ASSIGN_OR_RETURN(schema, stage->ViewSchema(schema));
+  }
+  return RowGet([gets = std::move(gets)](
+                    const Row& row) -> Result<std::optional<Row>> {
+    std::optional<Row> current = row;
+    for (const RowGet& get : gets) {
+      if (!current.has_value()) break;
+      MEDSYNC_ASSIGN_OR_RETURN(current, get(*current));
+    }
+    return current;
+  });
+}
+
+Result<AnnotatedDelta> ComposeLens::PutDeltaAnnotated(
+    const Schema& source_schema, const RowLookup& source,
+    const AnnotatedDelta& view_delta) const {
+  // schemas[i] and lookups[i]: the source of stage i, read through the
+  // row-local gets of stages [0, i). Every stage keeps the key, so a key
+  // of stage i's source is a key of the original source.
+  std::vector<Schema> schemas = {source_schema};
+  std::vector<RowLookup> lookups = {source};
+  for (size_t i = 0; i + 1 < stages_.size(); ++i) {
+    MEDSYNC_ASSIGN_OR_RETURN(RowGet get, stages_[i]->BindRowGet(schemas[i]));
+    MEDSYNC_ASSIGN_OR_RETURN(Schema next, stages_[i]->ViewSchema(schemas[i]));
+    schemas.push_back(std::move(next));
+    lookups.push_back(
+        [below = lookups[i], get = std::move(get)](
+            const relational::Key& key) -> Result<std::optional<Row>> {
+          MEDSYNC_ASSIGN_OR_RETURN(std::optional<Row> row, below(key));
+          if (!row.has_value()) return row;
+          return get(*row);
+        });
+  }
+  AnnotatedDelta current = view_delta;
+  for (size_t i = stages_.size(); i-- > 0;) {
+    MEDSYNC_ASSIGN_OR_RETURN(
+        current, stages_[i]->PutDeltaAnnotated(schemas[i], lookups[i], current));
   }
   return current;
 }

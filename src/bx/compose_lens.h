@@ -37,6 +37,17 @@ class ComposeLens : public Lens {
   Result<AnnotatedDelta> PushDeltaAnnotated(
       const relational::Schema& source_schema,
       const AnnotatedDelta& delta) const override;
+  /// The stages' row-local gets, chained.
+  Result<RowGet> BindRowGet(
+      const relational::Schema& source_schema) const override;
+  /// Exact iff every stage is: the view delta is put through the stages
+  /// right-to-left, each stage's source delta becoming the view delta of
+  /// the stage below. Stage i reads its source (the intermediate view of
+  /// stages [0, i)) one row at a time through the row-local gets of the
+  /// stages below it; no intermediate table is materialized.
+  Result<AnnotatedDelta> PutDeltaAnnotated(
+      const relational::Schema& source_schema, const RowLookup& source,
+      const AnnotatedDelta& view_delta) const override;
   Result<SourceFootprint> Footprint(
       const relational::Schema& source_schema) const override;
   Json ToJson() const override;

@@ -1,7 +1,9 @@
 #ifndef MEDSYNC_BX_LENS_H_
 #define MEDSYNC_BX_LENS_H_
 
+#include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -40,6 +42,29 @@ struct AnnotatedDelta {
     return inserts.size() + updates.size() + deletes.size();
   }
 };
+
+/// Annotates `delta` with the rows of `before`, the table it applies to.
+/// Every delete and update must target a row of `before` (InvalidArgument
+/// otherwise); an insert reusing a deleted key stays an insert. Costs
+/// O(|delta| log |before|).
+Result<AnnotatedDelta> Annotate(const relational::Table& before,
+                                const relational::TableDelta& delta);
+
+/// Strips the annotations back down to a wire-shaped TableDelta under
+/// `schema`, dropping updates whose row did not change.
+relational::TableDelta StripAnnotations(const relational::Schema& schema,
+                                        AnnotatedDelta delta);
+
+/// Point reads of a keyed table, one row at a time: the row at `key`, or
+/// nullopt if there is none. PutDelta reads the source through one, and a
+/// composition reads each stage's source through the stages below it.
+using RowLookup = std::function<Result<std::optional<relational::Row>>(
+    const relational::Key& key)>;
+
+/// One row through a lens's get: the view row, or nullopt if the row is
+/// outside the view (see Lens::BindRowGet).
+using RowGet = std::function<Result<std::optional<relational::Row>>(
+    const relational::Row& row)>;
 
 /// The set of source attributes a lens's view content depends on. Used by
 /// the step-6 dependency check of the paper's Fig. 5 (bx/overlap.h): a
@@ -106,11 +131,50 @@ class Lens {
       const relational::TableDelta& delta) const;
 
   /// The overridable core of PushDelta: translates an annotated delta
-  /// under `source_schema`. Default: Unimplemented. Implementations must
-  /// be exact or refuse — guessing would desynchronize materialized views.
+  /// under `source_schema`. Default: maps the old and new row of every
+  /// change through BindRowGet and classifies the pair (a row that enters
+  /// the view is an insert, one that leaves it a delete), so it is exact
+  /// for every lens that has a row-local get. Overrides must be exact or
+  /// refuse — guessing would desynchronize materialized views.
   virtual Result<AnnotatedDelta> PushDeltaAnnotated(
       const relational::Schema& source_schema,
       const AnnotatedDelta& delta) const;
+
+  /// Row-local get bound to `source_schema`: a function from one source
+  /// row to its view row under the same key, or to nullopt if the row is
+  /// outside the view. Binding checks the schema once (ViewSchema's status
+  /// codes). Only lenses whose view key is the source key (identity,
+  /// select, rename, row-aligned project and their compositions) have one;
+  /// the default and grouped projections return Unimplemented.
+  virtual Result<RowGet> BindRowGet(
+      const relational::Schema& source_schema) const;
+
+  /// Incremental put, the putback twin of PushDelta: translates a delta on
+  /// the view into the delta on the source, annotated with the pre-put
+  /// source rows. `view_delta` must apply to Get(source) (same rules as
+  /// relational::ValidateDelta, same status codes); then
+  ///
+  ///   StripAnnotations(PutDelta(S, dv))
+  ///       == ComputeDelta(S, Put(S, ApplyDelta(dv, Get(S))))
+  ///
+  /// in rows and order (each vector in key order), and an update Put
+  /// rejects is rejected with Put's status code. No-op view updates are
+  /// dropped. It reads only the source rows the delta touches, through
+  /// Table::Get: O(|dv| log |S|). Lenses with no exact translation
+  /// (grouped projections) return Unimplemented — callers fall back to
+  /// the full Put.
+  Result<AnnotatedDelta> PutDelta(const relational::Table& source,
+                                  const relational::TableDelta& view_delta)
+      const;
+
+  /// The overridable core of PutDelta: maps an annotated view delta to
+  /// the annotated source delta. `view_delta` is normalized against
+  /// Get(source): each key appears once, in key order within each vector,
+  /// annotated with its view row, and no update is a no-op. `source` reads
+  /// the source rows. Default: Unimplemented.
+  virtual Result<AnnotatedDelta> PutDeltaAnnotated(
+      const relational::Schema& source_schema, const RowLookup& source,
+      const AnnotatedDelta& view_delta) const;
 
   /// Conservative read set on `source_schema` for the dependency check.
   virtual Result<SourceFootprint> Footprint(
@@ -143,9 +207,11 @@ class IdentityLens : public Lens {
   Result<relational::Table> Put(
       const relational::Table& source,
       const relational::Table& view) const override;
-  Result<AnnotatedDelta> PushDeltaAnnotated(
-      const relational::Schema& source_schema,
-      const AnnotatedDelta& delta) const override;
+  Result<RowGet> BindRowGet(
+      const relational::Schema& source_schema) const override;
+  Result<AnnotatedDelta> PutDeltaAnnotated(
+      const relational::Schema& source_schema, const RowLookup& source,
+      const AnnotatedDelta& view_delta) const override;
   Result<SourceFootprint> Footprint(
       const relational::Schema& source_schema) const override;
   Json ToJson() const override;

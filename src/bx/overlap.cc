@@ -1,33 +1,16 @@
 #include "bx/overlap.h"
 
-#include "relational/delta.h"
-
 namespace medsync::bx {
 
 using relational::Schema;
-using relational::Table;
-using relational::TableDelta;
 
-Result<SourceChange> SourceChangeFromDelta(const Table& before,
-                                           const TableDelta& delta) {
-  const Schema& schema = before.schema();
+SourceChange SourceChangeFromDelta(const Schema& schema,
+                                   const AnnotatedDelta& delta) {
   SourceChange change;
   change.membership_changed = !delta.inserts.empty() || !delta.deletes.empty();
-  for (const relational::Key& key : delta.deletes) {
-    if (!before.Contains(key)) {
-      return Status::InvalidArgument(
-          "SourceChangeFromDelta: delete targets missing key");
-    }
-  }
-  for (const relational::Row& row : delta.updates) {
-    std::optional<relational::Row> old =
-        before.Get(relational::KeyOf(schema, row));
-    if (!old.has_value()) {
-      return Status::InvalidArgument(
-          "SourceChangeFromDelta: update targets missing row");
-    }
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (row[i] != (*old)[i]) {
+  for (const AnnotatedDelta::OldNew& update : delta.updates) {
+    for (size_t i = 0; i < update.after.size(); ++i) {
+      if (update.after[i] != update.before[i]) {
         change.written_attributes.insert(schema.attributes()[i].name);
       }
     }

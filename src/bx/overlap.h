@@ -30,11 +30,11 @@ struct SourceChange {
   }
 };
 
-/// Analyzes `delta` against `before`, the table it applies to. Every
-/// delete and update must target a row of `before` (InvalidArgument
-/// otherwise). Costs O(|delta| log |before|).
-Result<SourceChange> SourceChangeFromDelta(const relational::Table& before,
-                                           const relational::TableDelta& delta);
+/// Analyzes an annotated delta on a table of `schema`: the written
+/// attributes are those whose value differs between an update's old and
+/// new row. Costs O(|delta|) row compares.
+SourceChange SourceChangeFromDelta(const relational::Schema& schema,
+                                   const AnnotatedDelta& delta);
 
 /// Dynamic test: given a concrete source change, may `lens`'s view have
 /// changed? Conservative. Used by SyncManager's "analyze" dependency-check

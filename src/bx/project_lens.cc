@@ -62,6 +62,50 @@ Result<std::vector<Value>> ValuesOf(const Schema& schema, const Row& row,
   }
   return out;
 }
+
+/// Where the view attributes sit in a source row, and the hidden
+/// complement. The schema must have passed ViewSchema.
+struct Layout {
+  std::vector<size_t> visible;  // in view-attribute order
+  std::vector<size_t> hidden;
+};
+
+Layout LayoutOf(const Schema& ss, const std::vector<std::string>& attributes) {
+  Layout layout;
+  std::vector<bool> is_visible(ss.attribute_count(), false);
+  for (const std::string& name : attributes) {
+    const size_t i = *ss.IndexOf(name);
+    layout.visible.push_back(i);
+    is_visible[i] = true;
+  }
+  for (size_t i = 0; i < ss.attribute_count(); ++i) {
+    if (!is_visible[i]) layout.hidden.push_back(i);
+  }
+  return layout;
+}
+
+/// `source_row` with the view row's attributes written over it.
+Row Merge(Row source_row, const Layout& layout, const Row& view_row) {
+  for (size_t i = 0; i < layout.visible.size(); ++i) {
+    source_row[layout.visible[i]] = view_row[i];
+  }
+  return source_row;
+}
+
+/// The source row for an inserted view row: NULL in every hidden
+/// attribute, or FailedPrecondition if one of them is non-nullable.
+Result<Row> Synthesize(const Schema& ss, const Layout& layout,
+                       const Row& view_row) {
+  for (size_t i : layout.hidden) {
+    const AttributeDef& attr = ss.attributes()[i];
+    if (!attr.nullable) {
+      return Status::FailedPrecondition(
+          StrCat("untranslatable view insertion: hidden source attribute '",
+                 attr.name, "' is non-nullable and has no default"));
+    }
+  }
+  return Merge(Row(ss.attribute_count(), Value::Null()), layout, view_row);
+}
 }  // namespace
 
 Result<Table> ProjectLens::Put(const Table& source, const Table& view) const {
@@ -71,24 +115,7 @@ Result<Table> ProjectLens::Put(const Table& source, const Table& view) const {
     return Status::InvalidArgument(
         "projection lens put: view schema does not match lens definition");
   }
-
-  // Positions of the view attributes within the source schema.
-  std::vector<size_t> src_idx;
-  for (const std::string& name : attributes_) {
-    src_idx.push_back(*ss.IndexOf(name));
-  }
-  // Hidden complement attributes.
-  std::vector<size_t> hidden_idx;
-  for (size_t i = 0; i < ss.attribute_count(); ++i) {
-    bool visible = false;
-    for (size_t v : src_idx) {
-      if (v == i) {
-        visible = true;
-        break;
-      }
-    }
-    if (!visible) hidden_idx.push_back(i);
-  }
+  const Layout layout = LayoutOf(ss, attributes_);
 
   // Whether the view carries every source-key attribute (needed to
   // translate view inserts).
@@ -107,23 +134,6 @@ Result<Table> ProjectLens::Put(const Table& source, const Table& view) const {
     }
   }
 
-  auto synthesize_row = [&](const Row& view_row) -> Result<Row> {
-    Row out(ss.attribute_count());
-    for (size_t i = 0; i < attributes_.size(); ++i) {
-      out[src_idx[i]] = view_row[i];
-    }
-    for (size_t i : hidden_idx) {
-      const AttributeDef& attr = ss.attributes()[i];
-      if (!attr.nullable) {
-        return Status::FailedPrecondition(StrCat(
-            "untranslatable view insertion: hidden source attribute '",
-            attr.name, "' is non-nullable and has no default"));
-      }
-      out[i] = Value::Null();
-    }
-    return out;
-  };
-
   Table result(ss);
 
   if (RowAligned(ss)) {
@@ -131,17 +141,14 @@ Result<Table> ProjectLens::Put(const Table& source, const Table& view) const {
     for (const auto& [vkey, vrow] : view.scan()) {
       std::optional<Row> existing = source.Get(vkey);
       if (existing.has_value()) {
-        Row merged = *existing;
-        for (size_t i = 0; i < attributes_.size(); ++i) {
-          merged[src_idx[i]] = vrow[i];
-        }
-        MEDSYNC_RETURN_IF_ERROR(result.Insert(std::move(merged)));
+        MEDSYNC_RETURN_IF_ERROR(
+            result.Insert(Merge(std::move(*existing), layout, vrow)));
       } else {
         if (!view_has_source_key) {
           return Status::Internal(
               "row-aligned projection without source key attributes");
         }
-        MEDSYNC_ASSIGN_OR_RETURN(Row fresh, synthesize_row(vrow));
+        MEDSYNC_ASSIGN_OR_RETURN(Row fresh, Synthesize(ss, layout, vrow));
         MEDSYNC_RETURN_IF_ERROR(result.Insert(std::move(fresh)));
       }
     }
@@ -168,60 +175,76 @@ Result<Table> ProjectLens::Put(const Table& source, const Table& view) const {
             "untranslatable view insertion at ", relational::RowToString(vkey),
             ": the view does not determine the source key"));
       }
-      MEDSYNC_ASSIGN_OR_RETURN(Row fresh, synthesize_row(vrow));
+      MEDSYNC_ASSIGN_OR_RETURN(Row fresh, Synthesize(ss, layout, vrow));
       MEDSYNC_RETURN_IF_ERROR(result.Insert(std::move(fresh)));
       continue;
     }
     // Write the view row's attributes into every source row of the group.
     for (const Row& srow : it->second) {
-      Row merged = srow;
-      for (size_t i = 0; i < attributes_.size(); ++i) {
-        merged[src_idx[i]] = vrow[i];
-      }
-      MEDSYNC_RETURN_IF_ERROR(result.Insert(std::move(merged)));
+      MEDSYNC_RETURN_IF_ERROR(result.Insert(Merge(srow, layout, vrow)));
     }
   }
   // Groups whose key is absent from the view are deleted wholesale.
   return result;
 }
 
-Result<AnnotatedDelta> ProjectLens::PushDeltaAnnotated(
-    const Schema& source_schema, const AnnotatedDelta& delta) const {
+Result<Schema> ProjectLens::RowAlignedViewSchema(
+    const Schema& source_schema) const {
   if (!RowAligned(source_schema)) {
     return Status::Unimplemented(StrCat(
         "lens ", ToString(),
-        " is a grouped projection: a one-row source change can merge or "
-        "split whole view groups, so there is no exact delta translation"));
+        " is a grouped projection: a one-row change can merge or split "
+        "whole view groups, so there is no exact row-local translation"));
   }
-  MEDSYNC_RETURN_IF_ERROR(ViewSchema(source_schema).status());
+  return ViewSchema(source_schema);
+}
 
-  std::vector<size_t> src_idx;
-  src_idx.reserve(attributes_.size());
-  for (const std::string& name : attributes_) {
-    src_idx.push_back(*source_schema.IndexOf(name));
-  }
-  auto project_row = [&src_idx](const Row& row) {
+Result<RowGet> ProjectLens::BindRowGet(const Schema& source_schema) const {
+  MEDSYNC_RETURN_IF_ERROR(RowAlignedViewSchema(source_schema).status());
+  return RowGet([visible = LayoutOf(source_schema, attributes_).visible](
+                    const Row& row) -> Result<std::optional<Row>> {
     Row out;
-    out.reserve(src_idx.size());
-    for (size_t i : src_idx) out.push_back(row[i]);
-    return out;
+    out.reserve(visible.size());
+    for (size_t i : visible) out.push_back(row[i]);
+    return std::optional<Row>(std::move(out));
+  });
+}
+
+Result<AnnotatedDelta> ProjectLens::PutDeltaAnnotated(
+    const Schema& source_schema, const RowLookup& source,
+    const AnnotatedDelta& view_delta) const {
+  MEDSYNC_ASSIGN_OR_RETURN(Schema vs, RowAlignedViewSchema(source_schema));
+  const Layout layout = LayoutOf(source_schema, attributes_);
+  // Row-aligned, the view key is the source key, so each view row change
+  // is one source row change of the same kind.
+  auto source_row = [&](const Row& view_row) -> Result<Row> {
+    const Key key = KeyOf(vs, view_row);
+    MEDSYNC_ASSIGN_OR_RETURN(std::optional<Row> row, source(key));
+    if (!row.has_value()) {
+      return Status::InvalidArgument(
+          StrCat("projection lens put: no source row at ",
+                 relational::RowToString(key)));
+    }
+    return std::move(*row);
   };
 
-  // Row-aligned: the view key is the source key, so every source row
-  // change maps to exactly one view row change of the same kind.
   AnnotatedDelta out;
-  out.inserts.reserve(delta.inserts.size());
-  for (const Row& row : delta.inserts) {
-    out.inserts.push_back(project_row(row));
+  // Get holds every source key, so an inserted view key has no source row.
+  out.inserts.reserve(view_delta.inserts.size());
+  for (const Row& row : view_delta.inserts) {
+    MEDSYNC_ASSIGN_OR_RETURN(Row fresh, Synthesize(source_schema, layout, row));
+    out.inserts.push_back(std::move(fresh));
   }
-  out.updates.reserve(delta.updates.size());
-  for (const AnnotatedDelta::OldNew& change : delta.updates) {
-    out.updates.push_back(
-        {project_row(change.before), project_row(change.after)});
+  out.updates.reserve(view_delta.updates.size());
+  for (const AnnotatedDelta::OldNew& change : view_delta.updates) {
+    MEDSYNC_ASSIGN_OR_RETURN(Row before, source_row(change.before));
+    Row after = Merge(before, layout, change.after);
+    out.updates.push_back({std::move(before), std::move(after)});
   }
-  out.deletes.reserve(delta.deletes.size());
-  for (const Row& row : delta.deletes) {
-    out.deletes.push_back(project_row(row));
+  out.deletes.reserve(view_delta.deletes.size());
+  for (const Row& row : view_delta.deletes) {
+    MEDSYNC_ASSIGN_OR_RETURN(Row before, source_row(row));
+    out.deletes.push_back(std::move(before));
   }
   return out;
 }

@@ -51,13 +51,21 @@ class ProjectLens : public Lens {
   Result<relational::Table> Put(
       const relational::Table& source,
       const relational::Table& view) const override;
-  /// Exact only in row-aligned mode (a projection keyed by the source key
-  /// is per-row); grouped projections return Unimplemented — a one-row
+  /// Row-local only in row-aligned mode (a projection keyed by the source
+  /// key is per-row); grouped projections return Unimplemented — a one-row
   /// source change can merge or split whole view groups, which cannot be
   /// decided from the delta alone.
-  Result<AnnotatedDelta> PushDeltaAnnotated(
-      const relational::Schema& source_schema,
-      const AnnotatedDelta& delta) const override;
+  Result<RowGet> BindRowGet(
+      const relational::Schema& source_schema) const override;
+  /// Row-aligned mode only, as Put does it one row at a time: a view
+  /// update merges the visible attributes into its source row, a view
+  /// insert synthesizes a source row with NULL hidden attributes
+  /// (FailedPrecondition if one is non-nullable), and a view delete
+  /// deletes the source row. A grouped Put writes whole groups, so grouped
+  /// projections return Unimplemented.
+  Result<AnnotatedDelta> PutDeltaAnnotated(
+      const relational::Schema& source_schema, const RowLookup& source,
+      const AnnotatedDelta& view_delta) const override;
   Result<SourceFootprint> Footprint(
       const relational::Schema& source_schema) const override;
   Json ToJson() const override;
@@ -65,6 +73,10 @@ class ProjectLens : public Lens {
 
  private:
   bool RowAligned(const relational::Schema& source_schema) const;
+  /// ViewSchema of a row-aligned projection; Unimplemented for a grouped
+  /// one.
+  Result<relational::Schema> RowAlignedViewSchema(
+      const relational::Schema& source_schema) const;
 
   std::vector<std::string> attributes_;
   std::vector<std::string> view_key_;

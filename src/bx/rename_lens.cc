@@ -36,12 +36,19 @@ Result<Table> RenameLens::Put(const Table& source, const Table& view) const {
   return relational::Rename(view, inverse_);
 }
 
-Result<AnnotatedDelta> RenameLens::PushDeltaAnnotated(
-    const Schema& source_schema, const AnnotatedDelta& delta) const {
-  // Renaming relabels attributes without moving positions or values, so
-  // the rows of the delta are already the view's rows.
+Result<RowGet> RenameLens::BindRowGet(const Schema& source_schema) const {
   MEDSYNC_RETURN_IF_ERROR(ViewSchema(source_schema).status());
-  return delta;
+  return RowGet([](const relational::Row& row)
+                    -> Result<std::optional<relational::Row>> {
+    return std::optional<relational::Row>(row);
+  });
+}
+
+Result<AnnotatedDelta> RenameLens::PutDeltaAnnotated(
+    const Schema& source_schema, const RowLookup& /*source*/,
+    const AnnotatedDelta& view_delta) const {
+  MEDSYNC_RETURN_IF_ERROR(ViewSchema(source_schema).status());
+  return view_delta;
 }
 
 Result<SourceFootprint> RenameLens::Footprint(

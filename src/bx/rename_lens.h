@@ -29,11 +29,14 @@ class RenameLens : public Lens {
   Result<relational::Table> Put(
       const relational::Table& source,
       const relational::Table& view) const override;
-  /// Exact: renaming changes attribute names only, never positions or
-  /// values, so the delta passes through untouched.
-  Result<AnnotatedDelta> PushDeltaAnnotated(
-      const relational::Schema& source_schema,
-      const AnnotatedDelta& delta) const override;
+  /// Renaming changes attribute names only, never positions or values, so
+  /// a row is its own view row and a delta passes through untouched in
+  /// both directions.
+  Result<RowGet> BindRowGet(
+      const relational::Schema& source_schema) const override;
+  Result<AnnotatedDelta> PutDeltaAnnotated(
+      const relational::Schema& source_schema, const RowLookup& source,
+      const AnnotatedDelta& view_delta) const override;
   Result<SourceFootprint> Footprint(
       const relational::Schema& source_schema) const override;
   Json ToJson() const override;

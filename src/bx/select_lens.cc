@@ -67,37 +67,52 @@ Result<Table> SelectLens::Put(const Table& source, const Table& view) const {
   return result;
 }
 
-Result<AnnotatedDelta> SelectLens::PushDeltaAnnotated(
-    const Schema& source_schema, const AnnotatedDelta& delta) const {
+Result<RowGet> SelectLens::BindRowGet(const Schema& source_schema) const {
   MEDSYNC_RETURN_IF_ERROR(ViewSchema(source_schema).status());
+  return RowGet([predicate = predicate_, schema = source_schema](
+                    const Row& row) -> Result<std::optional<Row>> {
+    MEDSYNC_ASSIGN_OR_RETURN(bool visible, predicate->Evaluate(schema, row));
+    if (!visible) return std::optional<Row>();
+    return std::optional<Row>(row);
+  });
+}
 
-  AnnotatedDelta out;
-  for (const Row& row : delta.inserts) {
-    MEDSYNC_ASSIGN_OR_RETURN(bool visible,
+Result<AnnotatedDelta> SelectLens::PutDeltaAnnotated(
+    const Schema& source_schema, const RowLookup& source,
+    const AnnotatedDelta& view_delta) const {
+  MEDSYNC_RETURN_IF_ERROR(ViewSchema(source_schema).status());
+  // Put checks every view row against the predicate before it overlays
+  // any; the rows the delta leaves alone came from Get and pass.
+  auto check_visible = [&](const Row& row) -> Status {
+    MEDSYNC_ASSIGN_OR_RETURN(bool matches,
                              predicate_->Evaluate(source_schema, row));
-    if (visible) out.inserts.push_back(row);
+    if (!matches) {
+      return Status::FailedPrecondition(
+          StrCat("untranslatable view update: row ",
+                 relational::RowToString(row),
+                 " violates the view predicate ", predicate_->ToString()));
+    }
+    return Status::OK();
+  };
+  for (const Row& row : view_delta.inserts) {
+    MEDSYNC_RETURN_IF_ERROR(check_visible(row));
   }
-  for (const AnnotatedDelta::OldNew& change : delta.updates) {
-    // The kind of view change depends on which side of the predicate the
-    // old and new rows fall — this is why the delta carries old rows.
-    MEDSYNC_ASSIGN_OR_RETURN(bool was_visible,
-                             predicate_->Evaluate(source_schema, change.before));
-    MEDSYNC_ASSIGN_OR_RETURN(bool is_visible,
-                             predicate_->Evaluate(source_schema, change.after));
-    if (was_visible && is_visible) {
-      out.updates.push_back(change);
-    } else if (was_visible) {
-      out.deletes.push_back(change.before);
-    } else if (is_visible) {
-      out.inserts.push_back(change.after);
+  for (const AnnotatedDelta::OldNew& change : view_delta.updates) {
+    MEDSYNC_RETURN_IF_ERROR(check_visible(change.after));
+  }
+  // A new view key may not land on the hidden complement.
+  for (const Row& row : view_delta.inserts) {
+    const relational::Key key = relational::KeyOf(source_schema, row);
+    MEDSYNC_ASSIGN_OR_RETURN(std::optional<Row> hidden, source(key));
+    if (hidden.has_value()) {
+      return Status::Conflict(
+          StrCat("untranslatable view update: key ",
+                 relational::RowToString(key),
+                 " collides with a hidden source row"));
     }
   }
-  for (const Row& row : delta.deletes) {
-    MEDSYNC_ASSIGN_OR_RETURN(bool was_visible,
-                             predicate_->Evaluate(source_schema, row));
-    if (was_visible) out.deletes.push_back(row);
-  }
-  return out;
+  // View rows are source rows, so the view delta is the source delta.
+  return view_delta;
 }
 
 Result<SourceFootprint> SelectLens::Footprint(

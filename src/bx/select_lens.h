@@ -33,12 +33,18 @@ class SelectLens : public Lens {
   Result<relational::Table> Put(
       const relational::Table& source,
       const relational::Table& view) const override;
-  /// Exact: each source change is reclassified against the predicate (an
-  /// update whose old row was hidden but whose new row is visible becomes
-  /// a view insert, and so on).
-  Result<AnnotatedDelta> PushDeltaAnnotated(
-      const relational::Schema& source_schema,
-      const AnnotatedDelta& delta) const override;
+  /// A row is its own view row if it satisfies the predicate, so
+  /// PushDelta reclassifies each source change against it (an update whose
+  /// old row was hidden but whose new row is visible becomes a view insert,
+  /// and so on).
+  Result<RowGet> BindRowGet(
+      const relational::Schema& source_schema) const override;
+  /// The view delta is the source delta, after Put's two checks: every new
+  /// row satisfies the predicate (else FailedPrecondition), then no
+  /// inserted key holds a hidden source row (else Conflict).
+  Result<AnnotatedDelta> PutDeltaAnnotated(
+      const relational::Schema& source_schema, const RowLookup& source,
+      const AnnotatedDelta& view_delta) const override;
   Result<SourceFootprint> Footprint(
       const relational::Schema& source_schema) const override;
   Json ToJson() const override;

@@ -505,7 +505,7 @@ Status Peer::UpdateSourceAndPropagate(
   MEDSYNC_RETURN_IF_ERROR(mutation(&database_));
   Trace(StrCat("updated local source '", source_table,
                "', checking shared views"));
-  CascadeAfterSourceChange(source_table, before, /*delta=*/nullptr,
+  CascadeAfterSourceChange(source_table, &before, /*delta=*/nullptr,
                            /*exclude_table_id=*/"", /*fig5_step=*/6);
   return Status::OK();
 }
@@ -626,7 +626,10 @@ void Peer::FinalizeApprovedUpdate(StagedUpdate staged) {
 
   if (staged.put_to_source) {
     const std::string source = state.config.source_table;
-    Result<SourcePut> put = sync_.PutViewIntoSource(staged.table_id);
+    // CommitViewDelta kept the delta it applied as the table's last delta.
+    Result<bx::AnnotatedDelta> put = sync_.PutViewIntoSource(
+        staged.table_id, state.last_delta->delta,
+        state.last_delta->base_digest);
     if (!put.ok()) {
       RecordStep(5, 5, "bx_put", staged.table_id, "failed");
       Trace(StrCat("BX put into '", source,
@@ -636,22 +639,21 @@ void Peer::FinalizeApprovedUpdate(StagedUpdate staged) {
     RecordStep(5, 5, "bx_put", staged.table_id, "ok");
     Trace(StrCat("BX put reflected '", staged.table_id, "' into source '",
                  source, "'"));
-    CascadeAfterSourceChange(source, put->before, &put->delta,
+    CascadeAfterSourceChange(source, /*before=*/nullptr, &*put,
                              staged.table_id, /*fig5_step=*/6);
   }
 }
 
 void Peer::CascadeAfterSourceChange(const std::string& source_table,
-                                    const Table& before,
-                                    const TableDelta* delta,
+                                    const Table* before,
+                                    const bx::AnnotatedDelta* delta,
                                     const std::string& exclude_table_id,
                                     int fig5_step) {
   const Micros check_start = scheduler_->Now();
   Result<std::vector<ViewRefresh>> refreshes =
-      delta != nullptr ? sync_.FindAffectedViews(source_table, before, *delta,
-                                                 exclude_table_id)
-                       : sync_.FindAffectedViews(source_table, before,
-                                                 exclude_table_id);
+      delta != nullptr
+          ? sync_.FindAffectedViews(source_table, *delta, exclude_table_id)
+          : sync_.FindAffectedViews(source_table, *before, exclude_table_id);
   const Micros check_span = scheduler_->Now() - check_start;
   if (!refreshes.ok()) {
     RecordStep(5, fig5_step, "dependency_check", source_table, "failed",
@@ -932,7 +934,8 @@ Status Peer::ApplyFetchedUpdate(const std::string& table_id,
 
   // Reflect the change into the local source via the BX program.
   const std::string source = state.config.source_table;
-  Result<SourcePut> put = sync_.PutViewIntoSource(table_id);
+  Result<bx::AnnotatedDelta> put = sync_.PutViewIntoSource(
+      table_id, state.last_delta->delta, state.last_delta->base_digest);
   if (!put.ok()) {
     Trace(StrCat("BX put of fetched '", table_id, "' into '", source,
                  "' failed: ", put.status().ToString()));
@@ -948,7 +951,7 @@ Status Peer::ApplyFetchedUpdate(const std::string& table_id,
   Trace(StrCat("acked '", table_id, "' version ", version, " on-chain"));
 
   if (put.ok()) {
-    CascadeAfterSourceChange(source, put->before, &put->delta, table_id,
+    CascadeAfterSourceChange(source, /*before=*/nullptr, &*put, table_id,
                              /*fig5_step=*/11);
   }
   return Status::OK();

@@ -377,14 +377,15 @@ class Peer : public net::Endpoint {
   Status SubmitAck(const TableState& state, uint64_t version,
                    const std::string& digest);
 
-  /// Propagates a source change to sibling shared views. `delta` took the
-  /// source from `before` to its current content; null when the caller
-  /// changed the database directly, and the check diffs it once.
-  /// `fig5_step` is 6 when this peer initiated the update, 11 when it
-  /// follows a fetched one.
+  /// Propagates a source change to sibling shared views. Exactly one of
+  /// `before` and `delta` is set: `delta` is a put's source delta,
+  /// annotated with the rows it replaced; `before` is the source before a
+  /// direct database change, and the check diffs it once. `fig5_step` is
+  /// 6 when this peer initiated the update, 11 when it follows a fetched
+  /// one.
   void CascadeAfterSourceChange(const std::string& source_table,
-                                const relational::Table& before,
-                                const relational::TableDelta* delta,
+                                const relational::Table* before,
+                                const bx::AnnotatedDelta* delta,
                                 const std::string& exclude_table_id,
                                 int fig5_step);
 

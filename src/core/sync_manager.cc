@@ -78,13 +78,15 @@ Result<const SyncManager::ViewBinding*> SyncManager::FindBinding(
   return &it->second;
 }
 
+Result<SyncManager::ViewBinding*> SyncManager::MutableBinding(
+    const std::string& table_id) {
+  MEDSYNC_ASSIGN_OR_RETURN(const ViewBinding* binding, FindBinding(table_id));
+  return &views_.find(binding->table_id)->second;
+}
+
 Status SyncManager::SetViewStale(const std::string& table_id, bool stale) {
-  auto it = views_.find(table_id);
-  if (it == views_.end()) {
-    return Status::NotFound(
-        StrCat("no registered view '", table_id, "'"));
-  }
-  it->second.stale = stale;
+  MEDSYNC_ASSIGN_OR_RETURN(ViewBinding* binding, MutableBinding(table_id));
+  binding->stale = stale;
   return Status::OK();
 }
 
@@ -101,30 +103,97 @@ Result<Table> SyncManager::DeriveView(const std::string& table_id) const {
   return binding->lens->Get(*source);
 }
 
-Result<SourcePut> SyncManager::PutViewIntoSource(
-    const std::string& table_id) {
-  MEDSYNC_ASSIGN_OR_RETURN(const ViewBinding* binding, FindBinding(table_id));
-  MEDSYNC_ASSIGN_OR_RETURN(Table source,
-                           database_->Snapshot(binding->source_table));
+Result<TableDelta> SyncManager::FullPutDelta(const ViewBinding& binding,
+                                             const Table& source) const {
   MEDSYNC_ASSIGN_OR_RETURN(const Table* view,
-                           database_->GetTable(binding->view_table));
-  MEDSYNC_ASSIGN_OR_RETURN(Table updated, binding->lens->Put(source, *view));
+                           database_->GetTable(binding.view_table));
+  MEDSYNC_ASSIGN_OR_RETURN(Table updated, binding.lens->Put(source, *view));
   if (check_bx_laws_) {
     // PutGet on the exact pair being committed: Get(Put(S, V)) must
     // reproduce V, otherwise the put silently lost part of the edit.
     // Rejection is impossible here (the Put above already succeeded), so
     // rejected=nullptr treats it as a failure.
     MEDSYNC_RETURN_IF_ERROR(
-        bx::CheckPutGet(*binding->lens, source, *view, /*rejected=*/nullptr)
+        bx::CheckPutGet(*binding.lens, source, *view, /*rejected=*/nullptr)
             .WithPrefix(StrCat("BX law oracle: PutGet violated putting '",
-                               table_id, "'")));
+                               binding.table_id, "'")));
   }
-  MEDSYNC_ASSIGN_OR_RETURN(TableDelta delta,
-                           relational::ComputeDelta(source, updated));
+  return relational::ComputeDelta(source, updated);
+}
+
+Status SyncManager::CommitPut(ViewBinding* binding, const TableDelta& delta) {
   MEDSYNC_RETURN_IF_ERROR(
       database_->ApplyTableDelta(binding->source_table, delta));
   metrics::Inc(puts_counter_);
-  return SourcePut{std::move(source), std::move(delta)};
+  MEDSYNC_ASSIGN_OR_RETURN(const Table* source,
+                           database_->GetTable(binding->source_table));
+  MEDSYNC_ASSIGN_OR_RETURN(const Table* view,
+                           database_->GetTable(binding->view_table));
+  binding->put_source_digest = source->ContentDigest();
+  binding->put_view_digest = view->ContentDigest();
+  return Status::OK();
+}
+
+Result<bx::AnnotatedDelta> SyncManager::FullPut(ViewBinding* binding,
+                                                const Table& source) {
+  MEDSYNC_ASSIGN_OR_RETURN(TableDelta delta, FullPutDelta(*binding, source));
+  // Annotate before the commit moves the source.
+  MEDSYNC_ASSIGN_OR_RETURN(bx::AnnotatedDelta annotated,
+                           bx::Annotate(source, delta));
+  MEDSYNC_RETURN_IF_ERROR(CommitPut(binding, delta));
+  ++full_puts_;
+  return annotated;
+}
+
+Result<bx::AnnotatedDelta> SyncManager::PutViewIntoSource(
+    const std::string& table_id) {
+  MEDSYNC_ASSIGN_OR_RETURN(ViewBinding* binding, MutableBinding(table_id));
+  MEDSYNC_ASSIGN_OR_RETURN(const Table* source,
+                           database_->GetTable(binding->source_table));
+  return FullPut(binding, *source);
+}
+
+Result<bx::AnnotatedDelta> SyncManager::PutViewIntoSource(
+    const std::string& table_id, const TableDelta& view_delta,
+    const std::string& base_digest) {
+  MEDSYNC_ASSIGN_OR_RETURN(ViewBinding* binding, MutableBinding(table_id));
+  MEDSYNC_ASSIGN_OR_RETURN(const Table* source,
+                           database_->GetTable(binding->source_table));
+  // The last put left view == Get(source). If the delta starts at that
+  // view and nothing has moved the source since, the view was Get(source)
+  // when the delta landed, which is what PutDelta requires.
+  const bool guard_holds = !binding->put_view_digest.empty() &&
+                           binding->put_view_digest == base_digest &&
+                           binding->put_source_digest == source->ContentDigest();
+  if (!guard_holds) return FullPut(binding, *source);
+
+  Result<bx::AnnotatedDelta> put = binding->lens->PutDelta(*source, view_delta);
+  if (!put.ok()) {
+    // No delta rule (a grouped projection), or a rejected update: the full
+    // put falls back, or rejects it the way it always has.
+    if (check_bx_laws_ && !put.status().IsUnimplemented() &&
+        FullPutDelta(*binding, *source).ok()) {
+      return Status::FailedPrecondition(
+          StrCat("BX law oracle: the delta put of '", table_id,
+                 "' rejected what the full put accepts: ",
+                 put.status().ToString()));
+    }
+    return FullPut(binding, *source);
+  }
+  TableDelta delta = bx::StripAnnotations(source->schema(), *put);
+  if (check_bx_laws_) {
+    MEDSYNC_ASSIGN_OR_RETURN(TableDelta full, FullPutDelta(*binding, *source));
+    if (full.inserts != delta.inserts || full.deletes != delta.deletes ||
+        full.updates != delta.updates) {
+      return Status::FailedPrecondition(
+          StrCat("BX law oracle: the delta put of '", table_id,
+                 "' differs from the full put: ", delta.ToJson().Dump(),
+                 " vs ", full.ToJson().Dump()));
+    }
+  }
+  MEDSYNC_RETURN_IF_ERROR(CommitPut(binding, delta));
+  ++delta_puts_;
+  return put;
 }
 
 namespace {
@@ -149,19 +218,21 @@ Result<std::vector<ViewRefresh>> SyncManager::FindAffectedViews(
                            database_->GetTable(source_table));
   MEDSYNC_ASSIGN_OR_RETURN(TableDelta delta,
                            relational::ComputeDelta(before, *after));
-  return FindAffectedViews(source_table, before, delta, exclude_table_id);
+  MEDSYNC_ASSIGN_OR_RETURN(bx::AnnotatedDelta annotated,
+                           bx::Annotate(before, delta));
+  return FindAffectedViews(source_table, annotated, exclude_table_id);
 }
 
 Result<std::vector<ViewRefresh>> SyncManager::FindAffectedViews(
-    const std::string& source_table, const Table& before,
-    const TableDelta& src_delta, const std::string& exclude_table_id) {
+    const std::string& source_table, const bx::AnnotatedDelta& src_delta,
+    const std::string& exclude_table_id) {
   MEDSYNC_ASSIGN_OR_RETURN(const Table* after_ptr,
                            database_->GetTable(source_table));
   const Table& after = *after_ptr;
   // One delta for the whole dependency check; every sibling translates it
   // (incremental mode) or falls back to its own get.
-  MEDSYNC_ASSIGN_OR_RETURN(bx::SourceChange change,
-                           bx::SourceChangeFromDelta(before, src_delta));
+  const bx::SourceChange change =
+      bx::SourceChangeFromDelta(after.schema(), src_delta);
 
   // Candidate siblings, in views_ (table-id) order.
   std::vector<const ViewBinding*> candidates;
@@ -179,8 +250,8 @@ Result<std::vector<ViewRefresh>> SyncManager::FindAffectedViews(
   const DependencyStrategy strategy = strategy_;
   const ViewMaintenance maintenance = maintenance_;
   std::vector<SiblingScan> scans(candidates.size());
-  auto scan_one = [this, &after, &before, &src_delta, &change, &candidates,
-                   &scans, strategy, maintenance](size_t index) {
+  auto scan_one = [this, &after, &src_delta, &change, &candidates, &scans,
+                   strategy, maintenance](size_t index) {
     const ViewBinding& binding = *candidates[index];
     SiblingScan& out = scans[index];
     if (strategy == DependencyStrategy::kAnalyzeChange) {
@@ -204,18 +275,19 @@ Result<std::vector<ViewRefresh>> SyncManager::FindAffectedViews(
     // Both paths produce the refresh from the VIEW delta, so the contract
     // sees identical attribute sets either way.
     auto emit_refresh = [&](TableDelta vd) {
-      Result<bx::SourceChange> analysis =
-          bx::SourceChangeFromDelta(**current, vd);
-      if (!analysis.ok()) {
-        out.status = analysis.status();
+      Result<bx::AnnotatedDelta> annotated = bx::Annotate(**current, vd);
+      if (!annotated.ok()) {
+        out.status = annotated.status();
         return;
       }
+      const bx::SourceChange analysis =
+          bx::SourceChangeFromDelta((*current)->schema(), *annotated);
       ViewRefresh refresh;
       refresh.table_id = binding.table_id;
       refresh.delta = std::move(vd);
-      refresh.written_attributes.assign(analysis->written_attributes.begin(),
-                                        analysis->written_attributes.end());
-      refresh.membership_changed = analysis->membership_changed;
+      refresh.written_attributes.assign(analysis.written_attributes.begin(),
+                                        analysis.written_attributes.end());
+      refresh.membership_changed = analysis.membership_changed;
       out.refresh = std::move(refresh);
     };
 
@@ -224,16 +296,19 @@ Result<std::vector<ViewRefresh>> SyncManager::FindAffectedViews(
       // must not receive a pushed delta — the delta would preserve the
       // stale rows — so it goes straight to the healing full get below.
       if (!binding.stale) {
-        Result<TableDelta> pushed = binding.lens->PushDelta(before, src_delta);
+        Result<bx::AnnotatedDelta> pushed =
+            binding.lens->PushDeltaAnnotated(after.schema(), src_delta);
         if (pushed.ok()) {
-          if (pushed->empty()) {
+          TableDelta vd = bx::StripAnnotations((*current)->schema(),
+                                               std::move(*pushed));
+          if (vd.empty()) {
             // The change is invisible to this view.
             out.delta_pushed = true;
             return;
           }
-          if (relational::ValidateDelta(*pushed, **current).ok()) {
+          if (relational::ValidateDelta(vd, **current).ok()) {
             out.delta_pushed = true;
-            emit_refresh(std::move(*pushed));
+            emit_refresh(std::move(vd));
             return;
           }
           // The materialization disagrees with the pushed delta (it lagged

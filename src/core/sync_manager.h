@@ -58,13 +58,6 @@ struct ViewRefresh {
   bool membership_changed = false;
 };
 
-/// A committed put: the source as it was before, and the delta the put
-/// applied to it. The step-6 dependency check runs on exactly these.
-struct SourcePut {
-  relational::Table before;
-  relational::TableDelta delta;
-};
-
 /// The "Database manager" box of the paper's Fig. 2: owns the association
 /// between a peer's local source tables and shared views, executes the BX
 /// programs in both directions against the local Database, and implements
@@ -101,30 +94,44 @@ class SyncManager {
   Result<relational::Table> DeriveView(const std::string& table_id) const;
 
   /// put: writes the CURRENT materialized view content back into the
-  /// source table, committed as a delta (the WAL logs O(|delta|) instead
-  /// of the whole table). Returns the pre-put source and that delta, for
-  /// the delta form of FindAffectedViews.
-  Result<SourcePut> PutViewIntoSource(const std::string& table_id);
+  /// source table with the full Lens::Put, committed as a delta (the WAL
+  /// logs O(|delta|) instead of the whole table). Returns that delta,
+  /// annotated with the pre-put source rows, for the delta form of
+  /// FindAffectedViews.
+  Result<bx::AnnotatedDelta> PutViewIntoSource(const std::string& table_id);
 
-  /// The Fig. 5 step-6 dependency check: given that `delta` took
-  /// `source_table` from `before` to its current database content, finds
-  /// every OTHER registered view of that source (excluding
-  /// `exclude_table_id`) whose derived content now differs from its
-  /// materialization. Does NOT apply anything — the caller owns
+  /// The same put, for a view that `view_delta` just took from the content
+  /// with digest `base_digest` to its current content (Fig. 5 step 5 after
+  /// a commit or a fetch). When the binding's last put left the source at
+  /// its current digest and the view at `base_digest`, the view was
+  /// Get(source) when the delta landed (PutGet), so Lens::PutDelta gives
+  /// exactly the full put's source delta in O(|delta|). Otherwise — no
+  /// put yet since registration, a source or view moved by anything else,
+  /// a lens with no delta rule, or an update PutDelta rejects — it runs
+  /// the full put. Every successful put records the new (source, view)
+  /// digest pair.
+  Result<bx::AnnotatedDelta> PutViewIntoSource(
+      const std::string& table_id, const relational::TableDelta& view_delta,
+      const std::string& base_digest);
+
+  /// The Fig. 5 step-6 dependency check: given that `delta` (annotated
+  /// with the rows it replaced) took `source_table` to its current
+  /// database content, finds every OTHER registered view of that source
+  /// (excluding `exclude_table_id`) whose derived content now differs from
+  /// its materialization. Does NOT apply anything — the caller owns
   /// propagation (permissions may deny it).
   ///
   /// In incremental mode each sibling translates `delta` through
-  /// Lens::PushDelta instead of running a full get, falling back to the
-  /// full get when the lens has no exact translation, the view is marked
-  /// stale, or the pushed delta does not validate against it.
+  /// Lens::PushDeltaAnnotated instead of running a full get, falling back
+  /// to the full get when the lens has no exact translation, the view is
+  /// marked stale, or the pushed delta does not validate against it.
   Result<std::vector<ViewRefresh>> FindAffectedViews(
-      const std::string& source_table, const relational::Table& before,
-      const relational::TableDelta& delta,
+      const std::string& source_table, const bx::AnnotatedDelta& delta,
       const std::string& exclude_table_id);
 
   /// The same check for a caller that changed the database directly:
-  /// diffs `before` against the current source once, then runs the delta
-  /// form.
+  /// diffs `before` against the current source once, annotates the delta
+  /// with the rows of `before`, then runs the delta form.
   Result<std::vector<ViewRefresh>> FindAffectedViews(
       const std::string& source_table, const relational::Table& before,
       const std::string& exclude_table_id);
@@ -144,9 +151,11 @@ class SyncManager {
   void set_strategy(DependencyStrategy strategy) { strategy_ = strategy; }
 
   /// Online BX law oracle ("paranoid mode", bx/laws.h): when enabled, every
-  /// PutViewIntoSource re-checks PutGet for the lens on the exact
-  /// (source, view) pair before committing, and every rederivation (
-  /// DeriveView and the full-get path of FindAffectedViews) re-checks
+  /// full put re-checks PutGet for the lens on the exact (source, view)
+  /// pair before committing; every delta put also runs the full put and
+  /// requires the same source delta (rows and order), and a delta
+  /// rejection the full put accepts is a violation; every rederivation
+  /// (DeriveView and the full-get path of FindAffectedViews) re-checks
   /// GetPut on the source it derived from. A violation fails the operation
   /// with a "BX law oracle"-prefixed FailedPrecondition carrying the diff —
   /// a law-breaking lens is caught at the first put/get instead
@@ -175,6 +184,11 @@ class SyncManager {
   /// the incremental path had to fall back to a full get.
   uint64_t delta_pushes() const { return delta_pushes_; }
   uint64_t full_fallbacks() const { return full_fallbacks_; }
+  /// Successful puts that ran Lens::PutDelta, and those that ran the full
+  /// Lens::Put. Plain counters, not metrics: the metrics snapshot is
+  /// fingerprinted, and which path a put takes changes no outcome.
+  uint64_t delta_puts() const { return delta_puts_; }
+  uint64_t full_puts() const { return full_puts_; }
 
   /// Attaches sync.gets_executed / sync.gets_skipped / sync.puts /
   /// sync.delta_pushes / sync.full_fallbacks counters, the
@@ -190,10 +204,23 @@ class SyncManager {
     bx::LensPtr lens;
     /// See SetViewStale.
     bool stale = false;
+    /// Source and view content digests right after the last successful
+    /// put (empty before the first); the guard of the delta put.
+    std::string put_source_digest = {};
+    std::string put_view_digest = {};
   };
   Result<const ViewBinding*> FindBinding(const std::string& table_id) const;
 
  private:
+  Result<ViewBinding*> MutableBinding(const std::string& table_id);
+  /// Lens::Put of the current view into `source`, diffed against it.
+  Result<relational::TableDelta> FullPutDelta(
+      const ViewBinding& binding, const relational::Table& source) const;
+  Result<bx::AnnotatedDelta> FullPut(ViewBinding* binding,
+                                     const relational::Table& source);
+  /// Applies a put's source delta and records the binding's digest pair.
+  Status CommitPut(ViewBinding* binding, const relational::TableDelta& delta);
+
   relational::Database* database_;
   DependencyStrategy strategy_;
   ViewMaintenance maintenance_ = ViewMaintenance::kIncremental;
@@ -204,6 +231,8 @@ class SyncManager {
   uint64_t gets_executed_ = 0;
   uint64_t delta_pushes_ = 0;
   uint64_t full_fallbacks_ = 0;
+  uint64_t delta_puts_ = 0;
+  uint64_t full_puts_ = 0;
 
   metrics::Counter* gets_executed_counter_ = nullptr;
   metrics::Counter* gets_skipped_counter_ = nullptr;

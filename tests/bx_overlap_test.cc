@@ -23,7 +23,8 @@ Table Fig1() { return medical::MakeFig1FullRecords(); }
 Result<SourceChange> ChangeBetween(const Table& before, const Table& after) {
   MEDSYNC_ASSIGN_OR_RETURN(relational::TableDelta delta,
                            relational::ComputeDelta(before, after));
-  return SourceChangeFromDelta(before, delta);
+  MEDSYNC_ASSIGN_OR_RETURN(AnnotatedDelta annotated, Annotate(before, delta));
+  return SourceChangeFromDelta(before.schema(), annotated);
 }
 
 TEST(SourceChangeTest, DetectsAttributeChanges) {
@@ -119,31 +120,31 @@ TEST(SourceChangeTest, OnlyUpdateChangedAttributesAreWritten) {
   extra[0] = Value::Int(500);
   delta.inserts.push_back(extra);
 
-  Result<SourceChange> change = SourceChangeFromDelta(before, delta);
-  ASSERT_TRUE(change.ok());
-  EXPECT_EQ(change->written_attributes, (std::set<std::string>{kDosage}));
+  Result<AnnotatedDelta> annotated = Annotate(before, delta);
+  ASSERT_TRUE(annotated.ok()) << annotated.status();
+  SourceChange change = SourceChangeFromDelta(before.schema(), *annotated);
+  EXPECT_EQ(change.written_attributes, (std::set<std::string>{kDosage}));
 
   relational::TableDelta membership_only;
   membership_only.deletes.push_back({Value::Int(189)});
   membership_only.inserts.push_back(extra);
-  change = SourceChangeFromDelta(before, membership_only);
-  ASSERT_TRUE(change.ok());
-  EXPECT_TRUE(change->written_attributes.empty());
-  EXPECT_TRUE(change->membership_changed);
+  annotated = Annotate(before, membership_only);
+  ASSERT_TRUE(annotated.ok()) << annotated.status();
+  change = SourceChangeFromDelta(before.schema(), *annotated);
+  EXPECT_TRUE(change.written_attributes.empty());
+  EXPECT_TRUE(change.membership_changed);
 }
 
-TEST(SourceChangeTest, FromDeltaRejectsMissingTargets) {
+TEST(SourceChangeTest, AnnotateRejectsMissingTargets) {
   Table before = Fig1();
   relational::TableDelta bad_delete;
   bad_delete.deletes.push_back({Value::Int(777)});
-  EXPECT_TRUE(
-      SourceChangeFromDelta(before, bad_delete).status().IsInvalidArgument());
+  EXPECT_TRUE(Annotate(before, bad_delete).status().IsInvalidArgument());
   relational::TableDelta bad_update;
   relational::Row ghost = *before.Get({Value::Int(188)});
   ghost[0] = Value::Int(777);
   bad_update.updates.push_back(ghost);
-  EXPECT_TRUE(
-      SourceChangeFromDelta(before, bad_update).status().IsInvalidArgument());
+  EXPECT_TRUE(Annotate(before, bad_update).status().IsInvalidArgument());
 }
 
 TEST(SourceChangeTest, IdenticalTablesAreEmptyChange) {

@@ -82,6 +82,20 @@ class RowDroppingLens : public bx::Lens {
   std::string ToString() const override { return "test-row-dropping"; }
 };
 
+/// Breaks the delta-put law: Get and Put are the identity lens's, but the
+/// incremental put silently drops every update, so PutDelta disagrees with
+/// the full Put whenever the view delta writes a value.
+class UpdateDroppingDeltaLens : public bx::IdentityLens {
+ public:
+  Result<bx::AnnotatedDelta> PutDeltaAnnotated(
+      const relational::Schema&, const bx::RowLookup&,
+      const bx::AnnotatedDelta& view_delta) const override {
+    bx::AnnotatedDelta out = view_delta;
+    out.updates.clear();  // the law violation: the edit is lost
+    return out;
+  }
+};
+
 class BxOracleTest : public ::testing::Test {
  protected:
   BxOracleTest() : sync_(&db_, DependencyStrategy::kAlwaysRederive) {
@@ -123,7 +137,7 @@ TEST_F(BxOracleTest, PutGetViolationCaughtOnPut) {
 
   // With the oracle the same put is rejected, naming the broken law.
   sync_.set_check_bx_laws(true);
-  Result<SourcePut> put = sync_.PutViewIntoSource("bad");
+  Result<bx::AnnotatedDelta> put = sync_.PutViewIntoSource("bad");
   ASSERT_FALSE(put.ok());
   EXPECT_TRUE(put.status().IsFailedPrecondition()) << put.status();
   EXPECT_NE(put.status().message().find("BX law oracle"), std::string::npos)
@@ -187,10 +201,35 @@ TEST_F(BxOracleTest, LawAbidingLensPassesWithOracleOn) {
   ASSERT_TRUE(db_.UpdateAttribute("PV", {Value::Int(188)}, kDosage,
                                   Value::String("new dose"))
                   .ok());
-  Result<SourcePut> put = sync_.PutViewIntoSource("ok");
+  Result<bx::AnnotatedDelta> put = sync_.PutViewIntoSource("ok");
   ASSERT_TRUE(put.ok()) << put.status();
   EXPECT_EQ(db_.Snapshot("S")->Get({Value::Int(188)})->at(3).AsString(),
             "new dose");
+}
+
+TEST_F(BxOracleTest, DeltaPutThatDisagreesWithFullPutIsCaught) {
+  ASSERT_TRUE(sync_.RegisterView("bad", "S", "V",
+                                 std::make_shared<UpdateDroppingDeltaLens>())
+                  .ok());
+  sync_.set_check_bx_laws(true);
+  // One full put records the digest pair, so the next put is a delta put.
+  ASSERT_TRUE(sync_.PutViewIntoSource("bad").ok());
+  const Table* view = *db_.GetTable("V");
+  const std::string base_digest = view->ContentDigest();
+  relational::TableDelta edit;
+  relational::Row row = *view->Get({Value::Int(188)});
+  row[3] = Value::String("edited");
+  edit.updates.push_back(row);
+  ASSERT_TRUE(db_.ApplyTableDelta("V", edit).ok());
+
+  Result<bx::AnnotatedDelta> put =
+      sync_.PutViewIntoSource("bad", edit, base_digest);
+  ASSERT_FALSE(put.ok());
+  EXPECT_TRUE(put.status().IsFailedPrecondition()) << put.status();
+  EXPECT_NE(put.status().message().find("differs from the full put"),
+            std::string::npos)
+      << put.status();
+  EXPECT_EQ(sync_.delta_puts(), 0u);
 }
 
 }  // namespace

@@ -119,6 +119,51 @@ TEST_F(PeerScenarioTest, DoctorUpdatePropagatesToPatient) {
   EXPECT_EQ(clinic_->patient().stats().acks_sent, 1u);
 }
 
+TEST_F(PeerScenarioTest, SecondDosageUpdatePutsTheViewDelta) {
+  // Fig. 5 step 5 on both holders of D13&D31. The first put of each
+  // binding after set-up may be full; the second starts where a put left
+  // both source and view, so it translates the view delta instead. Either
+  // way the source must be what the full put of the view gives.
+  auto update = [&](int64_t key, const char* dosage) {
+    ASSERT_TRUE(clinic_->doctor()
+                    .UpdateSharedAttribute(kPD, {Value::Int(key)}, kDosage,
+                                           Value::String(dosage))
+                    .ok());
+    Settle();
+  };
+  update(188, "two tablets");
+
+  struct Holder {
+    Peer* peer;
+    uint64_t delta_puts;
+    uint64_t full_puts;
+    Table source_before;
+  };
+  std::vector<Holder> holders;
+  for (Peer* peer : {&clinic_->doctor(), &clinic_->patient()}) {
+    const SyncManager::ViewBinding* binding = *peer->sync().FindBinding(kPD);
+    holders.push_back({peer, peer->sync().delta_puts(),
+                       peer->sync().full_puts(),
+                       *peer->database().Snapshot(binding->source_table)});
+  }
+  update(189, "three tablets");
+
+  for (const Holder& holder : holders) {
+    SyncManager& sync = holder.peer->sync();
+    const SyncManager::ViewBinding* binding = *sync.FindBinding(kPD);
+    EXPECT_EQ(sync.delta_puts(), holder.delta_puts + 1)
+        << holder.peer->name();
+    EXPECT_EQ(sync.full_puts(), holder.full_puts) << holder.peer->name();
+    Result<Table> full_put = binding->lens->Put(
+        holder.source_before,
+        **holder.peer->database().GetTable(binding->view_table));
+    ASSERT_TRUE(full_put.ok()) << full_put.status();
+    EXPECT_EQ(*holder.peer->database().Snapshot(binding->source_table),
+              *full_put)
+        << holder.peer->name();
+  }
+}
+
 TEST_F(PeerScenarioTest, PatientMayUpdateClinicalDataOnly) {
   // Permitted by Fig. 3: clinical data writable by patient.
   ASSERT_TRUE(clinic_->patient()

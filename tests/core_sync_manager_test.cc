@@ -101,18 +101,17 @@ TEST_F(SyncManagerTest, PutViewIntoSourceReturnsItsDelta) {
        {ViewMaintenance::kIncremental, ViewMaintenance::kFullGet}) {
     sync_.set_maintenance(mode);
     ASSERT_TRUE(db_.ReplaceTable("D3", source_before).ok());
-    Result<SourcePut> put = sync_.PutViewIntoSource("D13&D31");
+    Result<bx::AnnotatedDelta> put = sync_.PutViewIntoSource("D13&D31");
     ASSERT_TRUE(put.ok()) << put.status();
-    // The pre-put source, and the one-row delta the put applied to it.
-    EXPECT_EQ(put->before, source_before);
-    ASSERT_EQ(put->delta.size(), 1u);
-    ASSERT_EQ(put->delta.updates.size(), 1u);
-    EXPECT_EQ(put->delta.updates[0].at(4).AsString(), "put me");
-    Result<bx::SourceChange> change =
-        bx::SourceChangeFromDelta(put->before, put->delta);
-    ASSERT_TRUE(change.ok());
-    EXPECT_EQ(change->written_attributes, std::set<std::string>{kDosage});
-    EXPECT_FALSE(change->membership_changed);
+    // The one-row delta the put applied, annotated with the pre-put row.
+    ASSERT_EQ(put->size(), 1u);
+    ASSERT_EQ(put->updates.size(), 1u);
+    EXPECT_EQ(put->updates[0].before, *source_before.Get({Value::Int(188)}));
+    EXPECT_EQ(put->updates[0].after.at(4).AsString(), "put me");
+    bx::SourceChange change =
+        bx::SourceChangeFromDelta(source_before.schema(), *put);
+    EXPECT_EQ(change.written_attributes, std::set<std::string>{kDosage});
+    EXPECT_FALSE(change.membership_changed);
     EXPECT_EQ(db_.Snapshot("D3")->Get({Value::Int(188)})->at(4).AsString(),
               "put me");
   }
@@ -126,12 +125,13 @@ TEST_F(SyncManagerTest, DeltaFormMatchesDiffingTheDatabase) {
   ASSERT_TRUE(db_.UpdateAttribute("D31", {Value::Int(188)}, kMedicationName,
                                   Value::String("Naproxen"))
                   .ok());
-  Result<SourcePut> put = sync_.PutViewIntoSource("D13&D31");
+  const Table before = *db_.Snapshot("D3");
+  Result<bx::AnnotatedDelta> put = sync_.PutViewIntoSource("D13&D31");
   ASSERT_TRUE(put.ok()) << put.status();
   Result<std::vector<ViewRefresh>> from_delta =
-      sync_.FindAffectedViews("D3", put->before, put->delta, "D13&D31");
+      sync_.FindAffectedViews("D3", *put, "D13&D31");
   Result<std::vector<ViewRefresh>> from_diff =
-      sync_.FindAffectedViews("D3", put->before, "D13&D31");
+      sync_.FindAffectedViews("D3", before, "D13&D31");
   ASSERT_TRUE(from_delta.ok()) << from_delta.status();
   ASSERT_TRUE(from_diff.ok()) << from_diff.status();
   ASSERT_EQ(from_delta->size(), 1u);
@@ -329,6 +329,146 @@ TEST_F(SyncManagerTest, RoundTripPutThenDeriveIsConsistent) {
   Result<Table> rederived = sync_.DeriveView("D13&D31");
   ASSERT_TRUE(rederived.ok());
   EXPECT_EQ(*rederived, edited_view);
+}
+
+/// A view change as Peer hands it to the put: the delta and the digest of
+/// the view it started from.
+struct ViewEdit {
+  relational::TableDelta delta;
+  std::string base_digest;
+};
+
+/// Writes `value` into one attribute of one view row through the database,
+/// as a commit or fetch does.
+ViewEdit EditView(relational::Database* db, const std::string& view_table,
+                  int64_t key, const std::string& attribute,
+                  const std::string& value) {
+  const Table* view = *db->GetTable(view_table);
+  ViewEdit edit;
+  edit.base_digest = view->ContentDigest();
+  relational::Row row = *view->Get({Value::Int(key)});
+  row[*view->schema().IndexOf(attribute)] = Value::String(value);
+  edit.delta.updates.push_back(std::move(row));
+  EXPECT_TRUE(db->ApplyTableDelta(view_table, edit.delta).ok());
+  return edit;
+}
+
+/// Runs the delta form of the put and checks that the source ends where
+/// the full Lens::Put of the same view puts it.
+void PutAndExpectFullResult(SyncManager* sync, relational::Database* db,
+                            const std::string& table_id,
+                            const ViewEdit& edit) {
+  const SyncManager::ViewBinding* binding = *sync->FindBinding(table_id);
+  const Table source = *db->Snapshot(binding->source_table);
+  Result<Table> expected =
+      binding->lens->Put(source, **db->GetTable(binding->view_table));
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  Result<bx::AnnotatedDelta> put =
+      sync->PutViewIntoSource(table_id, edit.delta, edit.base_digest);
+  ASSERT_TRUE(put.ok()) << put.status();
+  EXPECT_EQ(*db->Snapshot(binding->source_table), *expected);
+  EXPECT_EQ(bx::StripAnnotations(source.schema(), *put).ToJson(),
+            relational::ComputeDelta(source, *expected)->ToJson());
+}
+
+TEST_F(SyncManagerTest, DeltaPutNeedsTheDigestsOfTheLastPut) {
+  ASSERT_TRUE(sync_.RegisterView("D13&D31", "D3", "D31", lens31_).ok());
+  // No put since registration: nothing proves view == Get(source).
+  PutAndExpectFullResult(&sync_, &db_, "D13&D31",
+                         EditView(&db_, "D31", 188, kDosage, "first"));
+  EXPECT_EQ(sync_.full_puts(), 1u);
+  EXPECT_EQ(sync_.delta_puts(), 0u);
+  // The last put left both digests where this delta starts.
+  PutAndExpectFullResult(&sync_, &db_, "D13&D31",
+                         EditView(&db_, "D31", 189, kDosage, "second"));
+  EXPECT_EQ(sync_.full_puts(), 1u);
+  EXPECT_EQ(sync_.delta_puts(), 1u);
+}
+
+TEST_F(SyncManagerTest, ViewWrittenOutsideAPutTakesTheFullPut) {
+  ASSERT_TRUE(sync_.RegisterView("D13&D31", "D3", "D31", lens31_).ok());
+  PutAndExpectFullResult(&sync_, &db_, "D13&D31",
+                         EditView(&db_, "D31", 188, kDosage, "first"));
+  // A write straight into the view table: the next delta does not start
+  // at the view the last put left, so the put is full and carries this
+  // write into the source too, as it always has.
+  ASSERT_TRUE(db_.UpdateAttribute("D31", {Value::Int(189)}, kClinicalData,
+                                  Value::String("direct"))
+                  .ok());
+  PutAndExpectFullResult(&sync_, &db_, "D13&D31",
+                         EditView(&db_, "D31", 188, kDosage, "second"));
+  EXPECT_EQ(sync_.full_puts(), 2u);
+  EXPECT_EQ(sync_.delta_puts(), 0u);
+  EXPECT_EQ(db_.Snapshot("D3")->Get({Value::Int(189)})->at(2).AsString(),
+            "direct");
+}
+
+TEST_F(SyncManagerTest, SiblingPutMovesTheSourceAndForcesOneFullPut) {
+  ASSERT_TRUE(sync_.RegisterView("D13&D31", "D3", "D31", lens31_).ok());
+  // A sibling on an attribute D31 does not show, so its puts move the
+  // source and leave D31 == Get(D3).
+  bx::LensPtr notes = bx::MakeProjectLens({kPatientId, kMechanismOfAction},
+                                          {kPatientId});
+  Table notes_view = *notes->Get(**db_.GetTable("D3"));
+  ASSERT_TRUE(db_.CreateTable("NOTES", notes_view.schema()).ok());
+  ASSERT_TRUE(db_.ReplaceTable("NOTES", notes_view).ok());
+  ASSERT_TRUE(sync_.RegisterView("notes", "D3", "NOTES", notes).ok());
+
+  PutAndExpectFullResult(&sync_, &db_, "D13&D31",
+                         EditView(&db_, "D31", 188, kDosage, "first"));
+  // The sibling's put moves D3 under D13&D31's recorded digest pair.
+  PutAndExpectFullResult(&sync_, &db_, "notes",
+                         EditView(&db_, "NOTES", 189, kMechanismOfAction,
+                                  "m1"));
+  EXPECT_EQ(sync_.full_puts(), 2u);
+  // So D13&D31's next put is full; the one after is a delta again.
+  PutAndExpectFullResult(&sync_, &db_, "D13&D31",
+                         EditView(&db_, "D31", 188, kDosage, "second"));
+  EXPECT_EQ(sync_.full_puts(), 3u);
+  EXPECT_EQ(sync_.delta_puts(), 0u);
+  PutAndExpectFullResult(&sync_, &db_, "D13&D31",
+                         EditView(&db_, "D31", 189, kDosage, "third"));
+  EXPECT_EQ(sync_.full_puts(), 3u);
+  EXPECT_EQ(sync_.delta_puts(), 1u);
+}
+
+TEST_F(SyncManagerTest, FreshManagerPutsInFullFirst) {
+  ASSERT_TRUE(sync_.RegisterView("D13&D31", "D3", "D31", lens31_).ok());
+  PutAndExpectFullResult(&sync_, &db_, "D13&D31",
+                         EditView(&db_, "D31", 188, kDosage, "first"));
+  // A new manager over the same database, as after a restart: the digest
+  // pair lived in the old one.
+  SyncManager restarted(&db_, DependencyStrategy::kAnalyzeChange);
+  ASSERT_TRUE(restarted.RegisterView("D13&D31", "D3", "D31", lens31_).ok());
+  PutAndExpectFullResult(&restarted, &db_, "D13&D31",
+                         EditView(&db_, "D31", 189, kDosage, "second"));
+  EXPECT_EQ(restarted.full_puts(), 1u);
+  EXPECT_EQ(restarted.delta_puts(), 0u);
+  PutAndExpectFullResult(&restarted, &db_, "D13&D31",
+                         EditView(&db_, "D31", 188, kDosage, "third"));
+  EXPECT_EQ(restarted.full_puts(), 1u);
+  EXPECT_EQ(restarted.delta_puts(), 1u);
+}
+
+TEST_F(SyncManagerTest, GroupedLensPutsInFullEvenWhenGuarded) {
+  // D3 -> D32 has no delta rule, so a guarded put still runs Lens::Put.
+  ASSERT_TRUE(sync_.RegisterView("D23&D32", "D3", "D32", lens32_).ok());
+  const Table* d32 = *db_.GetTable("D32");
+  relational::Row row = d32->RowsInKeyOrder()[0];
+  ViewEdit first;
+  first.base_digest = d32->ContentDigest();
+  row[1] = Value::String("mechanism one");
+  first.delta.updates.push_back(row);
+  ASSERT_TRUE(db_.ApplyTableDelta("D32", first.delta).ok());
+  PutAndExpectFullResult(&sync_, &db_, "D23&D32", first);
+  ViewEdit second;
+  second.base_digest = (*db_.GetTable("D32"))->ContentDigest();
+  row[1] = Value::String("mechanism two");
+  second.delta.updates.push_back(row);
+  ASSERT_TRUE(db_.ApplyTableDelta("D32", second.delta).ok());
+  PutAndExpectFullResult(&sync_, &db_, "D23&D32", second);
+  EXPECT_EQ(sync_.full_puts(), 2u);
+  EXPECT_EQ(sync_.delta_puts(), 0u);
 }
 
 }  // namespace
