@@ -95,21 +95,6 @@ void BM_ReplaceTable(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplaceTable)->Range(8, 4096);
 
-void BM_TransactionCommit(benchmark::State& state) {
-  Database db;
-  IgnoreStatusForTest(db.CreateTable("t", SmallSchema()));
-  int64_t id = 0;
-  for (auto _ : state) {
-    Database::Transaction txn = db.Begin();
-    for (int64_t i = 0; i < state.range(0); ++i) {
-      txn.Insert("t", MakeRow(id++));
-    }
-    benchmark::DoNotOptimize(db.Commit(std::move(txn)));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TransactionCommit)->Range(1, 256);
-
 void BM_Recovery(benchmark::State& state) {
   // Reopen cost after `range` logged mutations with no checkpoint.
   std::string dir = FreshDir();

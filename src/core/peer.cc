@@ -58,14 +58,13 @@ Peer::Peer(PeerConfig config, net::Scheduler* scheduler,
            net::Network* network, runtime::ChainNode* node)
     : config_(std::move(config)),
       scheduler_(scheduler),
-      network_(network),
       node_(node),
       key_(crypto::KeyPair::FromSeed(config_.name)),
       sync_(&database_, config_.strategy) {
   sync_.set_maintenance(config_.maintenance);
   address_to_name_[key_.address().ToHex()] = config_.name;
   channel_ = std::make_unique<net::ReliableChannel>(config_.name, scheduler_,
-                                                     network_, this);
+                                                     network, this);
   channel_->set_give_up_callback([this](const net::Message& message) {
     Trace(StrCat("reliable delivery of '", message.type, "' to ",
                  message.to, " gave up; catch-up will reconcile"));
@@ -760,10 +759,6 @@ void Peer::OnMessage(const net::Message& message) {
     HandleFetchRequest(message);
   } else if (message.type == "fetch_response") {
     HandleFetchResponse(message);
-  } else if (message.type == "share_offer") {
-    HandleShareOffer(message);
-  } else if (message.type == "share_answer") {
-    HandleShareAnswer(message);
   } else {
     MEDSYNC_LOG(kDebug, config_.name)
         << "ignoring message type '" << message.type << "'";
@@ -970,197 +965,6 @@ Status Peer::SubmitAck(const TableState& state, uint64_t version,
   metrics::Inc(counters_.acks_sent);
   RecordStep(5, 10, "ack_update", state.config.table_id, "submitted");
   return Status::OK();
-}
-
-
-Status Peer::OfferSharedTable(const std::string& counterparty_name,
-                              OfferParams params) {
-  if (tables_.count(params.table_id) > 0) {
-    return Status::AlreadyExists(
-        StrCat("shared table '", params.table_id, "' already adopted"));
-  }
-  if (pending_offers_.count(params.table_id) > 0) {
-    return Status::FailedPrecondition(
-        StrCat("an offer for '", params.table_id, "' is already pending"));
-  }
-  if (params.lens == nullptr) {
-    return Status::InvalidArgument("offer lens must not be null");
-  }
-  if (!network_->IsAttached(counterparty_name)) {
-    return Status::NotFound(
-        StrCat("no peer '", counterparty_name, "' on the network"));
-  }
-  MEDSYNC_ASSIGN_OR_RETURN(Table contents,
-                           database_.Snapshot(params.view_table));
-
-  Json offer = Json::MakeObject();
-  offer.Set("table_id", params.table_id);
-  offer.Set("contract", params.contract.ToHex());
-  offer.Set("provider_name", config_.name);
-  offer.Set("provider", key_.address().ToHex());
-  offer.Set("contents", contents.ToJson());
-
-  std::string table_id = params.table_id;
-  pending_offers_.emplace(
-      table_id, PendingOffer{std::move(params), counterparty_name});
-  Trace(StrCat("offered shared table '", table_id, "' to ",
-               counterparty_name));
-  return SendToPeer(counterparty_name, "share_offer", std::move(offer));
-}
-
-void Peer::HandleShareOffer(const net::Message& message) {
-  auto reply = [&](const std::string& table_id, bool accepted,
-                   const std::string& reason) {
-    Json answer = Json::MakeObject();
-    answer.Set("table_id", table_id);
-    answer.Set("accepted", accepted);
-    answer.Set("reason", reason);
-    answer.Set("invitee", key_.address().ToHex());
-    LogIfError(SendToPeer(message.from, "share_answer", std::move(answer)),
-               "peer", "share answer");
-  };
-
-  auto table_id = message.payload().GetString("table_id");
-  if (!table_id.ok()) return;
-  auto contract_hex = message.payload().GetString("contract");
-  auto provider_name = message.payload().GetString("provider_name");
-  auto provider_hex = message.payload().GetString("provider");
-  Result<Table> contents = Table::FromJson(message.payload().At("contents"));
-  if (!contract_hex.ok() || !provider_name.ok() || !provider_hex.ok() ||
-      !contents.ok()) {
-    reply(*table_id, false, "malformed offer");
-    return;
-  }
-  if (offer_policy_ == nullptr) {
-    Trace(StrCat("declined share offer '", *table_id,
-                 "': no acceptance policy configured"));
-    reply(*table_id, false, "no acceptance policy");
-    return;
-  }
-  if (tables_.count(*table_id) > 0) {
-    reply(*table_id, false, "table already adopted");
-    return;
-  }
-
-  ShareOffer offer;
-  offer.table_id = *table_id;
-  bool ok = false;
-  offer.contract = crypto::Address::FromHex(*contract_hex, &ok);
-  offer.provider_name = *provider_name;
-  offer.provider = crypto::Address::FromHex(*provider_hex, &ok);
-  offer.view_schema = contents->schema();
-  offer.contents = *contents;
-
-  Result<ShareAcceptance> acceptance = offer_policy_(offer);
-  if (!acceptance.ok()) {
-    Trace(StrCat("declined share offer '", *table_id,
-                 "': ", acceptance.status().ToString()));
-    reply(*table_id, false, acceptance.status().ToString());
-    return;
-  }
-
-  // Validate the binding: the lens applied to OUR source must produce the
-  // offered view schema.
-  auto validate_and_adopt = [&]() -> Status {
-    if (acceptance->lens == nullptr) {
-      return Status::InvalidArgument("policy returned a null lens");
-    }
-    MEDSYNC_ASSIGN_OR_RETURN(const Table* source,
-                             database_.GetTable(acceptance->source_table));
-    MEDSYNC_ASSIGN_OR_RETURN(relational::Schema expected,
-                             acceptance->lens->ViewSchema(source->schema()));
-    if (expected != contents->schema()) {
-      return Status::InvalidArgument(
-          "lens view schema does not match the offered table");
-    }
-    if (database_.HasTable(acceptance->view_table)) {
-      return Status::AlreadyExists(
-          StrCat("local table '", acceptance->view_table, "' exists"));
-    }
-    MEDSYNC_RETURN_IF_ERROR(
-        database_.CreateTable(acceptance->view_table, contents->schema()));
-    MEDSYNC_RETURN_IF_ERROR(
-        database_.ReplaceTable(acceptance->view_table, *contents));
-
-    SharedTableConfig config;
-    config.table_id = *table_id;
-    config.source_table = acceptance->source_table;
-    config.view_table = acceptance->view_table;
-    config.lens = acceptance->lens;
-    config.contract = offer.contract;
-    MEDSYNC_RETURN_IF_ERROR(AdoptSharedTable(config));
-
-    // Initialize our full data from the shared piece (the BX put inserts
-    // the offered rows; hidden attributes default to NULL).
-    return sync_.PutViewIntoSource(*table_id).status().WithPrefix(
-        "initial put into local source");
-  };
-
-  Status adopted = validate_and_adopt();
-  if (!adopted.ok()) {
-    // Roll back partial adoption so a later offer can retry cleanly.
-    tables_.erase(*table_id);
-    Trace(StrCat("could not adopt share offer '", *table_id,
-                 "': ", adopted.ToString()));
-    reply(*table_id, false, adopted.ToString());
-    return;
-  }
-  AddKnownPeer(offer.provider_name, offer.provider);
-  Trace(StrCat("accepted share offer '", *table_id, "' from ",
-               offer.provider_name));
-  reply(*table_id, true, "");
-}
-
-void Peer::HandleShareAnswer(const net::Message& message) {
-  auto table_id = message.payload().GetString("table_id");
-  auto accepted = message.payload().GetBool("accepted");
-  if (!table_id.ok() || !accepted.ok()) return;
-  auto offer_it = pending_offers_.find(*table_id);
-  if (offer_it == pending_offers_.end()) return;
-  PendingOffer offer = std::move(offer_it->second);
-  pending_offers_.erase(offer_it);
-
-  if (!*accepted) {
-    Trace(StrCat("share offer '", *table_id, "' declined by ", message.from,
-                 ": ", message.payload().At("reason").is_string()
-                           ? message.payload().At("reason").AsString()
-                           : ""));
-    return;
-  }
-  auto invitee_hex = message.payload().GetString("invitee");
-  if (!invitee_hex.ok()) return;
-  bool ok = false;
-  crypto::Address invitee = crypto::Address::FromHex(*invitee_hex, &ok);
-  if (!ok) return;
-  AddKnownPeer(message.from, invitee);
-
-  SharedTableConfig config;
-  config.table_id = offer.params.table_id;
-  config.source_table = offer.params.source_table;
-  config.view_table = offer.params.view_table;
-  config.lens = offer.params.lens;
-  config.contract = offer.params.contract;
-  Status adopted = AdoptSharedTable(config);
-  if (!adopted.ok()) {
-    Trace(StrCat("cannot adopt own offered table '", *table_id,
-                 "': ", adopted.ToString()));
-    return;
-  }
-
-  std::vector<crypto::Address> peers{key_.address(), invitee};
-  crypto::Address authority = offer.params.authority.IsZero()
-                                  ? key_.address()
-                                  : offer.params.authority;
-  Result<std::string> registered = RegisterSharedTableOnChain(
-      config, peers, offer.params.write_permission, offer.params.membership,
-      authority);
-  if (!registered.ok()) {
-    Trace(StrCat("registration of '", *table_id,
-                 "' failed: ", registered.status().ToString()));
-    return;
-  }
-  Trace(StrCat("share offer '", *table_id, "' accepted by ", message.from,
-               "; registered on-chain"));
 }
 
 }  // namespace medsync::core

@@ -168,60 +168,6 @@ class Peer : public net::Endpoint {
                                              const crypto::Address& peer,
                                              bool grant);
 
-  // -- Sharing bootstrap ------------------------------------------------------
-  //
-  // The paper leaves "the initialization of shared data" to future work
-  // (Section III-E); this implements it as an offer/accept handshake:
-  // the provider sends the agreed view definition plus the initial
-  // contents; the invitee's policy decides whether (and against which
-  // local source, through which lens) to accept; on acceptance the
-  // provider registers the table on-chain and both sides adopt it.
-
-  /// An incoming sharing proposal as the invitee's policy sees it.
-  struct ShareOffer {
-    std::string table_id;
-    crypto::Address contract;
-    std::string provider_name;
-    crypto::Address provider;
-    relational::Schema view_schema;
-    relational::Table contents;
-  };
-
-  /// Decides whether to accept an offer. Returning an error declines it.
-  /// On acceptance, returns this peer's local binding: the source table
-  /// the view will sync against, the local name for the view table
-  /// (created by the bootstrap), and the lens between them.
-  struct ShareAcceptance {
-    std::string source_table;
-    std::string view_table;
-    bx::LensPtr lens;
-  };
-  using OfferPolicy = std::function<Result<ShareAcceptance>(const ShareOffer&)>;
-  void SetOfferPolicy(OfferPolicy policy) { offer_policy_ = std::move(policy); }
-
-  /// Terms the provider will register on-chain once the invitee accepts.
-  struct OfferParams {
-    std::string table_id;
-    std::string source_table;
-    std::string view_table;  // must already exist locally
-    bx::LensPtr lens;
-    crypto::Address contract;
-    std::map<std::string, std::vector<crypto::Address>> write_permission;
-    std::vector<crypto::Address> membership;
-    crypto::Address authority;
-  };
-
-  /// Provider side: proposes sharing `params.view_table` with the (known)
-  /// peer `counterparty_name`. Registration and local adoption happen when
-  /// the acceptance arrives. One offer per table at a time.
-  Status OfferSharedTable(const std::string& counterparty_name,
-                          OfferParams params);
-
-  /// Whether a sent offer is still awaiting an answer.
-  bool HasPendingOffer(const std::string& table_id) const {
-    return pending_offers_.count(table_id) > 0;
-  }
-
   // -- Introspection --------------------------------------------------------
 
   struct TableSyncState {
@@ -348,8 +294,6 @@ class Peer : public net::Endpoint {
   void HandleFetchRequest(const net::Message& message);
   void HandleFetchResponse(const net::Message& message);
   void RetryFetch(const std::string& table_id);
-  void HandleShareOffer(const net::Message& message);
-  void HandleShareAnswer(const net::Message& message);
 
   /// Commits an approved staged update: replace the view table, optionally
   /// put into the source, and cascade.
@@ -413,7 +357,6 @@ class Peer : public net::Endpoint {
 
   PeerConfig config_;
   net::Scheduler* scheduler_;
-  net::Network* network_;
   runtime::ChainNode* node_;
   crypto::KeyPair key_;
   relational::Database database_;
@@ -424,12 +367,6 @@ class Peer : public net::Endpoint {
   std::map<std::string, StagedUpdate> staged_;        // by tx id hex
   std::map<std::string, PendingFetch> pending_fetches_;  // by table_id
   std::map<std::string, std::string> address_to_name_;
-  OfferPolicy offer_policy_;
-  struct PendingOffer {
-    OfferParams params;
-    std::string counterparty_name;
-  };
-  std::map<std::string, PendingOffer> pending_offers_;  // by table_id
   Stats stats_;
   std::function<void(const std::string&)> trace_sink_;
   metrics::ProtocolTracer* tracer_ = nullptr;

@@ -450,12 +450,18 @@ Result<std::shared_ptr<const Chunk>> Chunk::Deserialize(
         break;
       }
       case DataType::kInt:
+        if (!r.Need(size_t{row_count} * 8)) {
+          return Status::Corruption("chunk payload: truncated col");
+        }
         col.ints.resize(row_count);
         for (uint32_t i = 0; i < row_count; ++i) {
           col.ints[i] = static_cast<int64_t>(r.U64());
         }
         break;
       case DataType::kDouble:
+        if (!r.Need(size_t{row_count} * 8)) {
+          return Status::Corruption("chunk payload: truncated col");
+        }
         col.doubles.resize(row_count);
         for (uint32_t i = 0; i < row_count; ++i) {
           col.doubles[i] = DoubleFromBits(r.U64());
@@ -463,7 +469,7 @@ Result<std::shared_ptr<const Chunk>> Chunk::Deserialize(
         break;
       case DataType::kString: {
         const uint32_t dict_size = r.U32();
-        if (r.failed || dict_size > raw.size()) {
+        if (!r.Need(size_t{dict_size} * 4)) {  // a length per entry
           return Status::Corruption("chunk payload: bad dict size");
         }
         col.dict.reserve(dict_size);
@@ -477,6 +483,9 @@ Result<std::shared_ptr<const Chunk>> Chunk::Deserialize(
           if (i > 0 && !(col.dict[i - 1] < col.dict[i])) {
             return Status::Corruption("chunk payload: dict not sorted unique");
           }
+        }
+        if (!r.Need(size_t{row_count} * 4)) {
+          return Status::Corruption("chunk payload: truncated col");
         }
         col.codes.resize(row_count);
         for (uint32_t i = 0; i < row_count; ++i) {
@@ -536,6 +545,9 @@ constexpr size_t kLzWindow = 4096;  // distances 1..4096, stored as d-1
 constexpr size_t kLzMinMatch = 3;
 constexpr size_t kLzMaxMatch = 18;  // kLzMinMatch + 15
 constexpr size_t kLzHashSize = 1 << 15;
+// A group of one flag byte and eight 2-byte match tokens (17 bytes) yields
+// at most 8 * kLzMaxMatch = 144 bytes, so no payload expands past 9x.
+constexpr size_t kLzMaxExpansion = 9;
 
 size_t LzHash(const uint8_t* p) {
   const uint32_t v = static_cast<uint32_t>(p[0]) |
@@ -616,6 +628,10 @@ std::string LzCompress(std::string_view data) {
 }
 
 Result<std::string> LzDecompress(std::string_view data, size_t expected_size) {
+  // `expected_size` is read before any checksum: bound it before reserving.
+  if (expected_size > kLzMaxExpansion * data.size()) {
+    return Status::Corruption("lz: size exceeds what the payload can hold");
+  }
   std::string out;
   out.reserve(expected_size);
   size_t pos = 0;

@@ -156,8 +156,9 @@ class Chunk {
 std::string LzCompress(std::string_view data);
 
 /// Inverse of LzCompress. `expected_size` bounds the output (the chunk file
-/// header records the raw size); returns Corruption on malformed streams or
-/// size mismatch.
+/// header records the raw size); returns Corruption on malformed streams,
+/// size mismatch, or an `expected_size` no stream of `data`'s length can
+/// expand to.
 Result<std::string> LzDecompress(std::string_view data, size_t expected_size);
 
 }  // namespace medsync::relational

@@ -259,8 +259,8 @@ Status TableExists(const std::string& name) {
   return Status::AlreadyExists(StrCat("table '", name, "' exists"));
 }
 
-// The WAL record encoders, one per op kind, shared by the public mutators
-// and Transaction. ApplyOp is their one decoder.
+// The WAL record encoders, one per op kind, used by the public mutators.
+// ApplyOp is their one decoder.
 
 Json NewOp(const char* kind, const std::string& table) {
   Json op = Json::MakeObject();
@@ -570,46 +570,6 @@ Status Database::ReplaceTable(const std::string& table,
 Status Database::SealTable(const std::string& table) {
   MEDSYNC_ASSIGN_OR_RETURN(Table* t, FindTable(table));
   t->Seal();
-  return Status::OK();
-}
-
-void Database::Transaction::Insert(const std::string& table, Row row) {
-  ops_.push_back(RowOp("insert", table, row));
-}
-
-void Database::Transaction::Update(const std::string& table, Row row) {
-  ops_.push_back(RowOp("update", table, row));
-}
-
-void Database::Transaction::UpdateAttribute(const std::string& table, Key key,
-                                            std::string attribute,
-                                            Value value) {
-  ops_.push_back(UpdateAttrOp(table, key, attribute, value));
-}
-
-void Database::Transaction::Delete(const std::string& table, Key key) {
-  ops_.push_back(DeleteOp(table, key));
-}
-
-Status Database::Commit(Transaction&& txn) {
-  // Ops within a transaction interact, so the batch is validated by
-  // applying it to an in-memory scratch copy of the catalog (O(head) per
-  // table: copies share sealed chunks); only a fully valid transaction
-  // reaches the WAL and the live tables.
-  Database scratch;
-  scratch.tables_ = tables_;
-  for (size_t i = 0; i < txn.ops_.size(); ++i) {
-    Status s = scratch.ApplyOp(txn.ops_[i]);
-    if (!s.ok()) {
-      return s.WithPrefix(StrCat("transaction op ", i, " failed; aborted"));
-    }
-  }
-  if (durable()) {
-    for (const Json& op : txn.ops_) {
-      MEDSYNC_RETURN_IF_ERROR(wal_->Append(op).status());
-    }
-  }
-  tables_ = std::move(scratch.tables_);
   return Status::OK();
 }
 

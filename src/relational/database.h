@@ -101,32 +101,6 @@ class Database {
   /// an unsealed layout holding identical content.
   Status SealTable(const std::string& table);
 
-  // -- Transactions ---------------------------------------------------------
-
-  /// A buffered multi-operation transaction. Operations accumulate as WAL
-  /// records and touch the database only at Commit(), which applies all of
-  /// them to a scratch copy of the catalog first (ops within a transaction
-  /// interact) — so a failing commit leaves the database and the WAL
-  /// untouched. Dropping the object without Commit() discards the buffered
-  /// work.
-  class Transaction {
-   public:
-    void Insert(const std::string& table, Row row);
-    void Update(const std::string& table, Row row);
-    void UpdateAttribute(const std::string& table, Key key,
-                         std::string attribute, Value value);
-    void Delete(const std::string& table, Key key);
-
-    size_t op_count() const { return ops_.size(); }
-
-   private:
-    friend class Database;
-    std::vector<Json> ops_;
-  };
-
-  Transaction Begin() const { return Transaction(); }
-  Status Commit(Transaction&& txn);
-
   // -- Durability -----------------------------------------------------------
 
   /// Writes a fresh snapshot and truncates the WAL. No-op for in-memory
@@ -159,8 +133,8 @@ class Database {
  private:
   /// Decodes one WAL record and applies it through the typed mutator it
   /// names, returning that mutator's status. The one Json decoder here: it
-  /// runs only on a non-durable database — WAL replay before the log is
-  /// attached, and a Transaction's scratch catalog — so it logs nothing.
+  /// runs only during WAL replay, before the log is attached, so it logs
+  /// nothing.
   Status ApplyOp(const Json& op);
 
   /// The live table `name`, or NotFound.

@@ -66,7 +66,11 @@ class PeerFaultInjectionTest : public ::testing::Test {
                                {kPatientId});
   }
 
-  /// Doctor->archivist bootstrap for shared table "ARCH".
+  /// Starts sharing table "ARCH" the way every deployment does: the
+  /// archivist creates a fresh source and a view holding the doctor's view
+  /// rows, adopts them and runs its first BX put (which fills the source;
+  /// hidden attributes default to NULL), then the doctor adopts its side
+  /// and registers the table on-chain.
   void EstablishSharing() {
     if (!clinic_->doctor().database().HasTable("ARCH_view")) {
       Table d3 = *clinic_->doctor().database().Snapshot("D3");
@@ -78,35 +82,29 @@ class PeerFaultInjectionTest : public ::testing::Test {
       ASSERT_TRUE(
           clinic_->doctor().database().ReplaceTable("ARCH_view", view).ok());
     }
+    Table view = *clinic_->doctor().database().Snapshot("ARCH_view");
     relational::Schema source_schema = *relational::Schema::Create(
         {{std::string(kPatientId), relational::DataType::kInt, false},
          {std::string(kMedicationName), relational::DataType::kString, true},
          {std::string(kDosage), relational::DataType::kString, true}},
         {std::string(kPatientId)});
-    ASSERT_TRUE(
-        archivist_->database().CreateTable("ARCHIVE", source_schema).ok());
-    archivist_->SetOfferPolicy(
-        [this](const Peer::ShareOffer&) -> Result<Peer::ShareAcceptance> {
-          Peer::ShareAcceptance acceptance;
-          acceptance.source_table = "ARCHIVE";
-          acceptance.view_table = "ARCH";
-          acceptance.lens = ShareLens();
-          return acceptance;
-        });
+    relational::Database& archive = archivist_->database();
+    ASSERT_TRUE(archive.CreateTable("ARCHIVE", source_schema).ok());
+    ASSERT_TRUE(archive.CreateTable("ARCH", view.schema()).ok());
+    ASSERT_TRUE(archive.ReplaceTable("ARCH", view).ok());
+    ASSERT_TRUE(archivist_->AdoptSharedTable(ArchivistConfig()).ok());
+    ASSERT_TRUE(archivist_->sync().PutViewIntoSource("ARCH").ok());
 
-    Peer::OfferParams params;
-    params.table_id = "ARCH";
-    params.source_table = "D3";
-    params.view_table = "ARCH_view";
-    params.lens = ShareLens();
-    params.contract = clinic_->contract();
-    params.write_permission = {
-        {kMedicationName, {clinic_->doctor().address()}},
-        {kDosage, {clinic_->doctor().address()}}};
-    params.membership = {clinic_->doctor().address()};
-    params.authority = clinic_->doctor().address();
-    ASSERT_TRUE(
-        clinic_->doctor().OfferSharedTable("archivist", params).ok());
+    const crypto::Address doctor = clinic_->doctor().address();
+    SharedTableConfig config{"ARCH", "D3", "ARCH_view", ShareLens(),
+                             clinic_->contract()};
+    ASSERT_TRUE(clinic_->doctor().AdoptSharedTable(config).ok());
+    ASSERT_TRUE(clinic_->doctor()
+                    .RegisterSharedTableOnChain(
+                        config, {doctor, archivist_->address()},
+                        {{kMedicationName, {doctor}}, {kDosage, {doctor}}},
+                        {doctor}, doctor)
+                    .ok());
     ASSERT_TRUE(clinic_->SettleAll().ok());
     clinic_->simulator().RunFor(3 * kMicrosPerSecond);
     ASSERT_EQ(archivist_->GetSyncState("ARCH")->version, 1u);
@@ -115,6 +113,15 @@ class PeerFaultInjectionTest : public ::testing::Test {
   SharedTableConfig ArchivistConfig() {
     return SharedTableConfig{"ARCH", "ARCHIVE", "ARCH", ShareLens(),
                              clinic_->contract()};
+  }
+
+  /// The archivist's view is exactly Get of its source, so every put that
+  /// healed it reached ARCHIVE. Read through Database: ReadSharedTable
+  /// would record a Fig. 4 step 1.
+  void ExpectViewIsGetOfSource() {
+    Result<Table> derived = archivist_->sync().DeriveView("ARCH");
+    ASSERT_TRUE(derived.ok()) << derived.status();
+    EXPECT_EQ(*derived, *archivist_->database().Snapshot("ARCH"));
   }
 
   Json ArchEntry() {
@@ -167,6 +174,7 @@ TEST_F(PeerFaultInjectionTest, CrashDuringFetchedUpdateApplyHealsViaCatchUp) {
                 .AsString(),
             "crashed apply");
   EXPECT_EQ(ArchEntry().At("pending_acks").size(), 0u);
+  ExpectViewIsGetOfSource();
 }
 
 TEST_F(PeerFaultInjectionTest, CrashMidCheckpointRecoversAndResumesProtocol) {
@@ -203,6 +211,7 @@ TEST_F(PeerFaultInjectionTest, CrashMidCheckpointRecoversAndResumesProtocol) {
   clinic_->simulator().RunFor(6 * kMicrosPerSecond);
   EXPECT_EQ(archivist_->GetSyncState("ARCH")->version, 3u);
   EXPECT_EQ(ArchEntry().At("pending_acks").size(), 0u);
+  ExpectViewIsGetOfSource();
 }
 
 TEST_F(PeerFaultInjectionTest, RepeatedCrashesConvergeToTheSameBytes) {
@@ -241,6 +250,7 @@ TEST_F(PeerFaultInjectionTest, RepeatedCrashesConvergeToTheSameBytes) {
   EXPECT_EQ(*archivist_->ReadSharedTable("ARCH"),
             *clinic_->doctor().database().Snapshot("ARCH_view"));
   EXPECT_EQ(ArchEntry().At("pending_acks").size(), 0u);
+  ExpectViewIsGetOfSource();
 }
 
 }  // namespace

@@ -453,22 +453,6 @@ TEST(DatabaseTest, FailedOpLeavesStateUntouched) {
       {"replace_table", StatusCode::kInvalidArgument,
        [&](Database& db) { return db.ReplaceTable("t", wrong); },
        [&](Database& db) { return db.ReplaceTable("t", replacement); }, 1},
-      {"transaction", StatusCode::kNotFound,
-       [](Database& db) {
-         Database::Transaction txn = db.Begin();
-         txn.Insert("t", R(3, "c"));         // valid
-         txn.Delete("t", {Value::Int(99)});  // aborts the whole batch
-         return db.Commit(std::move(txn));
-       },
-       [&](Database& db) {
-         Database::Transaction txn = db.Begin();
-         txn.Insert("t", R(3, "c"));
-         txn.Update("t", R(3, "C"));
-         txn.UpdateAttribute("t", k1, "v", Value::Null());
-         txn.Delete("t", {Value::Int(2)});
-         return db.Commit(std::move(txn));
-       },
-       4},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.kind);
@@ -543,12 +527,11 @@ TEST(DatabaseTest, WalRecordBytesArePinned) {
     delta.updates.push_back(R(1, "UP"));
     ASSERT_TRUE(db->ApplyTableDelta("t", delta).ok());
     ASSERT_TRUE(db->ReplaceTable("t", WithRows({R(5, "e"), R(4, "d")})).ok());
-    Database::Transaction txn = db->Begin();
-    txn.Insert("t", R(6, "f"));
-    txn.Update("t", R(6, "F"));
-    txn.UpdateAttribute("t", {Value::Int(4)}, "v", Value::Null());
-    txn.Delete("t", {Value::Int(5)});
-    ASSERT_TRUE(db->Commit(std::move(txn)).ok());
+    ASSERT_TRUE(db->Insert("t", R(6, "f")).ok());
+    ASSERT_TRUE(db->Update("t", R(6, "F")).ok());
+    ASSERT_TRUE(
+        db->UpdateAttribute("t", {Value::Int(4)}, "v", Value::Null()).ok());
+    ASSERT_TRUE(db->Delete("t", {Value::Int(5)}).ok());
     ASSERT_TRUE(db->DropTable("w").ok());
     EXPECT_EQ(db->wal_stats().appends, 16u);
   }
@@ -612,45 +595,6 @@ TEST(DatabaseTest, CheckpointThenReopen) {
   Result<Database> db = Database::Open(dir.path());
   ASSERT_TRUE(db.ok()) << db.status();
   EXPECT_EQ((*db->GetTable("t"))->row_count(), 2u);
-}
-
-TEST(DatabaseTest, TransactionCommitIsAtomic) {
-  Database db;
-  ASSERT_TRUE(db.CreateTable("t", S()).ok());
-  ASSERT_TRUE(db.Insert("t", R(1, "a")).ok());
-
-  Database::Transaction txn = db.Begin();
-  txn.Insert("t", R(2, "b"));
-  txn.UpdateAttribute("t", {Value::Int(1)}, "v", Value::String("A"));
-  txn.Delete("t", {Value::Int(1)});
-  EXPECT_EQ(txn.op_count(), 3u);
-  ASSERT_TRUE(db.Commit(std::move(txn)).ok());
-  EXPECT_EQ((*db.GetTable("t"))->row_count(), 1u);
-  EXPECT_TRUE((*db.GetTable("t"))->Contains({Value::Int(2)}));
-}
-
-TEST(DatabaseTest, TransactionFailureRollsBackEverything) {
-  Database db;
-  ASSERT_TRUE(db.CreateTable("t", S()).ok());
-  ASSERT_TRUE(db.Insert("t", R(1, "a")).ok());
-  Table before = *db.Snapshot("t");
-
-  Database::Transaction txn = db.Begin();
-  txn.Insert("t", R(2, "b"));          // valid
-  txn.Delete("t", {Value::Int(99)});   // invalid — whole txn must abort
-  Status committed = db.Commit(std::move(txn));
-  EXPECT_FALSE(committed.ok());
-  EXPECT_EQ(*db.Snapshot("t"), before);
-}
-
-TEST(DatabaseTest, DroppedTransactionHasNoEffect) {
-  Database db;
-  ASSERT_TRUE(db.CreateTable("t", S()).ok());
-  {
-    Database::Transaction txn = db.Begin();
-    txn.Insert("t", R(1, "discarded"));
-  }
-  EXPECT_EQ((*db.GetTable("t"))->row_count(), 0u);
 }
 
 TEST(DatabaseTest, CommitPathSyncsEveryAppend) {
@@ -841,22 +785,6 @@ TEST(DatabaseTest, BulkLoadOptionSkipsPerAppendSync) {
   Result<Database> reopened = Database::Open(dir.path());
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened->GetTable("t"))->row_count(), 100u);
-}
-
-TEST(DatabaseTest, DurableTransactionSurvivesReopen) {
-  TempDir dir;
-  {
-    Result<Database> db = Database::Open(dir.path());
-    ASSERT_TRUE(db.ok());
-    ASSERT_TRUE(db->CreateTable("t", S()).ok());
-    Database::Transaction txn = db->Begin();
-    txn.Insert("t", R(1, "x"));
-    txn.Insert("t", R(2, "y"));
-    ASSERT_TRUE(db->Commit(std::move(txn)).ok());
-  }
-  Result<Database> db = Database::Open(dir.path());
-  ASSERT_TRUE(db.ok());
-  EXPECT_EQ((*db->GetTable("t"))->row_count(), 2u);
 }
 
 }  // namespace

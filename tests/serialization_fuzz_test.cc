@@ -3,18 +3,25 @@
 // transactions, and blocks. A wire-format asymmetry anywhere here would
 // silently break digests, signatures, or replica determinism, so these
 // sweeps are cheap insurance. The fetch_response delta payload is also fed
-// hostile bytes and hostile structure through the receiver's check.
+// hostile bytes and hostile structure through the receiver's check, and
+// sealed-chunk payloads are fed hostile bytes through the chunk decoder.
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <memory>
+#include <string_view>
 
 #include "bx/compose_lens.h"
 #include "bx/lens_factory.h"
 #include "chain/block.h"
+#include "common/crc32.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "core/peer.h"
 #include "medical/generator.h"
 #include "medical/records.h"
+#include "relational/chunk.h"
 #include "relational/delta.h"
 
 namespace medsync {
@@ -360,6 +367,122 @@ TEST_P(FuzzTest, FetchedDeltaPayloadIsRejectedOrLandsOnTarget) {
     mutated.Set("delta", std::move(delta));
     check(mutated);
   }
+}
+
+// A chunk file as Chunk::SerializeFile frames it: magic, compressed flag,
+// raw size, CRC-32 of `payload` (the right one for an uncompressed file),
+// then `payload`. Reframing mutated canonical bytes this way passes the
+// checksum, so the mutation reaches the column decoder.
+std::string ChunkFile(uint8_t compressed, uint32_t raw_size,
+                      std::string_view payload) {
+  std::string file = "MEDSYNCCHUNK1\n";
+  file.push_back(static_cast<char>(compressed));
+  for (uint32_t v : {raw_size, Crc32(payload)}) {
+    for (int i = 0; i < 4; ++i) file.push_back(static_cast<char>(v >> (8 * i)));
+  }
+  file.append(payload);
+  return file;
+}
+
+std::string UncompressedChunkFile(std::string_view raw) {
+  return ChunkFile(0, static_cast<uint32_t>(raw.size()), raw);
+}
+
+relational::Schema ChunkSchema() {
+  return *relational::Schema::Create(
+      {{"id", relational::DataType::kInt, false},
+       {"name", relational::DataType::kString, true},
+       {"score", relational::DataType::kDouble, true},
+       {"flag", relational::DataType::kBool, true}},
+      {"id"});
+}
+
+/// 1..24 rows covering every column type, with NULLs in each nullable one.
+std::shared_ptr<const relational::Chunk> RandomChunk(Rng* rng) {
+  using relational::Value;
+  std::map<relational::Key, relational::Row> rows;
+  const size_t n = 1 + rng->NextBelow(24);
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t id = static_cast<int64_t>(3 * i + rng->NextBelow(3)) - 10;
+    relational::Row row = {
+        Value::Int(id),
+        rng->NextBool(0.2)
+            ? Value::Null()
+            : Value::String(rng->NextAlnumString(1 + rng->NextBelow(4))),
+        rng->NextBool(0.2) ? Value::Null()
+                           : Value::Double(rng->NextDouble() * 100.0),
+        rng->NextBool(0.2) ? Value::Null() : Value::Bool(rng->NextBool())};
+    rows.emplace(relational::Key{row[0]}, std::move(row));
+  }
+  return relational::Chunk::Seal(ChunkSchema(), rows);
+}
+
+TEST_P(FuzzTest, MutatedChunkPayloadDecodesExactlyOrIsCorruption) {
+  Rng rng(GetParam());
+  const relational::Schema schema = ChunkSchema();
+  std::shared_ptr<const relational::Chunk> chunk = RandomChunk(&rng);
+  ASSERT_TRUE(chunk->SerializeFile().starts_with("MEDSYNCCHUNK1\n"));
+  const std::string canonical = chunk->SerializeCanonical();
+  ASSERT_TRUE(relational::Chunk::Deserialize(
+                  schema, UncompressedChunkFile(canonical))
+                  .ok());
+
+  // A decoded payload must be exactly what the chunk re-serializes to (its
+  // id hashes those bytes); anything else must be Corruption.
+  for (int i = 0; i < 300; ++i) {
+    std::string mutated = canonical;
+    for (int n = 1 + static_cast<int>(rng.NextBelow(3)); n > 0; --n) {
+      const size_t pos = rng.NextBelow(mutated.size());
+      switch (rng.NextBelow(4)) {
+        case 0:
+          mutated[pos] = static_cast<char>(rng.NextBelow(256));
+          break;
+        case 1:
+          mutated.insert(pos, 1, static_cast<char>(rng.NextBelow(256)));
+          break;
+        case 2:
+          mutated.erase(pos, 1);
+          break;
+        default: {
+          // An extreme or small value over a 4-byte field: the row count,
+          // a dictionary size, a string length or a code.
+          const uint32_t v = rng.NextBool()
+                                 ? 0xFFFFFFFFu
+                                 : static_cast<uint32_t>(rng.NextBelow(64));
+          for (size_t b = 0; b < 4 && pos + b < mutated.size(); ++b) {
+            mutated[pos + b] = static_cast<char>(v >> (8 * b));
+          }
+          break;
+        }
+      }
+    }
+    Result<std::shared_ptr<const relational::Chunk>> back =
+        relational::Chunk::Deserialize(schema, UncompressedChunkFile(mutated));
+    if (back.ok()) {
+      EXPECT_EQ((*back)->SerializeCanonical(), mutated);
+    } else {
+      EXPECT_TRUE(back.status().IsCorruption()) << back.status();
+    }
+  }
+}
+
+// Counts the decoder reads before they are shown to fit must not size an
+// allocation: a CRC-valid payload claiming 0xFFFFFFFF rows (32 GiB of
+// columns), and a compressed file claiming a 4 GiB raw size that its
+// payload cannot expand to, are both Corruption.
+TEST(ChunkDecodeTest, HugeCountsAreCorruption) {
+  Rng rng(1);
+  const relational::Schema schema = ChunkSchema();
+  std::string raw = RandomChunk(&rng)->SerializeCanonical();
+  raw.replace(0, 4, "\xff\xff\xff\xff");  // the row count
+  Result<std::shared_ptr<const relational::Chunk>> rows =
+      relational::Chunk::Deserialize(schema, UncompressedChunkFile(raw));
+  EXPECT_TRUE(rows.status().IsCorruption()) << rows.status();
+
+  Result<std::shared_ptr<const relational::Chunk>> size =
+      relational::Chunk::Deserialize(schema,
+                                     ChunkFile(1, 0xFFFFFFFFu, raw));
+  EXPECT_TRUE(size.status().IsCorruption()) << size.status();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest,
