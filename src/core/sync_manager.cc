@@ -129,7 +129,7 @@ Status SyncManager::CommitPut(ViewBinding* binding, const TableDelta& delta) {
                            database_->GetTable(binding->source_table));
   MEDSYNC_ASSIGN_OR_RETURN(const Table* view,
                            database_->GetTable(binding->view_table));
-  binding->put_source_digest = source->ContentDigest();
+  binding->put_source_write_id = source->write_id();
   binding->put_view_digest = view->ContentDigest();
   return Status::OK();
 }
@@ -164,7 +164,7 @@ Result<bx::AnnotatedDelta> SyncManager::PutViewIntoSource(
   // when the delta landed, which is what PutDelta requires.
   const bool guard_holds = !binding->put_view_digest.empty() &&
                            binding->put_view_digest == base_digest &&
-                           binding->put_source_digest == source->ContentDigest();
+                           binding->put_source_write_id == source->write_id();
   if (!guard_holds) return FullPut(binding, *source);
 
   Result<bx::AnnotatedDelta> put = binding->lens->PutDelta(*source, view_delta);

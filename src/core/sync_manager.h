@@ -103,13 +103,13 @@ class SyncManager {
   /// The same put, for a view that `view_delta` just took from the content
   /// with digest `base_digest` to its current content (Fig. 5 step 5 after
   /// a commit or a fetch). When the binding's last put left the source at
-  /// its current digest and the view at `base_digest`, the view was
+  /// its current write id and the view at `base_digest`, the view was
   /// Get(source) when the delta landed (PutGet), so Lens::PutDelta gives
   /// exactly the full put's source delta in O(|delta|). Otherwise — no
   /// put yet since registration, a source or view moved by anything else,
   /// a lens with no delta rule, or an update PutDelta rejects — it runs
-  /// the full put. Every successful put records the new (source, view)
-  /// digest pair.
+  /// the full put. Every successful put records the new source write id
+  /// and view digest.
   Result<bx::AnnotatedDelta> PutViewIntoSource(
       const std::string& table_id, const relational::TableDelta& view_delta,
       const std::string& base_digest);
@@ -204,9 +204,13 @@ class SyncManager {
     bx::LensPtr lens;
     /// See SetViewStale.
     bool stale = false;
-    /// Source and view content digests right after the last successful
-    /// put (empty before the first); the guard of the delta put.
-    std::string put_source_digest = {};
+    /// The source's Table::write_id and the view's content digest right
+    /// after the last successful put (0 and empty before the first); the
+    /// guard of the delta put. Equal write ids prove the source unchanged
+    /// without hashing it. The view needs its digest: the base it is
+    /// compared with comes from the protocol, and the view's digest is
+    /// kept anyway for the on-chain digest.
+    uint64_t put_source_write_id = 0;
     std::string put_view_digest = {};
   };
   Result<const ViewBinding*> FindBinding(const std::string& table_id) const;
@@ -218,7 +222,7 @@ class SyncManager {
       const ViewBinding& binding, const relational::Table& source) const;
   Result<bx::AnnotatedDelta> FullPut(ViewBinding* binding,
                                      const relational::Table& source);
-  /// Applies a put's source delta and records the binding's digest pair.
+  /// Applies a put's source delta and records the binding's guard.
   Status CommitPut(ViewBinding* binding, const relational::TableDelta& delta);
 
   relational::Database* database_;

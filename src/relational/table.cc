@@ -1,6 +1,7 @@
 #include "relational/table.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cassert>
 
@@ -51,7 +52,15 @@ uint64_t KeyFilterHash(const Key& key) {
   return h ^ (h >> 31);
 }
 
+/// Source of Table write ids. Relaxed: an id only has to be unique, and
+/// tables on different threads draw from it concurrently.
+std::atomic<uint64_t> next_write_id{1};
+
 }  // namespace
+
+uint64_t Table::NextWriteId() {
+  return next_write_id.fetch_add(1, std::memory_order_relaxed);
+}
 
 // ---------------------------------------------------------------------------
 // Lookup plumbing

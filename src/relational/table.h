@@ -44,8 +44,7 @@ struct TableDelta;
 /// and the on-chain content digests depend on.
 ///
 /// Copies share sealed chunks by shared_ptr, so copying a table is O(head),
-/// not O(history) — Database::ReplaceTable and Database::Commit's scratch
-/// catalog rely on this.
+/// not O(history) — Database::ReplaceTable relies on this.
 class Table {
  public:
   /// Default head-size / dead-row threshold that triggers Seal().
@@ -218,6 +217,17 @@ class Table {
   /// a point update costs O(1) row hashes.
   std::string ContentDigest() const;
 
+  /// Identifies this table's content without hashing it: drawn from one
+  /// process-wide counter when the table is constructed and again on every
+  /// content mutation (Insert/Upsert/Update/UpdateAttribute/Delete/Clear),
+  /// and kept by copies, which hold the same content. So equal write ids
+  /// mean equal content, across copies and Database objects; unequal ids
+  /// say nothing. Sealing, digesting and reads keep it. A moved-from table
+  /// keeps it too, so, as for its cached digest, only assign to one. In
+  /// memory only: it never reaches a digest, the WAL, a checkpoint or the
+  /// wire.
+  uint64_t write_id() const { return write_id_; }
+
   /// ASCII rendering with a header row, used by examples to print the
   /// paper's Fig. 1 tables.
   std::string ToAsciiTable() const;
@@ -260,7 +270,13 @@ class Table {
   /// Seals or compacts when head size or dead rows reach the threshold.
   void MaybeSeal();
 
-  void InvalidateDigest() { digest_cache_.reset(); }
+  /// Called by every content mutation: drops the cached digest and draws
+  /// a new write id.
+  void InvalidateDigest() {
+    digest_cache_.reset();
+    write_id_ = NextWriteId();
+  }
+  static uint64_t NextWriteId();
 
   Schema schema_;
   std::map<Key, Row> head_;
@@ -284,6 +300,7 @@ class Table {
   /// keep it current and Seal hands it to the new chunk.
   mutable std::optional<RowDigestAcc> live_acc_;
   mutable std::optional<std::string> digest_cache_;
+  uint64_t write_id_ = NextWriteId();
 };
 
 }  // namespace medsync::relational

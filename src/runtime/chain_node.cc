@@ -81,12 +81,28 @@ void ChainNode::Start() {
   if (started_) return;
   started_ = true;
   network_->Attach(config_.id, this);
-  if (config_.sealing_enabled) {
-    scheduler_->Schedule(config_.block_interval, [this, alive = alive_] {
-      if (!*alive) return;
-      SealTick();
-    });
+  if (config_.sealing_enabled) ScheduleSealTick();
+}
+
+void ChainNode::ScheduleSealTick() {
+  // The next boundary of the slot grid genesis timestamp + k *
+  // block_interval, not Now() + block_interval: on a wall clock the CPU a
+  // tick spends and a timer's late firing would otherwise shift this
+  // node's tick phase against the other authorities', and with it how long
+  // a height waits for its sealer. In the simulator a tick takes no time,
+  // so for a node started on the grid (at genesis, say) this is
+  // Now() + block_interval.
+  const Micros interval = config_.block_interval;
+  Micros delay = interval;
+  if (interval > 0) {
+    const Micros since =
+        scheduler_->Now() - lanes_[0]->chain.genesis().header.timestamp;
+    delay = interval - ((since % interval) + interval) % interval;
   }
+  scheduler_->Schedule(delay, [this, alive = alive_] {
+    if (!*alive) return;
+    SealTick();
+  });
 }
 
 Status ChainNode::EnablePersistence(const std::string& path) {
@@ -173,10 +189,7 @@ void ChainNode::SealTick() {
       network_->Broadcast(config_.id, config_.chain_nodes, "tx", tx.ToJson());
     }
   }
-  scheduler_->Schedule(config_.block_interval, [this, alive = alive_] {
-    if (!*alive) return;
-    SealTick();
-  });
+  ScheduleSealTick();
 }
 
 void ChainNode::MaybeRequestBlock(uint32_t lane, const std::string& hash_hex,

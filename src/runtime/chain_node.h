@@ -32,7 +32,9 @@ struct NodeConfig {
   /// the node gossips to nobody.
   net::NodeGroup chain_nodes;
   /// Target block production interval; the paper discusses Ethereum's ~12 s
-  /// (Section IV-1) and bench_sec4_throughput sweeps this.
+  /// (Section IV-1) and bench_sec4_throughput sweeps this. Seal ticks fall
+  /// on the slot grid genesis timestamp + k * block_interval, so every
+  /// node of a deployment ticks on the same instants.
   Micros block_interval = 12 * kMicrosPerSecond;
   size_t max_block_txs = 100;
   /// Whether this node produces blocks (a miner/authority).
@@ -182,6 +184,9 @@ class ChainNode : public net::Endpoint {
   };
 
   void SealTick();
+  /// Queues the next SealTick at the first slot boundary (genesis
+  /// timestamp + k * block_interval) after Now().
+  void ScheduleSealTick();
   /// Parallel phase: candidate selection + Merkle + seal per lane (disjoint
   /// state, deterministic). Serial phase: lane-ordered insert/evict/
   /// broadcast, then one execution advance.

@@ -212,7 +212,7 @@ TEST_F(BxOracleTest, DeltaPutThatDisagreesWithFullPutIsCaught) {
                                  std::make_shared<UpdateDroppingDeltaLens>())
                   .ok());
   sync_.set_check_bx_laws(true);
-  // One full put records the digest pair, so the next put is a delta put.
+  // One full put records the guard, so the next put is a delta put.
   ASSERT_TRUE(sync_.PutViewIntoSource("bad").ok());
   const Table* view = *db_.GetTable("V");
   const std::string base_digest = view->ContentDigest();

@@ -371,14 +371,15 @@ void PutAndExpectFullResult(SyncManager* sync, relational::Database* db,
             relational::ComputeDelta(source, *expected)->ToJson());
 }
 
-TEST_F(SyncManagerTest, DeltaPutNeedsTheDigestsOfTheLastPut) {
+TEST_F(SyncManagerTest, DeltaPutNeedsTheGuardOfTheLastPut) {
   ASSERT_TRUE(sync_.RegisterView("D13&D31", "D3", "D31", lens31_).ok());
   // No put since registration: nothing proves view == Get(source).
   PutAndExpectFullResult(&sync_, &db_, "D13&D31",
                          EditView(&db_, "D31", 188, kDosage, "first"));
   EXPECT_EQ(sync_.full_puts(), 1u);
   EXPECT_EQ(sync_.delta_puts(), 0u);
-  // The last put left both digests where this delta starts.
+  // The last put left the source's write id and the view's digest where
+  // this delta starts.
   PutAndExpectFullResult(&sync_, &db_, "D13&D31",
                          EditView(&db_, "D31", 189, kDosage, "second"));
   EXPECT_EQ(sync_.full_puts(), 1u);
@@ -403,6 +404,34 @@ TEST_F(SyncManagerTest, ViewWrittenOutsideAPutTakesTheFullPut) {
             "direct");
 }
 
+TEST_F(SyncManagerTest, SourceWrittenOutsideAPutTakesTheFullPut) {
+  ASSERT_TRUE(sync_.RegisterView("D13&D31", "D3", "D31", lens31_).ok());
+  PutAndExpectFullResult(&sync_, &db_, "D13&D31",
+                         EditView(&db_, "D31", 188, kDosage, "first"));
+  auto dosage_of_189 = [this](const std::string& table) {
+    const Table* t = *db_.GetTable(table);
+    return t->GetAttribute({Value::Int(189)}, kDosage)->AsString();
+  };
+  const std::string view_dosage = dosage_of_189("D31");
+  // A write straight into the source, on an attribute the view shows: the
+  // view no longer equals Get(source), so the next put is full, and it
+  // puts the view's value back over this write, as it always has. A delta
+  // put would keep the write.
+  ASSERT_TRUE(db_.UpdateAttribute("D3", {Value::Int(189)}, kDosage,
+                                  Value::String("direct"))
+                  .ok());
+  PutAndExpectFullResult(&sync_, &db_, "D13&D31",
+                         EditView(&db_, "D31", 188, kDosage, "second"));
+  EXPECT_EQ(sync_.full_puts(), 2u);
+  EXPECT_EQ(sync_.delta_puts(), 0u);
+  EXPECT_EQ(dosage_of_189("D3"), view_dosage);
+  // That put left the guard in place again.
+  PutAndExpectFullResult(&sync_, &db_, "D13&D31",
+                         EditView(&db_, "D31", 189, kDosage, "third"));
+  EXPECT_EQ(sync_.full_puts(), 2u);
+  EXPECT_EQ(sync_.delta_puts(), 1u);
+}
+
 TEST_F(SyncManagerTest, SiblingPutMovesTheSourceAndForcesOneFullPut) {
   ASSERT_TRUE(sync_.RegisterView("D13&D31", "D3", "D31", lens31_).ok());
   // A sibling on an attribute D31 does not show, so its puts move the
@@ -416,7 +445,7 @@ TEST_F(SyncManagerTest, SiblingPutMovesTheSourceAndForcesOneFullPut) {
 
   PutAndExpectFullResult(&sync_, &db_, "D13&D31",
                          EditView(&db_, "D31", 188, kDosage, "first"));
-  // The sibling's put moves D3 under D13&D31's recorded digest pair.
+  // The sibling's put moves D3 away from D13&D31's recorded write id.
   PutAndExpectFullResult(&sync_, &db_, "notes",
                          EditView(&db_, "NOTES", 189, kMechanismOfAction,
                                   "m1"));

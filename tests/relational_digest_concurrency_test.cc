@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/strings.h"
+#include "common/threading/thread_pool.h"
 #include "crypto/sha256.h"
 #include "relational/table.h"
 
@@ -81,6 +83,40 @@ TEST(DigestConcurrencyTest, CopiesSharingUndigestedChunksAgree) {
   // The digest the copies built agrees with one built over the same
   // (now filled) chunks afterwards.
   EXPECT_EQ(base.ContentDigest(), expected);
+}
+
+// Every table mutation draws its write id from one process-wide counter.
+// Tables mutated concurrently from a pool must still never share an id, or
+// the delta put's guard would take one table's content for another's.
+TEST(DigestConcurrencyTest, TableWriteIdsStayDistinctAcrossThreads) {
+  constexpr int kTables = 8;
+  constexpr int64_t kWrites = 200;
+  threading::ThreadPool pool(4);
+  std::vector<Table> tables(kTables, Table(S()));
+  std::vector<std::vector<uint64_t>> ids(kTables);
+  {
+    threading::TaskGroup group(&pool);
+    for (int t = 0; t < kTables; ++t) {
+      group.Run([&, t] {
+        Table& table = tables[t];
+        table.set_seal_threshold(64);
+        for (int64_t i = 0; i < kWrites; ++i) {
+          ASSERT_TRUE(table.Insert(R(i)).ok());
+          ids[t].push_back(table.write_id());
+          ASSERT_TRUE(table.Upsert({Value::Int(i), Value::String("u")}).ok());
+          ids[t].push_back(table.write_id());
+        }
+      });
+    }
+    group.Wait();
+  }
+  std::set<uint64_t> distinct;
+  for (int t = 0; t < kTables; ++t) {
+    ASSERT_EQ(ids[t].size(), static_cast<size_t>(2 * kWrites));
+    distinct.insert(ids[t].begin(), ids[t].end());
+    EXPECT_EQ(tables[t].write_id(), ids[t].back());
+  }
+  EXPECT_EQ(distinct.size(), static_cast<size_t>(kTables * 2 * kWrites));
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 
 #include <cmath>
 #include <optional>
+#include <set>
+
+#include "relational/database.h"
+#include "relational/delta.h"
 
 namespace medsync::relational {
 namespace {
@@ -193,6 +197,99 @@ TEST(TableTest, ClearEmptiesTable) {
   ASSERT_TRUE(t.Insert(R(1, "a")).ok());
   t.Clear();
   EXPECT_TRUE(t.empty());
+}
+
+TEST(TableTest, WriteIdChangesOnEveryContentMutation) {
+  Table t(TwoColSchema());
+  std::set<uint64_t> seen = {t.write_id()};
+  auto expect_new_id = [&](const char* what) {
+    EXPECT_TRUE(seen.insert(t.write_id()).second) << what;
+  };
+  ASSERT_TRUE(t.Insert(R(1, "a")).ok());
+  expect_new_id("Insert");
+  ASSERT_TRUE(t.Insert(R(2, "b")).ok());
+  expect_new_id("second Insert");
+  ASSERT_TRUE(t.Update(R(1, "c")).ok());
+  expect_new_id("Update");
+  ASSERT_TRUE(t.Upsert(R(3, "d")).ok());
+  expect_new_id("Upsert (insert)");
+  ASSERT_TRUE(t.Upsert(R(3, "e")).ok());
+  expect_new_id("Upsert (overwrite)");
+  ASSERT_TRUE(
+      t.UpdateAttribute({Value::Int(2)}, "name", Value::String("f")).ok());
+  expect_new_id("UpdateAttribute");
+  ASSERT_TRUE(t.Delete({Value::Int(3)}).ok());
+  expect_new_id("Delete");
+  // A rejected mutation changes nothing, so it keeps the id.
+  const uint64_t before = t.write_id();
+  EXPECT_TRUE(t.Insert(R(1, "dup")).IsAlreadyExists());
+  EXPECT_TRUE(t.Delete({Value::Int(99)}).IsNotFound());
+  EXPECT_EQ(t.write_id(), before);
+  t.Clear();
+  expect_new_id("Clear");
+}
+
+TEST(TableTest, WriteIdSurvivesReadsDigestsAndSeals) {
+  Table t(TwoColSchema());
+  t.set_seal_threshold(4);
+  for (int64_t i = 0; i < 10; ++i) ASSERT_TRUE(t.Insert(R(i, "x")).ok());
+  ASSERT_TRUE(t.Delete({Value::Int(2)}).ok());
+  const uint64_t id = t.write_id();
+  EXPECT_EQ(t.ContentDigest().size(), 64u);
+  EXPECT_TRUE(t.Get({Value::Int(1)}).has_value());
+  EXPECT_EQ(t.RowsInKeyOrder().size(), 9u);
+  for (const auto& entry : t.scan()) (void)entry;
+  t.Seal();  // a compaction: chunk rows were dead
+  EXPECT_EQ(t.dead_count(), 0u);
+  EXPECT_EQ(t.write_id(), id);
+}
+
+TEST(TableTest, CopiesShareTheWriteIdUntilMutated) {
+  Table a(TwoColSchema());
+  ASSERT_TRUE(a.Insert(R(1, "x")).ok());
+  Table b = a;
+  EXPECT_EQ(b.write_id(), a.write_id());
+  ASSERT_TRUE(b.Insert(R(2, "y")).ok());
+  EXPECT_NE(b.write_id(), a.write_id());
+  Table c = a;
+  ASSERT_TRUE(a.Delete({Value::Int(1)}).ok());
+  EXPECT_NE(c.write_id(), a.write_id());
+  // Equal content built separately still has its own id.
+  EXPECT_NE(Table(TwoColSchema()).write_id(), Table(TwoColSchema()).write_id());
+  Result<Table> parsed = Table::FromJson(c.ToJson());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(*parsed, c);
+  EXPECT_NE(parsed->write_id(), c.write_id());
+}
+
+TEST(TableTest, DatabaseWritesMoveTheWriteIdAndSnapshotsKeepIt) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("T", TwoColSchema()).ok());
+  ASSERT_TRUE(db.Insert("T", R(1, "a")).ok());
+  const uint64_t id = (*db.GetTable("T"))->write_id();
+  Result<Table> snapshot = db.Snapshot("T");
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(snapshot->write_id(), id);
+  ASSERT_TRUE(db.SealTable("T").ok());
+  EXPECT_EQ((*db.GetTable("T"))->write_id(), id);
+
+  TableDelta delta;
+  delta.inserts.push_back(R(2, "b"));
+  ASSERT_TRUE(db.ApplyTableDelta("T", delta).ok());
+  const uint64_t after_delta = (*db.GetTable("T"))->write_id();
+  EXPECT_NE(after_delta, id);
+
+  // Replacing with a copy of the same content keeps the id; replacing with
+  // other content takes that content's id.
+  ASSERT_TRUE(db.ReplaceTable("T", *db.Snapshot("T")).ok());
+  EXPECT_EQ((*db.GetTable("T"))->write_id(), after_delta);
+  ASSERT_TRUE(db.ReplaceTable("T", *snapshot).ok());
+  EXPECT_EQ((*db.GetTable("T"))->write_id(), id);
+  Table fresh(TwoColSchema());
+  ASSERT_TRUE(db.ReplaceTable("T", fresh).ok());
+  EXPECT_EQ((*db.GetTable("T"))->write_id(), fresh.write_id());
+  EXPECT_NE(fresh.write_id(), id);
+  EXPECT_NE(fresh.write_id(), after_delta);
 }
 
 }  // namespace

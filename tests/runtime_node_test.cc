@@ -365,6 +365,60 @@ TEST_F(NodeClusterTest, DestroyedNodeLeavesQueuedSealTicksAndTrafficInert) {
             nodes_[2]->blockchain().head().header.Hash());
 }
 
+// On a wall clock a timer fires late and a tick spends CPU. A tick queued
+// at Now() + block_interval would carry that delay into every later tick,
+// and the authorities' phases would wander apart with the work they do.
+// Ticks fall on the slot grid genesis + k * block_interval instead. Here a
+// scheduler that fires every timer 3 ms late stands in for the wall clock,
+// and the node starts a third of an interval off the grid: every block it
+// seals is still stamped 3 ms past a slot boundary.
+TEST_F(NodeClusterTest, SealTicksStayOnTheSlotGrid) {
+  static constexpr Micros kLate = 3 * kMicrosPerMilli;
+  struct LateScheduler : net::Scheduler {
+    explicit LateScheduler(net::Simulator* simulator) : sim(simulator) {}
+    Micros Now() const override { return sim->Now(); }
+    void Schedule(Micros delay, std::function<void()> fn) override {
+      sim->Schedule(delay + kLate, std::move(fn));
+    }
+    net::Simulator* sim;
+  };
+  network_ = std::make_unique<net::SimNetwork>(
+      &simulator_, net::LatencyModel{10 * kMicrosPerMilli, 5 * kMicrosPerMilli},
+      /*seed=*/99);
+  auto key = std::make_shared<crypto::KeyPair>(
+      crypto::KeyPair::FromSeed("grid-authority"));
+  const Micros genesis_time = simulator_.Now();
+  auto host = std::make_unique<contracts::ContractHost>();
+  host->RegisterType("metadata", contracts::MetadataContract::Create);
+  NodeConfig config;
+  config.id = NodeName(0);
+  config.chain_nodes = {NodeName(0)};
+  config.block_interval = kBlockInterval;
+  config.sealing_enabled = true;
+  LateScheduler late(&simulator_);
+  ChainNode node(config, &late, network_.get(),
+                 std::make_shared<chain::PoaSealer>(
+                     std::vector<crypto::Address>{key->address()}, key),
+                 chain::Blockchain::MakeGenesis(genesis_time),
+                 contracts::SharedDataConflictKey, std::move(host));
+
+  simulator_.RunFor(kBlockInterval / 3);
+  node.Start();
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(node.SubmitTransaction(DeployTx()).ok());
+    simulator_.RunFor(2 * kBlockInterval + kBlockInterval / 7);
+  }
+
+  ASSERT_EQ(node.blockchain().height(), 12u);
+  for (uint64_t height = 1; height <= 12; ++height) {
+    Result<const chain::Block*> block = node.blockchain().BlockByHeight(height);
+    ASSERT_TRUE(block.ok());
+    EXPECT_EQ(((*block)->header.timestamp - genesis_time) % kBlockInterval,
+              kLate)
+        << "height " << height;
+  }
+}
+
 // Regression: block arrival used to evict only the transactions of blocks
 // ABOVE the old head's height. A reorg that adopts blocks at or below it —
 // an equal-height tie-break, or a side branch overtaking from below — left

@@ -9,8 +9,8 @@ the four workloads:
     {"sha": ..., "workload": ..., "seed": ..., "correct": ...,
      "metrics": {name: {"value": ..., "unit": ...}}}
 
-`--suite scale` builds bench_generated_scale in the checkout's root build
-directory (`build/`), runs it with --benchmark_format=json, and appends
+`--suite scale` builds bench_generated_scale in the measured copy's
+`build/` directory, runs it with --benchmark_format=json, and appends
 one row per network size (16/32/64/128 peers) to
 BENCH_generated-scale.json. Host CPU and simulated time are kept apart:
 
@@ -32,15 +32,21 @@ Usage, from anywhere inside the repository:
 
 Without --rev the working tree is measured; its sha is HEAD's, suffixed
 with "-dirty" when tracked files other than BENCH_*.json differ from HEAD.
-With --rev the revision's committed files are exported (`git archive`) to
-a temporary directory, measured there and deleted afterwards, so the row
-describes that commit and nothing else. A row whose (sha, seed, peers) is
-already recorded replaces the old one instead of adding a duplicate.
+Either way the measured files are first copied to a fresh temporary
+directory, measured there and deleted afterwards: with --rev the
+revision's committed files (`git archive`), without it the working tree's
+tracked files as they are on disk. So both sides of a comparison build
+from equally fresh directories (host-CPU metrics move with where a build
+was made), and nothing else in the checkout (an old .bench_build,
+untracked files) reaches the row. Rows are appended to the BENCH files
+of this checkout. A row whose (sha, seed, peers) is already recorded
+replaces the old one instead of adding a duplicate.
 """
 
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -158,6 +164,21 @@ def export_revision(rev, checkout):
     return sha
 
 
+def export_working_tree(checkout, root=ROOT):
+    """Copies the tracked files of the working tree at `root`, with their
+    uncommitted edits, into the empty directory `checkout`. A tracked file
+    deleted from the tree is left out."""
+    listed = subprocess.run(["git", "ls-files", "-z"], cwd=root, check=True,
+                            stdout=subprocess.PIPE).stdout
+    for name in listed.decode().split("\0"):
+        source = os.path.join(root, name)
+        if not name or not os.path.lexists(source):
+            continue
+        target = os.path.join(checkout, name)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(source, target, follow_symlinks=False)
+
+
 def run_perfbench(checkout, workload, seed):
     """Runs perfbench in `checkout`; returns its parsed JSON line."""
     done = subprocess.run(
@@ -229,10 +250,13 @@ def main(argv=None):
             return record_scale(sha, checkout)
         return record(sha, checkout, args.seed)
 
-    if not args.rev:
-        return measure(working_tree_sha(), ROOT)
     with tempfile.TemporaryDirectory(prefix="bench-") as checkout:
-        return measure(export_revision(args.rev, checkout), checkout)
+        if args.rev:
+            sha = export_revision(args.rev, checkout)
+        else:
+            sha = working_tree_sha()
+            export_working_tree(checkout)
+        return measure(sha, checkout)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Tests for the row bookkeeping of tools/bench_record.py (no benchmark
-runs): python3 tools/bench_record_test.py"""
+"""Tests for the row bookkeeping and the working-tree copy of
+tools/bench_record.py (no benchmark runs): python3 tools/bench_record_test.py"""
 
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import unittest
@@ -73,6 +74,47 @@ class AppendRowTest(unittest.TestCase):
         row = bench_record.make_row("ccc", "clinic-8k", 7, report)
         self.assertFalse(row["correct"])
         self.assertEqual(row["seed"], 7)
+
+
+class ExportWorkingTreeTest(unittest.TestCase):
+    """The working tree is measured from a fresh copy of its tracked
+    files, edits included, with nothing untracked or ignored."""
+
+    def setUp(self):
+        self.dir = tempfile.TemporaryDirectory()
+        self.root = os.path.join(self.dir.name, "repo")
+        self.copy = os.path.join(self.dir.name, "copy")
+        os.makedirs(os.path.join(self.root, "src", "deep"))
+        os.makedirs(self.copy)
+        subprocess.run(["git", "init", "-q", self.root], check=True)
+
+    def tearDown(self):
+        self.dir.cleanup()
+
+    def write(self, name, text):
+        with open(os.path.join(self.root, name), "w") as handle:
+            handle.write(text)
+
+    def test_copies_tracked_files_with_their_edits_and_nothing_else(self):
+        self.write(".gitignore", ".bench_build/\n")
+        self.write("top.txt", "committed\n")
+        self.write(os.path.join("src", "deep", "a.cc"), "int a;\n")
+        self.write("gone.txt", "tracked, then deleted\n")
+        subprocess.run(["git", "add", "-A"], cwd=self.root, check=True)
+        self.write("top.txt", "edited, not staged\n")
+        os.remove(os.path.join(self.root, "gone.txt"))
+        self.write("untracked.txt", "x\n")
+        os.makedirs(os.path.join(self.root, ".bench_build"))
+        self.write(os.path.join(".bench_build", "old.o"), "stale\n")
+
+        bench_record.export_working_tree(self.copy, root=self.root)
+
+        copied = sorted(
+            os.path.relpath(os.path.join(where, name), self.copy)
+            for where, _, names in os.walk(self.copy) for name in names)
+        self.assertEqual(copied, [".gitignore", "src/deep/a.cc", "top.txt"])
+        with open(os.path.join(self.copy, "top.txt")) as handle:
+            self.assertEqual(handle.read(), "edited, not staged\n")
 
 
 def scale_bench(peers, cpu_time, real_time, time_unit="ns"):
