@@ -116,7 +116,13 @@ bool Blockchain::TxInAncestry(const Node* start,
          it->second.block->header.height <= cursor->block.header.height;
 }
 
-Status Blockchain::AddBlock(Block block) {
+Status Blockchain::AddBlock(
+    Block block, std::optional<std::vector<crypto::Hash256>> tx_ids) {
+  if (tx_ids.has_value() && tx_ids->size() != block.transactions.size()) {
+    return Status::InvalidArgument(
+        StrCat("block carries ", block.transactions.size(),
+               " transactions but ", tx_ids->size(), " ids were given"));
+  }
   const crypto::Hash256 hash = block.header.Hash();
   const std::string hash_hex = hash.ToHex();
   if (blocks_.count(hash) > 0) {
@@ -143,9 +149,11 @@ Status Blockchain::AddBlock(Block block) {
   if (block.header.timestamp < parent->block.header.timestamp) {
     return Status::InvalidArgument("block timestamp precedes its parent");
   }
-  std::vector<crypto::Hash256> tx_ids = block.TransactionLeaves(pool_);
-  MEDSYNC_RETURN_IF_ERROR(ValidateStructure(block, tx_ids));
-  for (const crypto::Hash256& tx_id : tx_ids) {
+  // Leaves are hashed only here, once the block is known to be new and to
+  // extend a known parent.
+  if (!tx_ids.has_value()) tx_ids = block.TransactionLeaves(pool_);
+  MEDSYNC_RETURN_IF_ERROR(ValidateStructure(block, *tx_ids));
+  for (const crypto::Hash256& tx_id : *tx_ids) {
     if (TxInAncestry(parent, tx_id)) {
       return Status::AlreadyExists(
           StrCat("transaction ", tx_id.ShortHex(),
@@ -159,7 +167,7 @@ Status Blockchain::AddBlock(Block block) {
   node.block = std::move(block);
   node.hash = hash;
   node.parent = parent;
-  node.tx_ids = std::move(tx_ids);
+  node.tx_ids = std::move(*tx_ids);
 
   // Longest-chain fork choice; ties break toward the smaller hash so every
   // node picks the same head given the same block set.
@@ -182,8 +190,17 @@ void Blockchain::SetHead(const Node* new_head) {
   // Unindex before indexing: a transaction carried by both branches must
   // end up pointing into the adopted block.
   while (canonical_.back() != fork) {
-    for (const crypto::Hash256& tx_id : canonical_.back()->tx_ids) {
-      canonical_txs_.erase(tx_id);
+    const Node* node = canonical_.back();
+    for (size_t i = 0; i < node->tx_ids.size(); ++i) {
+      canonical_txs_.erase(node->tx_ids[i]);
+      // Erase a mac only if it still names this block: a later block may
+      // carry a transaction with the same mac.
+      auto mac_it =
+          canonical_macs_.find(node->block.transactions[i].signature.mac);
+      if (mac_it != canonical_macs_.end() &&
+          mac_it->second.block == &node->block) {
+        canonical_macs_.erase(mac_it);
+      }
     }
     canonical_.pop_back();
   }
@@ -191,7 +208,9 @@ void Blockchain::SetHead(const Node* new_head) {
     const Node* node = *it;
     canonical_.push_back(node);
     for (size_t i = 0; i < node->tx_ids.size(); ++i) {
-      canonical_txs_[node->tx_ids[i]] = TxLocation{&node->block, i};
+      const TxLocation location{&node->block, i};
+      canonical_txs_[node->tx_ids[i]] = location;
+      canonical_macs_[node->block.transactions[i].signature.mac] = location;
     }
   }
 }
@@ -256,6 +275,13 @@ bool Blockchain::FindTransaction(const crypto::Hash256& id,
   if (tx) *tx = &location->block->transactions[location->index];
   if (block_height) *block_height = location->block->header.height;
   return true;
+}
+
+const Transaction* Blockchain::FindTransactionByMac(
+    const crypto::Hash256& mac) const {
+  auto it = canonical_macs_.find(mac);
+  if (it == canonical_macs_.end()) return nullptr;
+  return &it->second.block->transactions[it->second.index];
 }
 
 Status Blockchain::VerifyIntegrity() const {

@@ -1,7 +1,6 @@
 #ifndef MEDSYNC_CHAIN_BLOCKCHAIN_H_
 #define MEDSYNC_CHAIN_BLOCKCHAIN_H_
 
-#include <cstring>
 #include <functional>
 #include <map>
 #include <optional>
@@ -62,7 +61,15 @@ class Blockchain {
   ///  * NotFound — parent unknown (orphan; caller should fetch the parent);
   ///  * AlreadyExists — duplicate block;
   ///  * anything else — the block is invalid and was rejected.
-  Status AddBlock(Block block);
+  ///
+  /// `tx_ids`, if given, must equal `block.TransactionLeaves()`: a sealing
+  /// node adds the block it built with its pool's ids. Every check still
+  /// runs, against those ids: Merkle root, signatures, duplicates, replay.
+  /// Without them the leaves are hashed once, after the duplicate, lane,
+  /// parent, height and timestamp checks pass.
+  Status AddBlock(Block block,
+                  std::optional<std::vector<crypto::Hash256>> tx_ids =
+                      std::nullopt);
 
   /// Validation only (everything except parent-linkage checks); exposed for
   /// tests and for mempool candidate vetting.
@@ -122,21 +129,19 @@ class Blockchain {
   bool FindTransaction(const crypto::Hash256& id, const Transaction** tx,
                        uint64_t* block_height) const;
 
+  /// The canonical transaction whose signature mac is `mac`, or nullptr:
+  /// the mac is a second key of the canonical index, kept and dropped with
+  /// the id, so gossip of a chained transaction is found before its body
+  /// is parsed or hashed. A hit names a candidate only: the caller must
+  /// still check that the body is Json::Identical to its ToJson().
+  const Transaction* FindTransactionByMac(const crypto::Hash256& mac) const;
+
   /// Re-validates every block on the canonical chain from genesis — the
   /// audit-mode tamper check (any bit flipped in a stored block breaks its
   /// hash linkage or Merkle root).
   Status VerifyIntegrity() const;
 
  private:
-  /// Tx ids are SHA-256 outputs, so any 8 of their bytes are a uniform hash.
-  struct TxIdHash {
-    size_t operator()(const crypto::Hash256& id) const {
-      size_t h = 0;
-      std::memcpy(&h, id.bytes.data(), sizeof(h));
-      return h;
-    }
-  };
-
   struct Node {
     Block block;
     crypto::Hash256 hash;
@@ -177,8 +182,10 @@ class Blockchain {
   // The canonical-chain index, moved only by SetHead. Both hold pointers
   // into `blocks_` (std::map nodes never move), hence no copies.
   std::vector<const Node*> canonical_;  // [height]; front genesis, back head
-  std::unordered_map<crypto::Hash256, TxLocation, TxIdHash>
+  std::unordered_map<crypto::Hash256, TxLocation, crypto::Hash256Hash>
       canonical_txs_;  // by tx id; looked up only, never iterated
+  std::unordered_map<crypto::Hash256, TxLocation, crypto::Hash256Hash>
+      canonical_macs_;  // by signature mac; same entries as canonical_txs_
 
   metrics::Counter* validate_ok_ = nullptr;
   metrics::Counter* validate_fail_ = nullptr;

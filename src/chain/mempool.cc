@@ -32,7 +32,7 @@ Status Mempool::Add(Transaction tx, const crypto::Hash256& id) {
   // Dedup BEFORE the capacity check: a full pool re-receiving an already
   // pooled transaction is a benign duplicate, not backpressure.
   if (ids_.count(id) > 0) {
-    metrics::Inc(reject_duplicate_);
+    CountDuplicate();
     return Status::AlreadyExists(
         StrCat("transaction ", id.ShortHex(), " already pooled"));
   }
@@ -50,8 +50,9 @@ Status Mempool::Add(Transaction tx, const crypto::Hash256& id) {
     metrics::Inc(reject_full_);
     return Status::ResourceExhausted("mempool full");
   }
-  ids_.insert(id);
   queue_.push_back(Pooled{id, std::move(tx)});
+  ids_.emplace(id, std::prev(queue_.end()));
+  macs_.emplace(queue_.back().tx.signature.mac, &queue_.back());
   metrics::Inc(adds_);
   metrics::GaugeAdd(occupancy_, 1);
   return Status::OK();
@@ -61,6 +62,19 @@ bool Mempool::Contains(const crypto::Hash256& id) const {
   return ids_.count(id) > 0;
 }
 
+const Mempool::Pooled* Mempool::FindByMac(const crypto::Hash256& mac) const {
+  auto it = macs_.find(mac);
+  return it == macs_.end() ? nullptr : it->second;
+}
+
+Mempool::Queue::iterator Mempool::Erase(Queue::iterator it) {
+  auto mac_it = macs_.find(it->tx.signature.mac);
+  if (mac_it != macs_.end() && mac_it->second == &*it) macs_.erase(mac_it);
+  ids_.erase(it->id);
+  metrics::GaugeAdd(occupancy_, -1);
+  return queue_.erase(it);
+}
+
 std::vector<Transaction> Mempool::PendingTransactions() const {
   std::vector<Transaction> out;
   out.reserve(queue_.size());
@@ -68,8 +82,9 @@ std::vector<Transaction> Mempool::PendingTransactions() const {
   return out;
 }
 
-std::vector<Transaction> Mempool::BuildBlockCandidate(size_t max_count,
-                                                      size_t* deferred) const {
+std::vector<Transaction> Mempool::BuildBlockCandidate(
+    size_t max_count, size_t* deferred,
+    std::vector<crypto::Hash256>* ids) const {
   // Phase 1 — canonical order. Gossip can deliver one sender's transactions
   // out of order (network jitter), but a deploy must execute before calls
   // to the deployed contract. Restore per-sender nonce order while
@@ -78,18 +93,18 @@ std::vector<Transaction> Mempool::BuildBlockCandidate(size_t max_count,
   // stable_sort, not sort: equal nonces (a sender re-keying after a crash,
   // or a buggy client) must keep arrival order on every standard library,
   // or candidate bytes diverge across toolchains.
-  std::map<std::string, std::vector<const Transaction*>> per_sender;
+  std::map<std::string, std::vector<const Pooled*>> per_sender;
   for (const Pooled& pooled : queue_) {
-    per_sender[pooled.tx.from.ToHex()].push_back(&pooled.tx);
+    per_sender[pooled.tx.from.ToHex()].push_back(&pooled);
   }
   for (auto& [sender, txs] : per_sender) {
     std::stable_sort(txs.begin(), txs.end(),
-                     [](const Transaction* a, const Transaction* b) {
-                       return a->nonce < b->nonce;
+                     [](const Pooled* a, const Pooled* b) {
+                       return a->tx.nonce < b->tx.nonce;
                      });
   }
   std::map<std::string, size_t> cursor;
-  std::vector<const Transaction*> ordered;
+  std::vector<const Pooled*> ordered;
   ordered.reserve(queue_.size());
   for (const Pooled& slot : queue_) {
     std::string sender = slot.tx.from.ToHex();
@@ -105,8 +120,9 @@ std::vector<Transaction> Mempool::BuildBlockCandidate(size_t max_count,
   std::vector<Transaction> selected;
   std::set<std::string> used_keys;
   size_t held_back = 0;
-  for (const Transaction* tx_ptr : ordered) {
-    const Transaction& tx = *tx_ptr;
+  if (ids != nullptr) ids->clear();
+  for (const Pooled* pooled : ordered) {
+    const Transaction& tx = pooled->tx;
     if (selected.size() >= max_count) {
       ++held_back;
       continue;
@@ -122,28 +138,21 @@ std::vector<Transaction> Mempool::BuildBlockCandidate(size_t max_count,
       }
     }
     selected.push_back(tx);
+    if (ids != nullptr) ids->push_back(pooled->id);
   }
   if (deferred != nullptr) *deferred = held_back;
   return selected;
 }
 
 void Mempool::RemoveIncluded(const std::set<crypto::Hash256>& included_ids) {
-  std::deque<Pooled> kept;
-  for (Pooled& pooled : queue_) {
-    if (included_ids.count(pooled.id) > 0) {
-      ids_.erase(pooled.id);
-    } else {
-      kept.push_back(std::move(pooled));
-    }
+  for (auto it = queue_.begin(); it != queue_.end();) {
+    it = included_ids.count(it->id) > 0 ? Erase(it) : std::next(it);
   }
-  metrics::GaugeAdd(occupancy_,
-                    static_cast<int64_t>(kept.size()) -
-                        static_cast<int64_t>(queue_.size()));
-  queue_ = std::move(kept);
 }
 
 void Mempool::Remove(const crypto::Hash256& id) {
-  RemoveIncluded({id});
+  auto it = ids_.find(id);
+  if (it != ids_.end()) Erase(it->second);
 }
 
 }  // namespace medsync::chain

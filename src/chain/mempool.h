@@ -1,11 +1,12 @@
 #ifndef MEDSYNC_CHAIN_MEMPOOL_H_
 #define MEDSYNC_CHAIN_MEMPOOL_H_
 
-#include <deque>
 #include <functional>
+#include <list>
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "chain/transaction.h"
@@ -42,6 +43,25 @@ class Mempool {
   /// hashes each received transaction once.
   Status Add(Transaction tx, const crypto::Hash256& id);
 
+  /// A pooled transaction with the id it was added under, so neither
+  /// removal nor block building re-hashes the pool.
+  struct Pooled {
+    crypto::Hash256 id;
+    Transaction tx;
+  };
+
+  /// The pooled transaction whose signature mac is `mac`, or nullptr. The
+  /// mac is a second key of the pool, added and dropped with the id, so a
+  /// gossip receiver can find a known transaction before it parses or
+  /// hashes the body. A hit names a candidate only: the caller must still
+  /// check that the body is Json::Identical to this transaction's ToJson().
+  const Pooled* FindByMac(const crypto::Hash256& mac) const;
+
+  /// Counts a re-received pooled transaction as Add() does
+  /// (mempool.reject.duplicate), for a caller that recognised it by
+  /// FindByMac() instead of calling Add().
+  void CountDuplicate() { metrics::Inc(reject_duplicate_); }
+
   /// Attaches counters (mempool.adds, mempool.reject.<reason>) and the
   /// shared occupancy gauge (mempool.occupancy, aggregated across pools via
   /// deltas). The registry must outlive the mempool; nullptr detaches.
@@ -60,9 +80,12 @@ class Mempool {
   /// everything else — updates to DISTINCT tables — batches into one block.
   /// Deferred transactions stay pooled until RemoveIncluded() confirms the
   /// batch; `deferred` (optional) receives how many were held back.
-  std::vector<Transaction> BuildBlockCandidate(size_t max_count,
-                                               size_t* deferred =
-                                                   nullptr) const;
+  /// `ids` (optional) receives the selected transactions' ids in block
+  /// order, as they were pooled, so the sealer builds the Merkle root and
+  /// adds its block without hashing a transaction again.
+  std::vector<Transaction> BuildBlockCandidate(
+      size_t max_count, size_t* deferred = nullptr,
+      std::vector<crypto::Hash256>* ids = nullptr) const;
 
   /// Drops every pooled transaction whose id is in `included_ids`.
   void RemoveIncluded(const std::set<crypto::Hash256>& included_ids);
@@ -76,17 +99,19 @@ class Mempool {
   std::vector<Transaction> PendingTransactions() const;
 
  private:
+  using Queue = std::list<Pooled>;
+
+  /// Unindexes and erases `it`; returns the next position.
+  Queue::iterator Erase(Queue::iterator it);
+
   ConflictKeyFn conflict_key_;
   size_t capacity_;
-  /// A pooled transaction with the id it was added under, so removal
-  /// never re-hashes the pool.
-  struct Pooled {
-    crypto::Hash256 id;
-    Transaction tx;
-  };
-
-  std::deque<Pooled> queue_;
-  std::set<crypto::Hash256> ids_;  // binary, as the chain index is keyed
+  Queue queue_;  // arrival order; list nodes never move, so both indexes
+                 // point into it
+  std::unordered_map<crypto::Hash256, Queue::iterator, crypto::Hash256Hash>
+      ids_;
+  std::unordered_map<crypto::Hash256, const Pooled*, crypto::Hash256Hash>
+      macs_;  // signature mac -> entry; first pooled wins a shared mac
 
   metrics::Counter* adds_ = nullptr;
   metrics::Counter* reject_duplicate_ = nullptr;

@@ -14,6 +14,10 @@ namespace {
 constexpr uint64_t kPowChunk = 512;
 }  // namespace
 
+Status Sealer::CheckTurn(const BlockHeader& /*header*/) const {
+  return Status::OK();
+}
+
 Status PowSealer::Seal(Block* block) const {
   BlockHeader& header = block->header;
   header.difficulty = difficulty_bits_;
@@ -138,15 +142,20 @@ const crypto::Address& PoaSealer::AuthorityFor(
   return AuthorityForHeight(header.height);
 }
 
-Status PoaSealer::Seal(Block* block) const {
+Status PoaSealer::CheckTurn(const BlockHeader& header) const {
   if (signer_ == nullptr) {
     return Status::FailedPrecondition("this node has no sealing key");
   }
-  BlockHeader& header = block->header;
   if (signer_->address() != AuthorityFor(header)) {
     return Status::PermissionDenied(
         StrCat("not this authority's turn at height ", header.height));
   }
+  return Status::OK();
+}
+
+Status PoaSealer::Seal(Block* block) const {
+  BlockHeader& header = block->header;
+  MEDSYNC_RETURN_IF_ERROR(CheckTurn(header));
   header.difficulty = 0;
   header.pow_nonce = 0;
   header.sealer = signer_->address();

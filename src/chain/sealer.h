@@ -28,6 +28,13 @@ class Sealer {
  public:
   virtual ~Sealer() = default;
 
+  /// Whether this node may seal a block with `header` (its height, lane
+  /// and timestamp set): a cheap check a sealing node asks before it
+  /// computes the candidate's Merkle root, and the check Seal() itself
+  /// starts with, so the turn rule lives in one place. OK by default: any
+  /// node may search for a proof of work.
+  virtual Status CheckTurn(const BlockHeader& header) const;
+
   /// Completes `block`'s header (nonce search or authority signature).
   /// `block.header.merkle_root` must already be set.
   virtual Status Seal(Block* block) const = 0;
@@ -101,6 +108,9 @@ class PoaSealer : public Sealer {
             std::shared_ptr<const crypto::KeyPair> signer,
             Micros slot_interval = 0);
 
+  /// FailedPrecondition without a signing key, PermissionDenied when
+  /// `header` is another authority's turn (AuthorityFor).
+  Status CheckTurn(const BlockHeader& header) const override;
   Status Seal(Block* block) const override;
   Status ValidateSeal(const BlockHeader& header) const override;
 

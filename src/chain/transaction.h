@@ -37,8 +37,11 @@ struct Transaction {
   bool VerifySignature() const;
 
   /// VerifySignature() for a caller that already holds `digest`, which must
-  /// be this transaction's Digest() (the gossip path hashes each received
-  /// transaction once). Nothing is cached: a transaction edited after its
+  /// be this transaction's Digest(). A node hashes each transaction once, at
+  /// submission or first gossip sighting (the pool's dedup key and check),
+  /// or as a leaf of a received block (the chain's checks); that id then
+  /// travels with the transaction to the Merkle root, AddBlock and
+  /// execution. Nothing is cached here: a transaction edited after its
   /// digest was taken needs a fresh Digest().
   bool VerifySignature(const crypto::Hash256& digest) const;
 

@@ -1,10 +1,12 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <cassert>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/strings.h"
 
@@ -332,6 +334,33 @@ bool operator==(const Json& a, const Json& b) {
       return a.array_ == b.array_;
     case Json::Type::kObject:
       return a.object_ == b.object_;
+  }
+  return false;
+}
+
+bool Json::Identical(const Json& a, const Json& b) {
+  if (a.type_ != b.type_) return false;
+  switch (a.type_) {
+    case Json::Type::kNull:
+      return true;
+    case Json::Type::kBool:
+      return a.bool_ == b.bool_;
+    case Json::Type::kInt:
+      return a.int_ == b.int_;
+    case Json::Type::kDouble:
+      return std::memcmp(&a.double_, &b.double_, sizeof(double)) == 0;
+    case Json::Type::kString:
+      return a.string_ == b.string_;
+    case Json::Type::kArray:
+      return std::equal(a.array_.begin(), a.array_.end(), b.array_.begin(),
+                        b.array_.end(), Identical);
+    case Json::Type::kObject:
+      return std::equal(a.object_.begin(), a.object_.end(),
+                        b.object_.begin(), b.object_.end(),
+                        [](const auto& x, const auto& y) {
+                          return x.first == y.first &&
+                                 Identical(x.second, y.second);
+                        });
   }
   return false;
 }

@@ -133,6 +133,13 @@ class Json {
   friend bool operator==(const Json& a, const Json& b);
   friend bool operator!=(const Json& a, const Json& b) { return !(a == b); }
 
+  /// Equality that, unlike operator== (int 1 == double 1.0, -0.0 == 0.0),
+  /// also requires the same type and, for doubles, the same bits at every
+  /// node. Identical values decode the same way through every typed getter
+  /// and Dump() to the same bytes, so a decoder may trust one verdict for
+  /// both.
+  static bool Identical(const Json& a, const Json& b);
+
  private:
   void DumpTo(std::string* out, int indent, int depth) const;
 

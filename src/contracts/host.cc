@@ -35,11 +35,12 @@ crypto::Address ContractHost::DeploymentAddress(const chain::Transaction& tx) {
 }
 
 Receipt ContractHost::ExecuteTransaction(const chain::Transaction& tx,
+                                         const crypto::Hash256& tx_id,
                                          uint64_t block_height,
                                          size_t tx_index,
                                          Micros block_timestamp) {
   Receipt receipt;
-  receipt.tx_id = tx.Id().ToHex();
+  receipt.tx_id = tx_id.ToHex();
   receipt.block_height = block_height;
   receipt.tx_index = tx_index;
 
@@ -123,12 +124,17 @@ Receipt ContractHost::ExecuteTransaction(const chain::Transaction& tx,
 }
 
 std::vector<Receipt> ContractHost::ExecuteBlock(const chain::Block& block) {
+  return ExecuteBlock(block, block.TransactionLeaves());
+}
+
+std::vector<Receipt> ContractHost::ExecuteBlock(
+    const chain::Block& block, const std::vector<crypto::Hash256>& tx_ids) {
   std::vector<Receipt> receipts;
   receipts.reserve(block.transactions.size());
   for (size_t i = 0; i < block.transactions.size(); ++i) {
     Receipt receipt =
-        ExecuteTransaction(block.transactions[i], block.header.height, i,
-                           block.header.timestamp);
+        ExecuteTransaction(block.transactions[i], tx_ids[i],
+                           block.header.height, i, block.header.timestamp);
     if (receipt.ok) {
       for (const Event& event : receipt.events) {
         event_log_.push_back(LoggedEvent{block.header.height, event});

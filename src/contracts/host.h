@@ -56,6 +56,13 @@ class ContractHost {
   /// of type tx.method with tx.params as constructor arguments.
   std::vector<Receipt> ExecuteBlock(const chain::Block& block);
 
+  /// ExecuteBlock() for a caller that holds the block's transaction ids,
+  /// which must equal `block.TransactionLeaves()` (a chain node passes the
+  /// ids its chain stored when it added the block): the receipts are keyed
+  /// by them, and no transaction is hashed again.
+  std::vector<Receipt> ExecuteBlock(const chain::Block& block,
+                                    const std::vector<crypto::Hash256>& tx_ids);
+
   /// Read-only call against current state (a local query, not a
   /// transaction — the paper's "Read: query local database directly"
   /// analogue for contract metadata).
@@ -88,6 +95,7 @@ class ContractHost {
 
  private:
   Receipt ExecuteTransaction(const chain::Transaction& tx,
+                             const crypto::Hash256& tx_id,
                              uint64_t block_height, size_t tx_index,
                              Micros block_timestamp);
 

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,6 +38,16 @@ struct Hash256 {
   }
   friend bool operator<(const Hash256& a, const Hash256& b) {
     return a.bytes < b.bytes;
+  }
+};
+
+/// Hash functor for unordered containers keyed by SHA-256 or HMAC outputs:
+/// any 8 of their bytes are already a uniform hash.
+struct Hash256Hash {
+  size_t operator()(const Hash256& digest) const {
+    size_t h = 0;
+    std::memcpy(&h, digest.bytes.data(), sizeof(h));
+    return h;
   }
 };
 

@@ -134,19 +134,21 @@ Status ChainNode::EnablePersistence(const std::string& path) {
   return Status::OK();
 }
 
-Status ChainNode::AddBlockPersist(chain::Block block) {
+Status ChainNode::AddBlockPersist(
+    chain::Block block, std::optional<std::vector<crypto::Hash256>> tx_ids) {
   const uint32_t lane = block.header.lane;
   if (lane >= lanes_.size()) {
     return Status::InvalidArgument(
         StrCat("block names lane ", lane, " but this node runs ",
                lanes_.size(), " lanes"));
   }
+  chain::Blockchain& chain = lanes_[lane]->chain;
   if (!block_store_.has_value()) {
-    return lanes_[lane]->chain.AddBlock(std::move(block));
+    return chain.AddBlock(std::move(block), std::move(tx_ids));
   }
   // Copy needed for the append; AddBlock consumes the block.
   chain::Block stored = block;
-  MEDSYNC_RETURN_IF_ERROR(lanes_[lane]->chain.AddBlock(std::move(block)));
+  MEDSYNC_RETURN_IF_ERROR(chain.AddBlock(std::move(block), std::move(tx_ids)));
   Status appended = block_store_->Append(stored);
   if (!appended.ok()) {
     MEDSYNC_LOG(kWarning, config_.id)
@@ -222,30 +224,30 @@ void ChainNode::HandleHeadAnnounce(const net::Message& message) {
 
 ChainNode::SealOutcome ChainNode::BuildLaneCandidate(Lane& lane) {
   SealOutcome out;
-  std::vector<Transaction> txs =
-      lane.mempool.BuildBlockCandidate(config_.max_block_txs, &out.deferred);
+  std::vector<crypto::Hash256> ids;
+  std::vector<Transaction> txs = lane.mempool.BuildBlockCandidate(
+      config_.max_block_txs, &out.deferred, &ids);
 
   // Evict candidates that are already on this lane's canonical chain. This
   // can happen after a reorg (the pool is not replayed) or when eviction
   // raced gossip; without the filter the sealed block would carry a
   // duplicate transaction, fail validation, and this authority's turn
-  // would stall forever.
+  // would stall forever. Selection and this filter run on every tick,
+  // whosever turn it is, so stale transactions leave every pool.
   std::set<crypto::Hash256> stale;
   std::vector<Transaction> fresh;
   fresh.reserve(txs.size());
-  for (Transaction& tx : txs) {
-    const crypto::Hash256 id = tx.Id();
-    if (lane.chain.FindTransaction(id, nullptr, nullptr)) {
-      stale.insert(id);
+  for (size_t i = 0; i < txs.size(); ++i) {
+    if (lane.chain.FindTransaction(ids[i], nullptr, nullptr)) {
+      stale.insert(ids[i]);
     } else {
-      out.tx_ids.insert(id);
-      fresh.push_back(std::move(tx));
+      out.tx_ids.push_back(ids[i]);
+      fresh.push_back(std::move(txs[i]));
     }
   }
   if (!stale.empty()) lane.mempool.RemoveIncluded(stale);
-  txs = std::move(fresh);
 
-  if (txs.empty()) return out;
+  if (fresh.empty()) return out;
 
   Block block;
   block.header.lane = lane.chain.lane();
@@ -253,15 +255,20 @@ ChainNode::SealOutcome ChainNode::BuildLaneCandidate(Lane& lane) {
   block.header.parent = lane.chain.head_hash();
   block.header.timestamp =
       std::max(scheduler_->Now(), lane.chain.head().header.timestamp);
-  block.transactions = std::move(txs);
-  // With multiple lanes the lane tasks themselves occupy the pool, so the
-  // Merkle commitment stays serial per lane (nesting ParallelFor inside a
-  // pooled task would have tasks waiting on workers they block).
-  block.header.merkle_root = block.ComputeMerkleRoot(
-      lanes_.size() > 1 ? nullptr : config_.pool);
 
   metrics::Inc(seal_attempts_);
-  Status sealed = sealer_->Seal(&block);
+  // The turn is asked before the Merkle root is built: on PoA most ticks
+  // are another authority's.
+  Status sealed = sealer_->CheckTurn(block.header);
+  if (sealed.ok()) {
+    block.transactions = std::move(fresh);
+    // With multiple lanes the lane tasks themselves occupy the pool, so the
+    // Merkle commitment stays serial per lane (nesting ParallelFor inside a
+    // pooled task would have tasks waiting on workers they block).
+    block.header.merkle_root = crypto::MerkleTree::ComputeRoot(
+        out.tx_ids, lanes_.size() > 1 ? nullptr : config_.pool);
+    sealed = sealer_->Seal(&block);
+  }
   if (!sealed.ok()) {
     // Not our turn (PoA rotation) or no key — wait for the next tick.
     metrics::Inc(seal_skipped_);
@@ -298,7 +305,9 @@ void ChainNode::TrySealLanes() {
   for (size_t l = 0; l < lanes_.size(); ++l) {
     SealOutcome& out = outcomes[l];
     if (!out.sealed) continue;
-    Status added = AddBlockPersist(out.block);
+    const std::set<crypto::Hash256> included(out.tx_ids.begin(),
+                                             out.tx_ids.end());
+    Status added = AddBlockPersist(out.block, std::move(out.tx_ids));
     if (!added.ok()) {
       MEDSYNC_LOG(kWarning, config_.id)
           << "own sealed block rejected: " << added;
@@ -314,7 +323,7 @@ void ChainNode::TrySealLanes() {
         << out.block.header.lane << " (" << out.block.transactions.size()
         << " txs)";
 
-    lanes_[l]->mempool.RemoveIncluded(out.tx_ids);
+    lanes_[l]->mempool.RemoveIncluded(included);
     network_->Broadcast(config_.id, config_.chain_nodes, "block",
                         out.block.ToJson());
     advanced = true;
@@ -367,7 +376,37 @@ void ChainNode::OnMessage(const net::Message& message) {
   }
 }
 
+bool ChainNode::DropKnownTransaction(const Json& body) {
+  const Json& mac_json = body.At("signature").At("mac");
+  if (!mac_json.is_string()) return false;
+  bool ok = false;
+  const crypto::Hash256 mac =
+      crypto::Hash256::FromHex(mac_json.AsString(), &ok);
+  if (!ok) return false;
+  // Identical to a known transaction's wire form, the body parses to that
+  // transaction: same id, same signature verdict, same lane. So the verdict
+  // is the full path's, in its order: the lane's chain first, then its pool.
+  for (size_t l = 0; l < lanes_.size(); ++l) {
+    Lane& lane = *lanes_[l];
+    const Transaction* chained = lane.chain.FindTransactionByMac(mac);
+    if (chained != nullptr && lane_assign_(*chained) == l &&
+        Json::Identical(chained->ToJson(), body)) {
+      return true;  // late gossip of a chained transaction
+    }
+    // Every pooled transaction sits in the lane lane_assign_ gives it.
+    const chain::Mempool::Pooled* pooled = lane.mempool.FindByMac(mac);
+    if (pooled != nullptr && Json::Identical(pooled->tx.ToJson(), body)) {
+      if (!lane.chain.FindTransaction(pooled->id, nullptr, nullptr)) {
+        lane.mempool.CountDuplicate();
+      }
+      return true;
+    }
+  }
+  return false;
+}
+
 void ChainNode::HandleTransactionMessage(const net::Message& message) {
+  if (DropKnownTransaction(message.payload())) return;
   Result<Transaction> tx = Transaction::FromJson(message.payload());
   if (!tx.ok()) {
     MEDSYNC_LOG(kWarning, config_.id) << "bad tx payload: " << tx.status();
@@ -424,6 +463,15 @@ Status ChainNode::AcceptBlock(Block block, const net::NodeId& from) {
 
 void ChainNode::HandleBlockMessage(const net::Message& message) {
   const net::NodeId& from = message.from;
+  // Header first: a block the lane already holds is dropped before its
+  // transactions are parsed, the verdict AddBlock's AlreadyExists gives it.
+  // Orphans are not held yet, so they still take the full path.
+  Result<chain::BlockHeader> header =
+      chain::BlockHeader::FromJson(message.payload().At("header"));
+  if (header.ok() && header->lane < lanes_.size() &&
+      lanes_[header->lane]->chain.BlockByHash(header->Hash()).ok()) {
+    return;
+  }
   Result<Block> block = Block::FromJson(message.payload());
   if (!block.ok()) {
     MEDSYNC_LOG(kWarning, config_.id)
@@ -530,7 +578,8 @@ void ChainNode::AdvanceExecution() {
     while (lane->executed_height < lane->chain.height()) {
       const Block& block = **lane->chain.BlockByHeight(
           lane->executed_height + 1);
-      std::vector<contracts::Receipt> receipts = host_->ExecuteBlock(block);
+      std::vector<contracts::Receipt> receipts = host_->ExecuteBlock(
+          block, lane->chain.CanonicalTxIds(block.header.height));
       lane->executed_tip = block.header.Hash();
       ++lane->executed_height;
       for (contracts::Receipt& receipt : receipts) {

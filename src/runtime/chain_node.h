@@ -177,9 +177,10 @@ class ChainNode : public net::Endpoint {
   struct SealOutcome {
     bool sealed = false;
     chain::Block block;
-    /// Ids of `block.transactions`, hashed once while building the
-    /// candidate; the pool evicts them once the block is added.
-    std::set<crypto::Hash256> tx_ids;
+    /// Ids of the candidate's transactions in block order, as the pool
+    /// stored them: the Merkle root and AddBlock take them, and the pool
+    /// evicts them once the block is added.
+    std::vector<crypto::Hash256> tx_ids;
     size_t deferred = 0;  // conflict-partition holdbacks this tick
   };
 
@@ -187,9 +188,10 @@ class ChainNode : public net::Endpoint {
   /// Queues the next SealTick at the first slot boundary (genesis
   /// timestamp + k * block_interval) after Now().
   void ScheduleSealTick();
-  /// Parallel phase: candidate selection + Merkle + seal per lane (disjoint
-  /// state, deterministic). Serial phase: lane-ordered insert/evict/
-  /// broadcast, then one execution advance.
+  /// Parallel phase: candidate selection, then, on this node's turn only,
+  /// Merkle root + seal per lane (disjoint state, deterministic). Serial
+  /// phase: lane-ordered insert/evict/broadcast, then one execution
+  /// advance.
   void TrySealLanes();
   SealOutcome BuildLaneCandidate(Lane& lane);
 
@@ -209,6 +211,13 @@ class ChainNode : public net::Endpoint {
   void ScheduleExecution();
 
   void HandleTransactionMessage(const net::Message& message);
+  /// Dedup before parse: true if `body` is exactly the wire form of a
+  /// transaction this node holds (found by its signature mac on a lane's
+  /// canonical chain or in its pool), after giving it the full path's
+  /// verdict — a chained one is dropped, a pooled one counts as a pool
+  /// duplicate. False sends anything else down the full path: parse,
+  /// digest, verify.
+  bool DropKnownTransaction(const Json& body);
   /// Accepts the block a "block" or "block_response" message carries, and
   /// relays the received body once the block is added.
   void HandleBlockMessage(const net::Message& message);
@@ -221,8 +230,12 @@ class ChainNode : public net::Endpoint {
   void AdoptOrphansOf(const std::string& parent_hash_hex);
 
   /// Routes to the lane named in the header; AddBlock plus block-store
-  /// append on success.
-  Status AddBlockPersist(chain::Block block);
+  /// append on success. `tx_ids`, for a block this node sealed, must equal
+  /// the block's TransactionLeaves(): the chain checks against them instead
+  /// of hashing the transactions again.
+  Status AddBlockPersist(
+      chain::Block block,
+      std::optional<std::vector<crypto::Hash256>> tx_ids = std::nullopt);
 
   NodeConfig config_;
   net::Scheduler* scheduler_;

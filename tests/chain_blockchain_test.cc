@@ -69,6 +69,43 @@ TEST_F(BlockchainTest, AddValidBlockAdvancesHead) {
   EXPECT_EQ(chain_.head().header.Hash(), b1.header.Hash());
 }
 
+// The ids a sealer hands AddBlock are checked, not trusted: a shifted
+// list fails the signature check, a short one is refused outright.
+TEST_F(BlockchainTest, AddBlockWithIdsChecksThem) {
+  Block b1 = MakeBlock(genesis_, {MakeTx("alice", 1), MakeTx("bob", 1)});
+  std::vector<crypto::Hash256> ids = b1.TransactionLeaves();
+  std::vector<crypto::Hash256> shifted = {ids[1], ids[0]};
+  EXPECT_FALSE(chain_.AddBlock(b1, shifted).ok());
+  EXPECT_TRUE(chain_.AddBlock(b1, std::vector<crypto::Hash256>{ids[0]})
+                  .IsInvalidArgument());
+  ASSERT_EQ(chain_.height(), 0u);
+  ASSERT_TRUE(chain_.AddBlock(b1, ids).ok());
+  EXPECT_EQ(chain_.CanonicalTxIds(1), ids);
+  const Transaction* found =
+      chain_.FindTransactionByMac(b1.transactions[1].signature.mac);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->Id(), ids[1]);
+}
+
+// The mac index follows the canonical chain through a reorg, as the id
+// index does.
+TEST_F(BlockchainTest, MacIndexFollowsReorg) {
+  Transaction a = MakeTx("alice", 1);
+  Transaction b = MakeTx("bob", 1);
+  Block a1 = MakeBlock(genesis_, {a});
+  ASSERT_TRUE(chain_.AddBlock(a1).ok());
+  EXPECT_NE(chain_.FindTransactionByMac(a.signature.mac), nullptr);
+  Block b1 = MakeBlock(genesis_, {b}, /*timestamp=*/1002);
+  Block b2 = MakeBlock(b1, {});
+  ASSERT_TRUE(chain_.AddBlock(b1).ok());
+  ASSERT_TRUE(chain_.AddBlock(b2).ok());
+  ASSERT_EQ(chain_.head_hash(), b2.header.Hash());
+  EXPECT_EQ(chain_.FindTransactionByMac(a.signature.mac), nullptr);
+  const Transaction* found = chain_.FindTransactionByMac(b.signature.mac);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->Id(), b.Id());
+}
+
 TEST_F(BlockchainTest, DuplicateBlockRejected) {
   Block b1 = MakeBlock(genesis_, {});
   ASSERT_TRUE(chain_.AddBlock(b1).ok());

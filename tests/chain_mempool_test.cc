@@ -212,6 +212,67 @@ TEST(MempoolTest, ReportsDeferredCount) {
   EXPECT_EQ(deferred, 1u);  // only the conflict defers with room to spare
 }
 
+// The candidate's ids are what the sealer builds the Merkle root from and
+// adds its block with: each must be its own transaction's id, in block
+// order, through the nonce reorder and the conflict deferral.
+TEST(MempoolTest, CandidateIdsMatchTheirTransactions) {
+  Mempool pool(contracts::SharedDataConflictKey);
+  ASSERT_TRUE(pool.Add(MakeTx("alice", 3)).ok());
+  ASSERT_TRUE(pool.Add(MakeTx("bob", 1, "D13&D31")).ok());
+  ASSERT_TRUE(pool.Add(MakeTx("alice", 1)).ok());
+  ASSERT_TRUE(pool.Add(MakeTx("carol", 1, "D13&D31")).ok());  // deferred
+  ASSERT_TRUE(pool.Add(MakeTx("alice", 2)).ok());
+  ASSERT_TRUE(pool.Add(MakeTx("dave", 1, "D23&D32")).ok());
+
+  for (size_t max_count : {10u, 3u}) {
+    std::vector<crypto::Hash256> ids = {crypto::Hash256::Zero()};  // cleared
+    size_t deferred = 0;
+    std::vector<Transaction> batch =
+        pool.BuildBlockCandidate(max_count, &deferred, &ids);
+    ASSERT_EQ(ids.size(), batch.size()) << max_count;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(ids[i], batch[i].Id()) << max_count << " position " << i;
+    }
+    EXPECT_EQ(batch.size() + deferred, pool.size());
+  }
+  std::vector<crypto::Hash256> ids;
+  std::vector<Transaction> batch = pool.BuildBlockCandidate(10, nullptr, &ids);
+  ASSERT_EQ(batch.size(), 5u);
+  EXPECT_EQ(batch[0].nonce, 1u);  // alice's nonce 1 takes her first slot
+}
+
+// The mac is a second key of the pool: found while pooled, gone with the
+// transaction whichever way it leaves.
+TEST(MempoolTest, FindByMacLivesAndDiesWithTheEntry) {
+  metrics::MetricsRegistry registry;
+  Mempool pool;
+  pool.set_metrics(&registry);
+  Transaction a = MakeTx("alice", 1);
+  Transaction b = MakeTx("bob", 1);
+  EXPECT_EQ(pool.FindByMac(a.signature.mac), nullptr);
+  ASSERT_TRUE(pool.Add(a).ok());
+  ASSERT_TRUE(pool.Add(b).ok());
+  const Mempool::Pooled* found = pool.FindByMac(a.signature.mac);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->id, a.Id());
+  EXPECT_EQ(found->tx.ToJson(), a.ToJson());
+
+  pool.CountDuplicate();
+  EXPECT_EQ(registry.Snapshot()
+                .At("counters")
+                .At("mempool.reject.duplicate")
+                .AsInt(),
+            1);
+
+  pool.RemoveIncluded({a.Id()});
+  EXPECT_EQ(pool.FindByMac(a.signature.mac), nullptr);
+  EXPECT_NE(pool.FindByMac(b.signature.mac), nullptr);
+  pool.Remove(b.Id());
+  EXPECT_EQ(pool.FindByMac(b.signature.mac), nullptr);
+  EXPECT_EQ(registry.Snapshot().At("gauges").At("mempool.occupancy").AsInt(),
+            0);
+}
+
 TEST(MempoolTest, RemoveIncludedAndRemove) {
   Mempool pool;
   Transaction a = MakeTx("alice", 1);

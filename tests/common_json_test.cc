@@ -171,6 +171,34 @@ TEST(JsonTest, NumericEqualityAcrossIntAndDouble) {
   EXPECT_NE(Json(2), Json(2.5));
 }
 
+// Identical is what a decoder may trust: equal types at every node and
+// doubles equal bit for bit, since GetInt rejects 2.0 and -0.0 dumps "-0".
+TEST(JsonTest, IdenticalRequiresEqualTypesAndBits) {
+  auto doc = [](Json nonce, Json dose) {
+    Json params = Json::MakeObject();
+    params.Set("dose", std::move(dose));
+    Json list = Json::MakeArray();
+    list.Append(std::move(params));
+    Json out = Json::MakeObject();
+    out.Set("nonce", std::move(nonce));
+    out.Set("params", std::move(list));
+    return out;
+  };
+  EXPECT_TRUE(
+      Json::Identical(doc(Json(2), Json(0.0)), doc(Json(2), Json(0.0))));
+  EXPECT_EQ(doc(Json(2), Json(0.0)), doc(Json(2.0), Json(0.0)));
+  EXPECT_FALSE(
+      Json::Identical(doc(Json(2), Json(0.0)), doc(Json(2.0), Json(0.0))));
+  EXPECT_EQ(doc(Json(2), Json(0.0)), doc(Json(2), Json(-0.0)));
+  EXPECT_FALSE(
+      Json::Identical(doc(Json(2), Json(0.0)), doc(Json(2), Json(-0.0))));
+  Json longer = doc(Json(2), Json(0.0));
+  longer.Set("extra", Json());
+  EXPECT_FALSE(Json::Identical(doc(Json(2), Json(0.0)), longer));
+  EXPECT_FALSE(Json::Identical(Json(), Json(false)));
+  EXPECT_TRUE(Json::Identical(Json("a"), Json("a")));
+}
+
 // --- Hostile wire input. The socket transport feeds frame payloads through
 // ParseWire, so every rejection below is a connection a remote peer cannot
 // wedge or confuse, not a style preference.

@@ -257,6 +257,36 @@ TEST_F(HostTest, ReplicasConvergeToSameFingerprint) {
   EXPECT_EQ(host_.executed_blocks(), 2u);
 }
 
+// A chain node executes with the ids its chain stored; the receipts must
+// be the ones the host computes by hashing each transaction itself.
+TEST_F(HostTest, ExecuteBlockWithIdsMatchesHashingItself) {
+  ContractHost replica;
+  replica.RegisterType("counter", CounterContract::Create);
+
+  Json params = Json::MakeObject();
+  params.Set("start", 5);
+  chain::Transaction deploy =
+      MakeTx(crypto::Address::Zero(), "counter", std::move(params));
+  crypto::Address address = ContractHost::DeploymentAddress(deploy);
+  Json add_params = Json::MakeObject();
+  add_params.Set("amount", 3);
+  chain::Transaction add = MakeTx(address, "add", std::move(add_params));
+  chain::Transaction fail = MakeTx(address, "fail_midway", Json::MakeObject());
+
+  chain::Block block = BlockOf({deploy, add, fail});
+  std::vector<Receipt> hashed = host_.ExecuteBlock(block);
+  std::vector<Receipt> given =
+      replica.ExecuteBlock(block, block.TransactionLeaves());
+  ASSERT_EQ(hashed.size(), 3u);
+  ASSERT_EQ(given.size(), hashed.size());
+  for (size_t i = 0; i < hashed.size(); ++i) {
+    EXPECT_EQ(given[i].ToJson(), hashed[i].ToJson()) << "receipt " << i;
+    EXPECT_EQ(given[i].tx_id, block.transactions[i].Id().ToHex());
+    EXPECT_NE(replica.FindReceipt(given[i].tx_id), nullptr);
+  }
+  EXPECT_EQ(host_.StateFingerprint(), replica.StateFingerprint());
+}
+
 TEST_F(HostTest, ResetClearsEverything) {
   crypto::Address address = Deploy();
   host_.Reset();

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "contracts/metadata_contract.h"
 
 namespace medsync::runtime {
@@ -157,6 +159,170 @@ TEST_F(NodeClusterTest, TamperedGossipIsRejectedAndNotRelayed) {
     EXPECT_TRUE(
         node->blockchain().FindTransaction(honest.Id(), nullptr, nullptr))
         << node->config().id;
+  }
+}
+
+// A node finds a gossiped transaction it already holds by its signature
+// mac before parsing the body, and trusts the hit only if the body is that
+// transaction's wire form, type for type. A forged body under an honest
+// mac must get the full path's verdict.
+TEST_F(NodeClusterTest, HonestThenTamperedGossipStillCountsBadSignature) {
+  metrics_ = &registry_;
+  BuildCluster(3);
+  network_->set_metrics(&registry_);
+  auto counter = [&](const std::string& name) {
+    return registry_.GetCounter(name)->value();
+  };
+  auto send = [&](Json body) {
+    ASSERT_TRUE(
+        network_->Send(net::Message{"node-1", "node-0", "tx", std::move(body)})
+            .ok());
+    simulator_.RunFor(kBlockInterval / 8);  // settles before the seal tick
+  };
+
+  chain::Transaction honest = DeployTx();
+  send(honest.ToJson());
+  ASSERT_TRUE(nodes_[0]->mempool().Contains(honest.Id()));
+  const uint64_t sent = counter("net.sent.tx");
+  const uint64_t duplicates = counter("mempool.reject.duplicate");
+
+  chain::Transaction tampered = honest;
+  tampered.params.Set("forged", true);
+  ASSERT_EQ(tampered.signature.mac, honest.signature.mac);
+  send(tampered.ToJson());
+  EXPECT_EQ(counter("mempool.reject.bad_signature"), 1u);
+  EXPECT_EQ(counter("mempool.reject.duplicate"), duplicates);
+  EXPECT_EQ(counter("net.sent.tx"), sent + 1);  // the injected one, unrelayed
+  EXPECT_FALSE(nodes_[0]->mempool().Contains(tampered.Id()));
+
+  // A nonce sent as a double equals the honest body under Json's ==, but
+  // the full path cannot decode it: no verdict at all, not a duplicate.
+  Json retyped = honest.ToJson();
+  retyped.Set("nonce", static_cast<double>(honest.nonce));
+  ASSERT_TRUE(retyped == honest.ToJson());
+  send(std::move(retyped));
+  EXPECT_EQ(counter("mempool.reject.duplicate"), duplicates);
+  EXPECT_EQ(counter("mempool.reject.bad_signature"), 1u);
+
+  // The honest body again is a plain pool duplicate.
+  send(honest.ToJson());
+  EXPECT_EQ(counter("mempool.reject.duplicate"), duplicates + 1);
+  EXPECT_EQ(counter("net.sent.tx"), sent + 3);
+  EXPECT_EQ(counter("mempool.adds"), 3u);  // the honest tx, once per node
+}
+
+TEST_F(NodeClusterTest, LateGossipOfAChainedTxIsDroppedUnrelayed) {
+  metrics_ = &registry_;
+  BuildCluster(3);
+  network_->set_metrics(&registry_);
+  auto counter = [&](const std::string& name) {
+    return registry_.GetCounter(name)->value();
+  };
+  chain::Transaction tx = DeployTx();
+  ASSERT_TRUE(nodes_[0]->SubmitTransaction(tx).ok());
+  simulator_.RunFor(5 * kBlockInterval);
+  for (auto& node : nodes_) {
+    ASSERT_TRUE(node->blockchain().FindTransaction(tx.Id(), nullptr, nullptr))
+        << node->config().id;
+    ASSERT_TRUE(node->mempools_empty()) << node->config().id;
+  }
+  const uint64_t sent = counter("net.sent.tx");
+  const uint64_t duplicates = counter("mempool.reject.duplicate");
+  const uint64_t adds = counter("mempool.adds");
+
+  ASSERT_TRUE(
+      network_->Send(net::Message{"node-1", "node-0", "tx", tx.ToJson()}).ok());
+  simulator_.RunFor(kBlockInterval / 4);
+  EXPECT_EQ(counter("net.sent.tx"), sent + 1);
+  EXPECT_EQ(counter("mempool.reject.duplicate"), duplicates);
+  EXPECT_EQ(counter("mempool.adds"), adds);
+  EXPECT_TRUE(nodes_[0]->mempools_empty());
+
+  // The chained transaction's mac on an edited body is not the chained
+  // transaction: it reaches the pool's signature check.
+  chain::Transaction tampered = tx;
+  tampered.params.Set("forged", true);
+  ASSERT_TRUE(
+      network_->Send(net::Message{"node-1", "node-0", "tx", tampered.ToJson()})
+          .ok());
+  simulator_.RunFor(kBlockInterval / 4);
+  EXPECT_EQ(counter("mempool.reject.bad_signature"), 1u);
+  EXPECT_EQ(counter("net.sent.tx"), sent + 2);
+  EXPECT_TRUE(nodes_[0]->mempools_empty());
+}
+
+// A block the node already holds is dropped on its header alone, before its
+// transactions are parsed: a garbled body under a known header is neither
+// parsed, validated nor relayed.
+TEST_F(NodeClusterTest, KnownBlockWithGarbledBodyIsIgnored) {
+  metrics_ = &registry_;
+  BuildCluster(3);
+  network_->set_metrics(&registry_);
+  ASSERT_TRUE(nodes_[0]->SubmitTransaction(DeployTx()).ok());
+  simulator_.RunFor(3 * kBlockInterval);
+  const chain::Block head = nodes_[0]->blockchain().head();
+  ASSERT_EQ(head.header.height, 1u);
+  ASSERT_EQ(nodes_[1]->blockchain().head_hash(), head.header.Hash());
+  auto counter = [&](const std::string& name) {
+    return registry_.GetCounter(name)->value();
+  };
+  const uint64_t sent = counter("net.sent.block");
+  const uint64_t validated =
+      counter("chain.validate.ok") + counter("chain.validate.fail");
+
+  Json garbled = head.ToJson();
+  garbled.Set("transactions", "not an array");
+  ASSERT_TRUE(
+      network_->Send(net::Message{"node-1", "node-0", "block", garbled}).ok());
+  Json bad_tx = head.ToJson();
+  Json txs = Json::MakeArray();
+  txs.Append(Json::MakeObject());
+  bad_tx.Set("transactions", std::move(txs));
+  ASSERT_TRUE(
+      network_->Send(net::Message{"node-1", "node-0", "block", bad_tx}).ok());
+  simulator_.RunFor(kBlockInterval / 4);
+
+  EXPECT_EQ(counter("net.sent.block"), sent + 2);  // the injected two only
+  EXPECT_EQ(counter("chain.validate.ok") + counter("chain.validate.fail"),
+            validated);
+  EXPECT_EQ(nodes_[0]->blockchain().head_hash(), head.header.Hash());
+  EXPECT_EQ(nodes_[0]->blockchain().block_count(), 2u);
+  EXPECT_TRUE(nodes_[0]->blockchain().VerifyIntegrity().ok());
+}
+
+// A sealer hands its pool's ids to the Merkle root, AddBlock and execution
+// instead of hashing again; they must be each transaction's own id, in
+// block order, on the sealer as on every receiver.
+TEST_F(NodeClusterTest, SealedBlocksCarryTheirOwnIds) {
+  BuildCluster(3);
+  // Several transactions per block, submitted at different nodes and out
+  // of nonce order, so a shifted or reordered id list cannot pass.
+  std::vector<chain::Transaction> txs;
+  for (int i = 0; i < 6; ++i) txs.push_back(DeployTx());
+  for (size_t i = txs.size(); i-- > 0;) {
+    ASSERT_TRUE(nodes_[i % nodes_.size()]->SubmitTransaction(txs[i]).ok());
+  }
+  simulator_.RunFor(5 * kBlockInterval);
+
+  for (auto& node : nodes_) {
+    const chain::Blockchain& chain = node->blockchain();
+    size_t chained = 0;
+    size_t widest = 0;
+    for (uint64_t h = 1; h <= chain.height(); ++h) {
+      const chain::Block& block = **chain.BlockByHeight(h);
+      widest = std::max(widest, block.transactions.size());
+      EXPECT_EQ(chain.CanonicalTxIds(h), block.TransactionLeaves())
+          << node->config().id << " height " << h;
+      for (const chain::Transaction& tx : block.transactions) {
+        const contracts::Receipt* receipt = node->FindReceipt(tx.Id().ToHex());
+        ASSERT_NE(receipt, nullptr) << node->config().id;
+        EXPECT_EQ(receipt->tx_id, tx.Id().ToHex());
+        EXPECT_EQ(receipt->block_height, h);
+        ++chained;
+      }
+    }
+    EXPECT_EQ(chained, txs.size()) << node->config().id;
+    EXPECT_GT(widest, 1u) << node->config().id;
   }
 }
 

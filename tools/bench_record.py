@@ -20,6 +20,16 @@ BENCH_generated-scale.json. Host CPU and simulated time are kept apart:
      "simulated": {"s_per_round": ..., "items_per_second": ...,
                    "chain_height": ...}}
 
+`--suite lanes` builds bench_scalability the same way, runs
+BM_LaneShardingScale (one hub world, a 4-transaction block budget, 1/2/4/8
+chain lanes) and appends one row per lane count to BENCH_lanes.json, host
+CPU apart from simulated time again:
+
+    {"sha": ..., "suite": "lanes", "lanes": ..., "iterations": ...,
+     "host": {"cpu_s_per_round": {"value": ..., "unit": "s"}},
+     "simulated": {"s_per_round": ..., "updates_per_s": ...,
+                   "total_blocks": ...}}
+
 The files live at the repository root and hold a JSON list of rows, oldest
 first, so the trajectory of every end-to-end metric is one command away.
 
@@ -29,6 +39,7 @@ Usage, from anywhere inside the repository:
     python3 tools/bench_record.py --rev 23c739c        # a committed revision
     python3 tools/bench_record.py --seed 7             # the held-out seed
     python3 tools/bench_record.py --suite scale        # generated networks
+    python3 tools/bench_record.py --suite lanes        # chain lane counts
 
 Without --rev the working tree is measured; its sha is HEAD's, suffixed
 with "-dirty" when tracked files other than BENCH_*.json differ from HEAD.
@@ -39,8 +50,8 @@ tracked files as they are on disk. So both sides of a comparison build
 from equally fresh directories (host-CPU metrics move with where a build
 was made), and nothing else in the checkout (an old .bench_build,
 untracked files) reaches the row. Rows are appended to the BENCH files
-of this checkout. A row whose (sha, seed, peers) is already recorded
-replaces the old one instead of adding a duplicate.
+of this checkout. A row whose (sha, seed, peers, lanes) is already
+recorded replaces the old one instead of adding a duplicate.
 """
 
 import argparse
@@ -57,6 +68,9 @@ SECONDS = 10  # BENCHMARK.json's run_seconds
 SCALE_NAME = "generated-scale"
 SCALE_BENCH = "bench_generated_scale"
 SCALE_SEED = 77  # the generator seed bench_generated_scale fixes
+LANES_NAME = "lanes"
+LANES_BENCH = "bench_scalability"
+LANES_FILTER = "BM_LaneShardingScale"
 TIME_UNITS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
 
@@ -76,9 +90,10 @@ def load_rows(path):
 
 
 def row_key(row):
-    """What identifies a row: its commit, seed and (scale rows only) the
-    network size."""
-    return (row.get("sha"), row.get("seed"), row.get("peers"))
+    """What identifies a row: its commit, seed, and the network size
+    (scale rows) or lane count (lanes rows)."""
+    return (row.get("sha"), row.get("seed"), row.get("peers"),
+            row.get("lanes"))
 
 
 def append_row(path, row):
@@ -105,32 +120,58 @@ def make_row(sha, workload, seed, report):
     }
 
 
-def scale_rows(sha, report):
-    """The rows for one `bench_generated_scale --benchmark_format=json`
-    report: one per network size, host CPU apart from simulated time.
-    With manual time, google-benchmark's real_time is the simulated time
-    per round and cpu_time the host CPU per round."""
-    rows = []
+def manual_time_runs(report):
+    """(entry, host CPU s per round, simulated s per round) for each
+    iteration entry of a google-benchmark JSON report. With manual time,
+    real_time is the simulated time per round and cpu_time the host CPU
+    per round."""
     for bench in report["benchmarks"]:
         if bench.get("run_type", "iteration") != "iteration":
             continue  # aggregates of repetitions, if any were asked for
         unit = TIME_UNITS[bench.get("time_unit", "ns")]
+        yield bench, bench["cpu_time"] * unit, bench["real_time"] * unit
+
+
+def scale_rows(sha, report):
+    """The rows for one `bench_generated_scale --benchmark_format=json`
+    report: one per network size, host CPU apart from simulated time."""
+    rows = []
+    for bench, cpu_s, sim_s in manual_time_runs(report):
         rows.append({
             "sha": sha,
             "suite": SCALE_NAME,
             "seed": SCALE_SEED,
             "peers": int(bench["peers"]),
             "iterations": int(bench["iterations"]),
-            "host": {
-                "cpu_s_per_round": {"value": bench["cpu_time"] * unit,
-                                    "unit": "s"},
-            },
+            "host": {"cpu_s_per_round": {"value": cpu_s, "unit": "s"}},
             "simulated": {
-                "s_per_round": {"value": bench["real_time"] * unit,
-                                "unit": "s"},
+                "s_per_round": {"value": sim_s, "unit": "s"},
                 "items_per_second": {"value": bench["items_per_second"],
                                      "unit": "1/s"},
                 "chain_height": {"value": int(bench["chain_height"]),
+                                 "unit": "count"},
+            },
+        })
+    return rows
+
+
+def lanes_rows(sha, report):
+    """The rows for one BM_LaneShardingScale JSON report: one per lane
+    count, host CPU apart from the simulated committed updates per
+    second."""
+    rows = []
+    for bench, cpu_s, sim_s in manual_time_runs(report):
+        rows.append({
+            "sha": sha,
+            "suite": LANES_NAME,
+            "lanes": int(bench["lanes"]),
+            "iterations": int(bench["iterations"]),
+            "host": {"cpu_s_per_round": {"value": cpu_s, "unit": "s"}},
+            "simulated": {
+                "s_per_round": {"value": sim_s, "unit": "s"},
+                "updates_per_s": {"value": bench["items_per_second"],
+                                  "unit": "1/s"},
+                "total_blocks": {"value": int(bench["total_blocks"]),
                                  "unit": "count"},
             },
         })
@@ -207,18 +248,18 @@ def record(sha, checkout, seed):
     return status
 
 
-def run_scale_bench(checkout):
-    """Builds and runs bench_generated_scale in `checkout`'s root build;
-    returns its parsed JSON report."""
+def run_bench_binary(checkout, target, extra_args=()):
+    """Builds bench target `target` in `checkout`'s root build and runs it
+    with --benchmark_format=json; returns its parsed report."""
     build = os.path.join(checkout, "build")
     jobs = str(min(4, os.cpu_count() or 1))
     subprocess.run(["cmake", "-B", build, "-S", checkout],
                    stdout=subprocess.DEVNULL, check=True)
-    subprocess.run(["cmake", "--build", build, "--target", SCALE_BENCH,
+    subprocess.run(["cmake", "--build", build, "--target", target,
                     "-j", jobs], stdout=subprocess.DEVNULL, check=True)
     done = subprocess.run(
-        [os.path.join(build, "bench", SCALE_BENCH),
-         "--benchmark_format=json"],
+        [os.path.join(build, "bench", target), "--benchmark_format=json",
+         *extra_args],
         stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -227,7 +268,7 @@ def record_scale(sha, checkout):
     """Measures the generated networks in `checkout` and appends a row per
     size to BENCH_generated-scale.json."""
     path = bench_path(ROOT, SCALE_NAME)
-    for row in scale_rows(sha, run_scale_bench(checkout)):
+    for row in scale_rows(sha, run_bench_binary(checkout, SCALE_BENCH)):
         append_row(path, row)
         print("%s %s %d peers: cpu %.4f s/round, chain height %d" % (
             sha[:12], SCALE_NAME, row["peers"],
@@ -236,9 +277,24 @@ def record_scale(sha, checkout):
     return 0
 
 
+def record_lanes(sha, checkout):
+    """Measures the lane sweep in `checkout` and appends a row per lane
+    count to BENCH_lanes.json."""
+    path = bench_path(ROOT, LANES_NAME)
+    report = run_bench_binary(checkout, LANES_BENCH,
+                              ["--benchmark_filter=%s" % LANES_FILTER])
+    for row in lanes_rows(sha, report):
+        append_row(path, row)
+        print("%s %s %d lanes: %.1f updates/sim s, cpu %.4f s/round" % (
+            sha[:12], LANES_NAME, row["lanes"],
+            row["simulated"]["updates_per_s"]["value"],
+            row["host"]["cpu_s_per_round"]["value"]))
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--suite", choices=("workloads", "scale"),
+    parser.add_argument("--suite", choices=("workloads", "scale", "lanes"),
                         default="workloads")
     parser.add_argument("--seed", type=int, default=1,
                         help="perfbench seed (workloads suite only)")
@@ -248,6 +304,8 @@ def main(argv=None):
     def measure(sha, checkout):
         if args.suite == "scale":
             return record_scale(sha, checkout)
+        if args.suite == "lanes":
+            return record_lanes(sha, checkout)
         return record(sha, checkout, args.seed)
 
     with tempfile.TemporaryDirectory(prefix="bench-") as checkout:

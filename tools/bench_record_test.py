@@ -177,5 +177,59 @@ class ScaleRowsTest(unittest.TestCase):
                           ("aaa", 16)])
 
 
+def lanes_bench(lanes, cpu_time, real_time, time_unit="ns"):
+    """One entry of a bench_scalability BM_LaneShardingScale JSON report."""
+    return {"name": "BM_LaneShardingScale/%d/iterations:3/manual_time"
+                    % lanes,
+            "run_type": "iteration", "iterations": 3,
+            "real_time": real_time, "cpu_time": cpu_time,
+            "time_unit": time_unit, "items_per_second": 4.0 * lanes,
+            "lanes": float(lanes), "total_blocks": 24.0 + lanes}
+
+
+class LanesRowsTest(unittest.TestCase):
+    REPORT = {"context": {"num_cpus": 4}, "benchmarks": [
+        lanes_bench(1, 2.0e7, 8.0e9),
+        lanes_bench(8, 30.0, 1500.0, time_unit="ms"),
+        dict(lanes_bench(8, 1.0, 1.0), run_type="aggregate",
+             aggregate_name="mean"),
+    ]}
+
+    def test_one_row_per_lane_count_with_host_and_simulated_apart(self):
+        rows = bench_record.lanes_rows("aaa", self.REPORT)
+        self.assertEqual([r["lanes"] for r in rows], [1, 8])
+        first = rows[0]
+        self.assertEqual(first["sha"], "aaa")
+        self.assertEqual(first["suite"], "lanes")
+        self.assertEqual(first["iterations"], 3)
+        self.assertNotIn("peers", first)
+        self.assertEqual(set(first["host"]), {"cpu_s_per_round"})
+        self.assertEqual(set(first["simulated"]),
+                         {"s_per_round", "updates_per_s", "total_blocks"})
+        self.assertAlmostEqual(first["host"]["cpu_s_per_round"]["value"],
+                               0.02)
+        self.assertAlmostEqual(first["simulated"]["s_per_round"]["value"],
+                               8.0)
+        self.assertEqual(first["simulated"]["updates_per_s"],
+                         {"value": 4.0, "unit": "1/s"})
+        self.assertEqual(first["simulated"]["total_blocks"]["value"], 25)
+        last = rows[-1]
+        self.assertAlmostEqual(last["host"]["cpu_s_per_round"]["value"],
+                               0.03)
+        self.assertAlmostEqual(last["simulated"]["s_per_round"]["value"],
+                               1.5)
+
+    def test_rows_of_one_sha_differ_by_lane_count(self):
+        with tempfile.TemporaryDirectory() as root:
+            path = bench_record.bench_path(root, "lanes")
+            for row in bench_record.lanes_rows("aaa", self.REPORT):
+                bench_record.append_row(path, row)
+            rows = bench_record.append_row(
+                path, bench_record.lanes_rows("aaa", self.REPORT)[0])
+        self.assertTrue(path.endswith("BENCH_lanes.json"))
+        self.assertEqual([(r["sha"], r["lanes"]) for r in rows],
+                         [("aaa", 8), ("aaa", 1)])
+
+
 if __name__ == "__main__":
     unittest.main()
