@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 #include "common/strings.h"
 
@@ -142,12 +143,6 @@ std::vector<Transaction> Mempool::BuildBlockCandidate(
   }
   if (deferred != nullptr) *deferred = held_back;
   return selected;
-}
-
-void Mempool::RemoveIncluded(const std::set<crypto::Hash256>& included_ids) {
-  for (auto it = queue_.begin(); it != queue_.end();) {
-    it = included_ids.count(it->id) > 0 ? Erase(it) : std::next(it);
-  }
 }
 
 void Mempool::Remove(const crypto::Hash256& id) {

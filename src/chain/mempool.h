@@ -4,7 +4,6 @@
 #include <functional>
 #include <list>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -78,8 +77,9 @@ class Mempool {
   /// when its conflict key is already claimed by the batch (the paper's
   /// one-update-per-shared-table-per-block rule) or the batch is full;
   /// everything else — updates to DISTINCT tables — batches into one block.
-  /// Deferred transactions stay pooled until RemoveIncluded() confirms the
-  /// batch; `deferred` (optional) receives how many were held back.
+  /// Nothing leaves the pool here: a batch's transactions leave once their
+  /// block is on the chain; `deferred` (optional) receives how many were
+  /// held back.
   /// `ids` (optional) receives the selected transactions' ids in block
   /// order, as they were pooled, so the sealer builds the Merkle root and
   /// adds its block without hashing a transaction again.
@@ -87,10 +87,8 @@ class Mempool {
       size_t max_count, size_t* deferred = nullptr,
       std::vector<crypto::Hash256>* ids = nullptr) const;
 
-  /// Drops every pooled transaction whose id is in `included_ids`.
-  void RemoveIncluded(const std::set<crypto::Hash256>& included_ids);
-
-  /// Drops a specific transaction (e.g. one that became invalid).
+  /// Drops the pooled transaction `id`, if any (one a block included, or
+  /// one that became invalid). O(1).
   void Remove(const crypto::Hash256& id);
 
   /// Every pooled transaction in arrival order (for periodic re-gossip:

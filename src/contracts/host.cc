@@ -20,9 +20,6 @@ Json Receipt::ToJson() const {
   return out;
 }
 
-ContractHost::ContractHost(uint64_t gas_limit_per_tx)
-    : gas_limit_per_tx_(gas_limit_per_tx) {}
-
 void ContractHost::RegisterType(const std::string& type_name,
                                 Factory factory) {
   factories_[type_name] = std::move(factory);
@@ -44,7 +41,7 @@ Receipt ContractHost::ExecuteTransaction(const chain::Transaction& tx,
   receipt.block_height = block_height;
   receipt.tx_index = tx_index;
 
-  GasMeter gas(gas_limit_per_tx_);
+  GasMeter gas(kGasLimitPerTx);
   std::vector<Event> events;
   CallContext ctx;
   ctx.caller = tx.from;
@@ -155,7 +152,7 @@ Result<Json> ContractHost::StaticCall(const crypto::Address& contract,
   if (it == contracts_.end()) {
     return Status::NotFound(StrCat("no contract at ", contract.ToHex()));
   }
-  GasMeter gas(gas_limit_per_tx_);
+  GasMeter gas(kGasLimitPerTx);
   CallContext ctx;
   ctx.caller = caller;
   ctx.contract = contract;

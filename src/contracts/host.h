@@ -42,8 +42,6 @@ class ContractHost {
   using Factory =
       std::function<Result<std::unique_ptr<Contract>>(const Json& params)>;
 
-  explicit ContractHost(uint64_t gas_limit_per_tx = 1'000'000);
-
   /// Registers a deployable contract type. Must be called identically on
   /// every node before execution starts (the "genesis configuration").
   void RegisterType(const std::string& type_name, Factory factory);
@@ -99,7 +97,9 @@ class ContractHost {
                              uint64_t block_height, size_t tx_index,
                              Micros block_timestamp);
 
-  uint64_t gas_limit_per_tx_;
+  /// Gas each transaction or static call may burn.
+  static constexpr uint64_t kGasLimitPerTx = 1'000'000;
+
   std::map<std::string, Factory> factories_;
   std::map<std::string, std::unique_ptr<Contract>> contracts_;  // hex addr
   std::map<std::string, Receipt> receipts_;                     // tx id hex

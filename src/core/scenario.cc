@@ -6,8 +6,8 @@
 namespace medsync::core {
 
 ClinicScenario::ClinicScenario(const ScenarioOptions& options)
-    : SimWorld(options.worker_threads, options.epoch, options.latency,
-               options.seed) {}
+    : SimWorld(options.worker_threads, SimClock::kDefaultEpoch,
+               net::LatencyModel{}, options.seed) {}
 
 Result<std::unique_ptr<ClinicScenario>> ClinicScenario::Create(
     const ScenarioOptions& options) {
@@ -20,9 +20,8 @@ Result<std::unique_ptr<ClinicScenario>> ClinicScenario::Create(
 Status ClinicScenario::Bootstrap(const ScenarioOptions& options) {
   runtime::NodeDaemonOptions node_options;
   node_options.block_interval = options.block_interval;
-  node_options.max_block_txs = options.max_block_txs;
   if (options.consensus == ConsensusMode::kPow) {
-    node_options.pow_difficulty_bits = options.pow_difficulty_bits;
+    node_options.pow_difficulty_bits = 8;
   }
   MEDSYNC_RETURN_IF_ERROR(
       StartChainNodes(options.chain_node_count, node_options));

@@ -13,7 +13,8 @@ namespace medsync::core {
 /// Which sealing scheme the chain nodes run. PoA models the private chain
 /// the paper recommends (Section IV-3); PoW the public-Ethereum deployment
 /// it argues against. In PoW mode only node 0 mines (a single-miner
-/// private PoW chain) so block production stays deterministic.
+/// private PoW chain, 8 difficulty bits) so block production stays
+/// deterministic.
 enum class ConsensusMode { kPoa, kPow };
 
 /// Options for the canonical doctor/patient/researcher deployment of the
@@ -21,7 +22,6 @@ enum class ConsensusMode { kPoa, kPow };
 struct ScenarioOptions {
   uint64_t seed = 42;
   ConsensusMode consensus = ConsensusMode::kPoa;
-  uint32_t pow_difficulty_bits = 8;
   /// Number of chain nodes (in PoA mode each is an authority with
   /// round-robin sealing).
   size_t chain_node_count = 3;
@@ -37,8 +37,6 @@ struct ScenarioOptions {
   /// lens get). Both modes produce byte-identical database state —
   /// core_determinism_test proves it.
   ViewMaintenance maintenance = ViewMaintenance::kIncremental;
-  net::LatencyModel latency;
-  size_t max_block_txs = 100;
   /// 0 = fully serial (no pool). Otherwise the scenario owns a ThreadPool
   /// of this many workers, shared by every chain node (block validation,
   /// Merkle commitment, PoW sealing) and every peer's sync manager
@@ -50,14 +48,11 @@ struct ScenarioOptions {
   /// settles (deploy/registration run loss-free; the fault-tolerance
   /// machinery then has to carry the actual sharing protocol).
   double drop_probability = 0.0;
-  /// Simulated-time epoch the world starts at (genesis timestamp, first
-  /// seal tick). Generated scenarios derive this from the seed so a seed
-  /// fully describes the run, including every block timestamp.
-  Micros epoch = SimClock::kDefaultEpoch;
 };
 
 /// The fully wired three-stakeholder deployment (clinic.h), standing on a
-/// SimWorld:
+/// SimWorld that starts at SimClock::kDefaultEpoch with the default
+/// LatencyModel, its chain nodes sealing at most 100 transactions a block:
 ///  * `chain_node_count` chain nodes running the metadata contract (PoA
 ///    authorities, or a single PoW miner);
 ///  * Doctor (source D3), Patient (source D1), Researcher (source D2),

@@ -6,16 +6,14 @@
 namespace medsync::runtime {
 
 Result<BlockStore> BlockStore::Open(const std::string& path,
-                                    std::vector<chain::Block>* recovered,
-                                    Options options) {
+                                    std::vector<chain::Block>* recovered) {
   if (recovered) recovered->clear();
   std::vector<relational::WalRecord> records;
   MEDSYNC_ASSIGN_OR_RETURN(
       relational::Wal wal,
-      relational::Wal::Open(
-          path, &records,
-          relational::Wal::Options{.sync_every_append =
-                                       options.sync_every_append}));
+      relational::Wal::Open(path, &records,
+                            relational::Wal::Options{.sync_every_append =
+                                                         true}));
   if (recovered) {
     for (const relational::WalRecord& record : records) {
       Result<chain::Block> block = chain::Block::FromJson(record.payload);

@@ -17,24 +17,14 @@ namespace medsync::runtime {
 /// rejoins the network where it left off (see ChainNode persistence).
 class BlockStore {
  public:
-  struct Options {
-    /// fdatasync every appended block. ON by default: acceptance implies
-    /// durability — a node that told the network it holds a block must
-    /// still hold it after a machine crash, or restart recovery serves a
-    /// shorter chain than it already gossiped about.
-    bool sync_every_append = true;
-  };
-
   /// Opens (creating if needed) the log at `path` and decodes the stored
   /// blocks into `recovered` (in append order). A torn or corrupt tail is
-  /// truncated, exactly like WAL recovery.
+  /// truncated, exactly like WAL recovery. Every append is fdatasynced:
+  /// acceptance implies durability — a node that told the network it holds
+  /// a block must still hold it after a machine crash, or restart recovery
+  /// serves a shorter chain than it already gossiped about.
   static Result<BlockStore> Open(const std::string& path,
-                                 std::vector<chain::Block>* recovered,
-                                 Options options);
-  static Result<BlockStore> Open(const std::string& path,
-                                 std::vector<chain::Block>* recovered) {
-    return Open(path, recovered, Options());
-  }
+                                 std::vector<chain::Block>* recovered);
 
   BlockStore(BlockStore&&) = default;
   BlockStore& operator=(BlockStore&&) = default;

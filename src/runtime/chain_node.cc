@@ -119,7 +119,7 @@ Status ChainNode::EnablePersistence(const std::string& path) {
           StrCat("stored block names lane ", lane, " but this node runs ",
                  lanes_.size(), " lanes"));
     }
-    Status added = lanes_[lane]->chain.AddBlock(std::move(block));
+    Status added = AddBlockPersist(std::move(block));
     if (!added.ok() && !added.IsAlreadyExists()) {
       return added.WithPrefix("replaying stored blocks");
     }
@@ -142,17 +142,30 @@ Status ChainNode::AddBlockPersist(
         StrCat("block names lane ", lane, " but this node runs ",
                lanes_.size(), " lanes"));
   }
-  chain::Blockchain& chain = lanes_[lane]->chain;
-  if (!block_store_.has_value()) {
-    return chain.AddBlock(std::move(block), std::move(tx_ids));
-  }
+  Lane& target = *lanes_[lane];
+  const crypto::Hash256 old_head = target.chain.head_hash();
   // Copy needed for the append; AddBlock consumes the block.
-  chain::Block stored = block;
-  MEDSYNC_RETURN_IF_ERROR(chain.AddBlock(std::move(block), std::move(tx_ids)));
-  Status appended = block_store_->Append(stored);
-  if (!appended.ok()) {
-    MEDSYNC_LOG(kWarning, config_.id)
-        << "block store append failed: " << appended;
+  std::optional<chain::Block> stored;
+  if (block_store_.has_value()) stored = block;
+  MEDSYNC_RETURN_IF_ERROR(
+      target.chain.AddBlock(std::move(block), std::move(tx_ids)));
+  // The one eviction point: every block enters a lane here, so evicting
+  // what the canonical chain gained keeps every chained transaction out of
+  // the pool. A reorg adopts a whole branch from the fork point, at or
+  // below the old height too (an equal-height tie-break, a side branch
+  // overtaking from below), and all of it leaves the pool.
+  for (const Block* adopted : target.chain.CanonicalBlocksSince(old_head)) {
+    for (const crypto::Hash256& id :
+         target.chain.CanonicalTxIds(adopted->header.height)) {
+      target.mempool.Remove(id);
+    }
+  }
+  if (stored.has_value()) {
+    Status appended = block_store_->Append(*stored);
+    if (!appended.ok()) {
+      MEDSYNC_LOG(kWarning, config_.id)
+          << "block store append failed: " << appended;
+    }
   }
   return Status::OK();
 }
@@ -224,30 +237,10 @@ void ChainNode::HandleHeadAnnounce(const net::Message& message) {
 
 ChainNode::SealOutcome ChainNode::BuildLaneCandidate(Lane& lane) {
   SealOutcome out;
-  std::vector<crypto::Hash256> ids;
-  std::vector<Transaction> txs = lane.mempool.BuildBlockCandidate(
-      config_.max_block_txs, &out.deferred, &ids);
-
-  // Evict candidates that are already on this lane's canonical chain. This
-  // can happen after a reorg (the pool is not replayed) or when eviction
-  // raced gossip; without the filter the sealed block would carry a
-  // duplicate transaction, fail validation, and this authority's turn
-  // would stall forever. Selection and this filter run on every tick,
-  // whosever turn it is, so stale transactions leave every pool.
-  std::set<crypto::Hash256> stale;
-  std::vector<Transaction> fresh;
-  fresh.reserve(txs.size());
-  for (size_t i = 0; i < txs.size(); ++i) {
-    if (lane.chain.FindTransaction(ids[i], nullptr, nullptr)) {
-      stale.insert(ids[i]);
-    } else {
-      out.tx_ids.push_back(ids[i]);
-      fresh.push_back(std::move(txs[i]));
-    }
-  }
-  if (!stale.empty()) lane.mempool.RemoveIncluded(stale);
-
-  if (fresh.empty()) return out;
+  // No pooled transaction is on the lane's canonical chain (admission
+  // refuses it, AddBlockPersist evicts it), and max_block_txs >= 1, so a
+  // non-empty pool always yields a non-empty candidate.
+  if (lane.mempool.empty()) return out;
 
   Block block;
   block.header.lane = lane.chain.lane();
@@ -257,11 +250,12 @@ ChainNode::SealOutcome ChainNode::BuildLaneCandidate(Lane& lane) {
       std::max(scheduler_->Now(), lane.chain.head().header.timestamp);
 
   metrics::Inc(seal_attempts_);
-  // The turn is asked before the Merkle root is built: on PoA most ticks
-  // are another authority's.
+  // The turn is asked before the pool is read: on PoA most ticks are
+  // another authority's.
   Status sealed = sealer_->CheckTurn(block.header);
   if (sealed.ok()) {
-    block.transactions = std::move(fresh);
+    block.transactions = lane.mempool.BuildBlockCandidate(
+        config_.max_block_txs, &out.deferred, &out.tx_ids);
     // With multiple lanes the lane tasks themselves occupy the pool, so the
     // Merkle commitment stays serial per lane (nesting ParallelFor inside a
     // pooled task would have tasks waiting on workers they block).
@@ -305,8 +299,6 @@ void ChainNode::TrySealLanes() {
   for (size_t l = 0; l < lanes_.size(); ++l) {
     SealOutcome& out = outcomes[l];
     if (!out.sealed) continue;
-    const std::set<crypto::Hash256> included(out.tx_ids.begin(),
-                                             out.tx_ids.end());
     Status added = AddBlockPersist(out.block, std::move(out.tx_ids));
     if (!added.ok()) {
       MEDSYNC_LOG(kWarning, config_.id)
@@ -323,7 +315,6 @@ void ChainNode::TrySealLanes() {
         << out.block.header.lane << " (" << out.block.transactions.size()
         << " txs)";
 
-    lanes_[l]->mempool.RemoveIncluded(included);
     network_->Broadcast(config_.id, config_.chain_nodes, "block",
                         out.block.ToJson());
     advanced = true;
@@ -331,10 +322,19 @@ void ChainNode::TrySealLanes() {
   if (advanced) AdvanceExecution();
 }
 
+Status ChainNode::Admit(Transaction tx, const crypto::Hash256& id) {
+  Lane& lane = *lanes_[lane_assign_(tx)];
+  if (lane.chain.FindTransaction(id, nullptr, nullptr)) {
+    return Status::AlreadyExists(
+        StrCat("transaction ", id.ShortHex(), " already on chain"));
+  }
+  return lane.mempool.Add(std::move(tx), id);
+}
+
 Status ChainNode::SubmitTransaction(Transaction tx) {
   Json payload = tx.ToJson();
-  const uint32_t lane = lane_assign_(tx);
-  MEDSYNC_RETURN_IF_ERROR(lanes_[lane]->mempool.Add(std::move(tx)));
+  const crypto::Hash256 id = tx.Id();
+  MEDSYNC_RETURN_IF_ERROR(Admit(std::move(tx), id));
   network_->Broadcast(config_.id, config_.chain_nodes, "tx",
                       std::move(payload));
   return Status::OK();
@@ -396,9 +396,7 @@ bool ChainNode::DropKnownTransaction(const Json& body) {
     // Every pooled transaction sits in the lane lane_assign_ gives it.
     const chain::Mempool::Pooled* pooled = lane.mempool.FindByMac(mac);
     if (pooled != nullptr && Json::Identical(pooled->tx.ToJson(), body)) {
-      if (!lane.chain.FindTransaction(pooled->id, nullptr, nullptr)) {
-        lane.mempool.CountDuplicate();
-      }
+      lane.mempool.CountDuplicate();  // pooled means not chained
       return true;
     }
   }
@@ -412,14 +410,10 @@ void ChainNode::HandleTransactionMessage(const net::Message& message) {
     MEDSYNC_LOG(kWarning, config_.id) << "bad tx payload: " << tx.status();
     return;
   }
-  const uint32_t lane = lane_assign_(*tx);
   // One digest per gossip message: the id serves the chain lookup, the
   // pool's dedup key and its signature check.
   const crypto::Hash256 id = tx->Id();
-  // Skip if already on the lane's canonical chain (late gossip).
-  if (lanes_[lane]->chain.FindTransaction(id, nullptr, nullptr)) return;
-  Status added = lanes_[lane]->mempool.Add(std::move(*tx), id);
-  if (added.ok()) {
+  if (Admit(std::move(*tx), id).ok()) {
     // First sighting: relay so the gossip floods the chain nodes. The
     // relay shares the received body instead of copying it.
     network_->Broadcast(config_.id, config_.chain_nodes, "tx",
@@ -478,13 +472,6 @@ void ChainNode::HandleBlockMessage(const net::Message& message) {
         << "bad block payload: " << block.status();
     return;
   }
-  const uint32_t lane = block->header.lane;
-  if (lane >= lanes_.size()) {
-    MEDSYNC_LOG(kWarning, config_.id)
-        << "rejected block naming unknown lane " << lane;
-    return;
-  }
-  const crypto::Hash256 old_head = lanes_[lane]->chain.head_hash();
   Status accepted = AcceptBlock(std::move(*block), from);
   if (accepted.IsAlreadyExists()) return;  // do not re-gossip duplicates
   if (!accepted.ok() && !accepted.IsNotFound()) {
@@ -494,19 +481,6 @@ void ChainNode::HandleBlockMessage(const net::Message& message) {
   if (accepted.ok()) {
     network_->Broadcast(config_.id, config_.chain_nodes, "block",
                         message.shared_payload());
-    // Evict what the canonical chain now includes from the lane's pool
-    // partition: every block adopted since the old head, from the fork
-    // point up. A reorg can adopt blocks at or below the old height (an
-    // equal-height tie-break, a side branch overtaking from below), and
-    // their transactions must leave the pool too.
-    const chain::Blockchain& lane_chain = lanes_[lane]->chain;
-    std::set<crypto::Hash256> included;
-    for (const chain::Block* b : lane_chain.CanonicalBlocksSince(old_head)) {
-      const std::vector<crypto::Hash256>& ids =
-          lane_chain.CanonicalTxIds(b->header.height);
-      included.insert(ids.begin(), ids.end());
-    }
-    if (!included.empty()) lanes_[lane]->mempool.RemoveIncluded(included);
     ScheduleExecution();
   }
 }

@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -112,6 +111,8 @@ class ChainNode : public net::Endpoint {
   // -- Client API -----------------------------------------------------------
 
   /// Accepts a signed transaction into its lane's mempool and gossips it.
+  /// AlreadyExists if it is already pooled or on its lane's canonical
+  /// chain.
   Status SubmitTransaction(chain::Transaction tx);
 
   /// Read-only contract call against this node's executed state.
@@ -178,8 +179,7 @@ class ChainNode : public net::Endpoint {
     bool sealed = false;
     chain::Block block;
     /// Ids of the candidate's transactions in block order, as the pool
-    /// stored them: the Merkle root and AddBlock take them, and the pool
-    /// evicts them once the block is added.
+    /// stored them: the Merkle root and AddBlock take them.
     std::vector<crypto::Hash256> tx_ids;
     size_t deferred = 0;  // conflict-partition holdbacks this tick
   };
@@ -188,10 +188,10 @@ class ChainNode : public net::Endpoint {
   /// Queues the next SealTick at the first slot boundary (genesis
   /// timestamp + k * block_interval) after Now().
   void ScheduleSealTick();
-  /// Parallel phase: candidate selection, then, on this node's turn only,
-  /// Merkle root + seal per lane (disjoint state, deterministic). Serial
-  /// phase: lane-ordered insert/evict/broadcast, then one execution
-  /// advance.
+  /// Parallel phase: per lane with pooled transactions, the turn check,
+  /// then, on this node's turn only, candidate selection, Merkle root and
+  /// seal (disjoint state, deterministic). Serial phase: lane-ordered
+  /// insert/broadcast, then one execution advance.
   void TrySealLanes();
   SealOutcome BuildLaneCandidate(Lane& lane);
 
@@ -210,6 +210,11 @@ class ChainNode : public net::Endpoint {
   /// subscriber behaviour would depend on the lane count.
   void ScheduleExecution();
 
+  /// The one admission rule of the client and gossip paths: AlreadyExists
+  /// for a transaction on its lane's canonical chain, else the lane pool's
+  /// Add(tx, id). With AddBlockPersist's eviction it keeps the invariant
+  /// that no pooled transaction is on its lane's canonical chain.
+  Status Admit(chain::Transaction tx, const crypto::Hash256& id);
   void HandleTransactionMessage(const net::Message& message);
   /// Dedup before parse: true if `body` is exactly the wire form of a
   /// transaction this node holds (found by its signature mac on a lane's
@@ -229,10 +234,12 @@ class ChainNode : public net::Endpoint {
   Status AcceptBlock(chain::Block block, const net::NodeId& from);
   void AdoptOrphansOf(const std::string& parent_hash_hex);
 
-  /// Routes to the lane named in the header; AddBlock plus block-store
-  /// append on success. `tx_ids`, for a block this node sealed, must equal
-  /// the block's TransactionLeaves(): the chain checks against them instead
-  /// of hashing the transactions again.
+  /// Routes to the lane named in the header; on AddBlock's success, evicts
+  /// from the lane's pool every transaction the canonical chain gained and
+  /// appends the block to the block store. Every block enters a lane here:
+  /// sealed, received, orphan-adopted or replayed. `tx_ids`, for a block
+  /// this node sealed, must equal the block's TransactionLeaves(): the
+  /// chain checks against them instead of hashing the transactions again.
   Status AddBlockPersist(
       chain::Block block,
       std::optional<std::vector<crypto::Hash256>> tx_ids = std::nullopt);

@@ -115,7 +115,7 @@ TEST(MempoolTest, MetricsCountAddsAndRejectsByReason) {
   EXPECT_EQ(registry.Snapshot().At("gauges").At("mempool.occupancy").AsInt(),
             2);
 
-  pool.RemoveIncluded({good.Id()});
+  pool.Remove(good.Id());
   EXPECT_EQ(registry.Snapshot().At("gauges").At("mempool.occupancy").AsInt(),
             1);
 }
@@ -187,7 +187,8 @@ TEST(MempoolTest, ConflictingUpdatesDeferredNotDropped) {
   EXPECT_EQ(batch[1].Id(), other.Id());
 
   // After the first block's transactions confirm, the deferred one flows.
-  pool.RemoveIncluded({first.Id(), other.Id()});
+  pool.Remove(first.Id());
+  pool.Remove(other.Id());
   std::vector<Transaction> next = pool.BuildBlockCandidate(10);
   ASSERT_EQ(next.size(), 1u);
   EXPECT_EQ(next[0].Id(), second.Id());
@@ -264,7 +265,7 @@ TEST(MempoolTest, FindByMacLivesAndDiesWithTheEntry) {
                 .AsInt(),
             1);
 
-  pool.RemoveIncluded({a.Id()});
+  pool.Remove(a.Id());
   EXPECT_EQ(pool.FindByMac(a.signature.mac), nullptr);
   EXPECT_NE(pool.FindByMac(b.signature.mac), nullptr);
   pool.Remove(b.Id());
@@ -273,14 +274,16 @@ TEST(MempoolTest, FindByMacLivesAndDiesWithTheEntry) {
             0);
 }
 
-TEST(MempoolTest, RemoveIncludedAndRemove) {
+TEST(MempoolTest, RemoveDropsOnlyItsTransaction) {
   Mempool pool;
   Transaction a = MakeTx("alice", 1);
   Transaction b = MakeTx("bob", 1);
   ASSERT_TRUE(pool.Add(a).ok());
   ASSERT_TRUE(pool.Add(b).ok());
-  pool.RemoveIncluded({a.Id()});
+  pool.Remove(a.Id());
   EXPECT_FALSE(pool.Contains(a.Id()));
+  EXPECT_TRUE(pool.Contains(b.Id()));
+  pool.Remove(a.Id());  // not pooled: a no-op
   EXPECT_TRUE(pool.Contains(b.Id()));
   pool.Remove(b.Id());
   EXPECT_TRUE(pool.empty());

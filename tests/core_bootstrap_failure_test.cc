@@ -35,7 +35,6 @@ TEST(ClinicScenarioTest, ZeroChainNodesIsInvalidArgument) {
 TEST(PowScenarioTest, UpdateRoundCompletesOnProofOfWorkChain) {
   ScenarioOptions options;
   options.consensus = ConsensusMode::kPow;
-  options.pow_difficulty_bits = 8;
   Result<std::unique_ptr<ClinicScenario>> scenario =
       ClinicScenario::Create(options);
   ASSERT_TRUE(scenario.ok()) << scenario.status();

@@ -227,15 +227,6 @@ TEST_F(DurabilityFaultTest, BlockStoreSyncsEveryAcceptedBlockByDefault) {
   ASSERT_TRUE(store->Append(child).ok());
   EXPECT_EQ(store->wal_stats().appends, 2u);
   EXPECT_GE(store->wal_stats().syncs, 2u);
-
-  // The opt-out exists for bulk import tooling — and is genuinely off.
-  std::vector<chain::Block> recovered2;
-  Result<runtime::BlockStore> lazy = runtime::BlockStore::Open(
-      dir_ + "/lazy.blocks", &recovered2,
-      runtime::BlockStore::Options{.sync_every_append = false});
-  ASSERT_TRUE(lazy.ok());
-  ASSERT_TRUE(lazy->Append(genesis).ok());
-  EXPECT_EQ(lazy->wal_stats().syncs, 0u);
 }
 
 TEST_F(DurabilityFaultTest, BlockStoreAppendFaultLosesNothingAlreadyStored) {

@@ -53,6 +53,23 @@ class NodeClusterTest : public ::testing::Test {
 
   static net::NodeId NodeName(size_t i) { return "node-" + std::to_string(i); }
 
+  // The pool invariant: no pooled transaction is on its lane's canonical
+  // chain. Nothing filters chained candidates at seal time, so a missed
+  // eviction would make the next seal carry a duplicate.
+  void ExpectNoPooledTxIsChained() {
+    for (auto& node : nodes_) {
+      for (size_t l = 0; l < node->lane_count(); ++l) {
+        for (const chain::Transaction& tx :
+             node->mempool(l).PendingTransactions()) {
+          EXPECT_FALSE(
+              node->blockchain(l).FindTransaction(tx.Id(), nullptr, nullptr))
+              << node->config().id << " lane " << l << " pools chained tx "
+              << tx.Id().ShortHex();
+        }
+      }
+    }
+  }
+
   chain::Transaction DeployTx() {
     chain::Transaction tx;
     tx.from = client_.address();
@@ -351,6 +368,32 @@ TEST_F(NodeClusterTest, DuplicateSubmissionRejectedLocally) {
   EXPECT_TRUE(nodes_[0]->SubmitTransaction(tx).IsAlreadyExists());
 }
 
+// Admission refuses what the chain already holds, so the pool never has to
+// filter it out again: no pool change, no gossip.
+TEST_F(NodeClusterTest, SubmittingAChainedTransactionIsRefused) {
+  metrics_ = &registry_;
+  BuildCluster(3);
+  network_->set_metrics(&registry_);
+  chain::Transaction tx = DeployTx();
+  ASSERT_TRUE(nodes_[0]->SubmitTransaction(tx).ok());
+  simulator_.RunFor(5 * kBlockInterval);
+  for (auto& node : nodes_) {
+    ASSERT_TRUE(node->blockchain().FindTransaction(tx.Id(), nullptr, nullptr))
+        << node->config().id;
+    ASSERT_TRUE(node->mempools_empty()) << node->config().id;
+  }
+  const uint64_t sent = registry_.GetCounter("net.sent.tx")->value();
+  const uint64_t adds = registry_.GetCounter("mempool.adds")->value();
+
+  for (auto& node : nodes_) {
+    EXPECT_TRUE(node->SubmitTransaction(tx).IsAlreadyExists())
+        << node->config().id;
+    EXPECT_TRUE(node->mempools_empty()) << node->config().id;
+  }
+  EXPECT_EQ(registry_.GetCounter("net.sent.tx")->value(), sent);
+  EXPECT_EQ(registry_.GetCounter("mempool.adds")->value(), adds);
+}
+
 TEST_F(NodeClusterTest, PartitionedNodeCatchesUpAfterHeal) {
   BuildCluster(3);
   // Cut node-2 off from both peers.
@@ -359,6 +402,7 @@ TEST_F(NodeClusterTest, PartitionedNodeCatchesUpAfterHeal) {
 
   ASSERT_TRUE(nodes_[0]->SubmitTransaction(DeployTx()).ok());
   simulator_.RunFor(6 * kBlockInterval);
+  ExpectNoPooledTxIsChained();
   uint64_t connected_height = nodes_[0]->blockchain().height();
   EXPECT_GT(connected_height, 0u);
   EXPECT_EQ(nodes_[2]->blockchain().height(), 0u);  // stuck at genesis
@@ -368,6 +412,7 @@ TEST_F(NodeClusterTest, PartitionedNodeCatchesUpAfterHeal) {
   network_->SetLinkDown("node-1", "node-2", false);
   ASSERT_TRUE(nodes_[0]->SubmitTransaction(DeployTx()).ok());
   simulator_.RunFor(8 * kBlockInterval);
+  ExpectNoPooledTxIsChained();
 
   EXPECT_EQ(nodes_[2]->blockchain().head().header.Hash(),
             nodes_[0]->blockchain().head().header.Hash());
@@ -420,6 +465,7 @@ TEST_F(NodeClusterTest, ReorgReexecutesCanonicalChain) {
   ASSERT_TRUE(nodes_[0]->SubmitTransaction(DeployTx()).ok());
   ASSERT_TRUE(nodes_[1]->SubmitTransaction(DeployTx()).ok());
   simulator_.RunFor(6 * kBlockInterval);
+  ExpectNoPooledTxIsChained();
 
   uint64_t h0 = nodes_[0]->blockchain().height();
   uint64_t h1 = nodes_[1]->blockchain().height();
@@ -430,6 +476,7 @@ TEST_F(NodeClusterTest, ReorgReexecutesCanonicalChain) {
   network_->SetLinkDown("node-0", "node-1", false);
   ASSERT_TRUE(nodes_[0]->SubmitTransaction(DeployTx()).ok());
   simulator_.RunFor(10 * kBlockInterval);
+  ExpectNoPooledTxIsChained();
 
   EXPECT_EQ(nodes_[0]->blockchain().head().header.Hash(),
             nodes_[1]->blockchain().head().header.Hash());
@@ -628,6 +675,7 @@ class ReorgEvictionTest : public NodeClusterTest {
     IgnoreStatusForTest(network_->Send(
         net::Message{"feeder", "observer", "block", block.ToJson()}));
     simulator_.RunFor(kBlockInterval / 10);
+    ExpectNoPooledTxIsChained();
   }
 
   ChainNode& observer() { return *nodes_[0]; }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Appends benchmark rows, keyed by git commit, to BENCH_<name>.json.
 
-Two suites. The default, `--suite workloads`, appends one row per
+Four suites. The default, `--suite workloads`, appends one row per
 benchmark workload to BENCH_<workload>.json: what
 `perfbench/run.py --workload W --seed S --seconds 10` reports for each of
 the four workloads:
@@ -30,6 +30,21 @@ CPU apart from simulated time again:
      "simulated": {"s_per_round": ..., "updates_per_s": ...,
                    "total_blocks": ...}}
 
+`--suite storage-1m` builds bench_storage the same way and runs
+BM_ChunkedBulkLoadAndCheckpoint/1000000 and BM_ChunkedRecover/1000000,
+each in its own process, appending one row per benchmark to
+BENCH_storage-1m.json. Everything is host-measured: wall ms per
+iteration, rows per wall second, and VmHWM_mb, the process's peak
+resident set as the benchmark reads it from /proc/self/status at its
+end (the recover process builds the checkpoint it opens, so its peak
+includes that load):
+
+    {"sha": ..., "suite": "storage-1m", "benchmark": ..., "rows": ...,
+     "iterations": ...,
+     "host": {"wall_ms": {"value": ..., "unit": "ms"},
+              "rows_per_s": {"value": ..., "unit": "1/s"},
+              "VmHWM_mb": {"value": ..., "unit": "MB"}}}
+
 The files live at the repository root and hold a JSON list of rows, oldest
 first, so the trajectory of every end-to-end metric is one command away.
 
@@ -40,6 +55,7 @@ Usage, from anywhere inside the repository:
     python3 tools/bench_record.py --seed 7             # the held-out seed
     python3 tools/bench_record.py --suite scale        # generated networks
     python3 tools/bench_record.py --suite lanes        # chain lane counts
+    python3 tools/bench_record.py --suite storage-1m   # 1M-row load, recover
 
 Without --rev the working tree is measured; its sha is HEAD's, suffixed
 with "-dirty" when tracked files other than BENCH_*.json differ from HEAD.
@@ -50,8 +66,8 @@ tracked files as they are on disk. So both sides of a comparison build
 from equally fresh directories (host-CPU metrics move with where a build
 was made), and nothing else in the checkout (an old .bench_build,
 untracked files) reaches the row. Rows are appended to the BENCH files
-of this checkout. A row whose (sha, seed, peers, lanes) is already
-recorded replaces the old one instead of adding a duplicate.
+of this checkout. A row whose (sha, seed, peers, lanes, benchmark) is
+already recorded replaces the old one instead of adding a duplicate.
 """
 
 import argparse
@@ -71,6 +87,10 @@ SCALE_SEED = 77  # the generator seed bench_generated_scale fixes
 LANES_NAME = "lanes"
 LANES_BENCH = "bench_scalability"
 LANES_FILTER = "BM_LaneShardingScale"
+STORAGE_NAME = "storage-1m"
+STORAGE_BENCH = "bench_storage"
+STORAGE_BENCHMARKS = ("BM_ChunkedBulkLoadAndCheckpoint/1000000",
+                      "BM_ChunkedRecover/1000000")
 TIME_UNITS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
 
@@ -91,9 +111,9 @@ def load_rows(path):
 
 def row_key(row):
     """What identifies a row: its commit, seed, and the network size
-    (scale rows) or lane count (lanes rows)."""
+    (scale rows), lane count (lanes rows) or benchmark (storage rows)."""
     return (row.get("sha"), row.get("seed"), row.get("peers"),
-            row.get("lanes"))
+            row.get("lanes"), row.get("benchmark"))
 
 
 def append_row(path, row):
@@ -173,6 +193,30 @@ def lanes_rows(sha, report):
                                   "unit": "1/s"},
                 "total_blocks": {"value": int(bench["total_blocks"]),
                                  "unit": "count"},
+            },
+        })
+    return rows
+
+
+def storage_rows(sha, report):
+    """The rows for one bench_storage JSON report: one per benchmark run,
+    named `<function>/<rows>[/iterations:N]`, all host-measured."""
+    rows = []
+    for bench in report["benchmarks"]:
+        if bench.get("run_type", "iteration") != "iteration":
+            continue
+        name, count = bench["name"].split("/")[:2]
+        wall_s = bench["real_time"] * TIME_UNITS[bench.get("time_unit", "ns")]
+        rows.append({
+            "sha": sha,
+            "suite": STORAGE_NAME,
+            "benchmark": name,
+            "rows": int(count),
+            "iterations": int(bench["iterations"]),
+            "host": {
+                "wall_ms": {"value": wall_s * 1e3, "unit": "ms"},
+                "rows_per_s": {"value": int(count) / wall_s, "unit": "1/s"},
+                "VmHWM_mb": {"value": bench["VmHWM_mb"], "unit": "MB"},
             },
         })
     return rows
@@ -292,9 +336,28 @@ def record_lanes(sha, checkout):
     return 0
 
 
+def record_storage(sha, checkout):
+    """Runs each 1M-row storage benchmark in its own process in `checkout`
+    (so one's peak memory is not the other's) and appends a row per
+    benchmark to BENCH_storage-1m.json."""
+    path = bench_path(ROOT, STORAGE_NAME)
+    for benchmark in STORAGE_BENCHMARKS:
+        report = run_bench_binary(checkout, STORAGE_BENCH,
+                                  ["--benchmark_filter=^%s" % benchmark])
+        for row in storage_rows(sha, report):
+            append_row(path, row)
+            print("%s %s %s: %.0f ms, %.0f rows/s, VmHWM %.1f MB" % (
+                sha[:12], STORAGE_NAME, row["benchmark"],
+                row["host"]["wall_ms"]["value"],
+                row["host"]["rows_per_s"]["value"],
+                row["host"]["VmHWM_mb"]["value"]))
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--suite", choices=("workloads", "scale", "lanes"),
+    parser.add_argument("--suite",
+                        choices=("workloads", "scale", "lanes", STORAGE_NAME),
                         default="workloads")
     parser.add_argument("--seed", type=int, default=1,
                         help="perfbench seed (workloads suite only)")
@@ -306,6 +369,8 @@ def main(argv=None):
             return record_scale(sha, checkout)
         if args.suite == "lanes":
             return record_lanes(sha, checkout)
+        if args.suite == STORAGE_NAME:
+            return record_storage(sha, checkout)
         return record(sha, checkout, args.seed)
 
     with tempfile.TemporaryDirectory(prefix="bench-") as checkout:

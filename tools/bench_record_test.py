@@ -231,5 +231,59 @@ class LanesRowsTest(unittest.TestCase):
                          [("aaa", 8), ("aaa", 1)])
 
 
+def storage_bench(name, real_time, hwm, time_unit="ms", iterations=1):
+    return {"name": name, "run_name": name.split("/iterations")[0],
+            "run_type": "iteration", "iterations": iterations,
+            "real_time": real_time, "cpu_time": real_time * 0.9,
+            "time_unit": time_unit, "items_per_second": 1.0,
+            "VmHWM_mb": hwm}
+
+
+class StorageRowsTest(unittest.TestCase):
+    REPORT = {"context": {"num_cpus": 4}, "benchmarks": [
+        storage_bench("BM_ChunkedBulkLoadAndCheckpoint/1000000/iterations:1",
+                      2500.0, 612.5),
+        storage_bench("BM_ChunkedRecover/1000000", 4.0e8, 640.0,
+                      time_unit="ns", iterations=3),
+        dict(storage_bench("BM_ChunkedRecover/1000000", 1.0, 1.0),
+             run_type="aggregate", aggregate_name="mean"),
+    ]}
+
+    def test_one_host_row_per_benchmark(self):
+        rows = bench_record.storage_rows("aaa", self.REPORT)
+        self.assertEqual([r["benchmark"] for r in rows],
+                         ["BM_ChunkedBulkLoadAndCheckpoint",
+                          "BM_ChunkedRecover"])
+        load, recover = rows
+        self.assertEqual(load["sha"], "aaa")
+        self.assertEqual(load["suite"], "storage-1m")
+        self.assertEqual(load["rows"], 1000000)
+        self.assertEqual(load["iterations"], 1)
+        self.assertNotIn("simulated", load)
+        self.assertEqual(set(load["host"]),
+                         {"wall_ms", "rows_per_s", "VmHWM_mb"})
+        self.assertAlmostEqual(load["host"]["wall_ms"]["value"], 2500.0)
+        self.assertAlmostEqual(load["host"]["rows_per_s"]["value"], 4.0e5)
+        self.assertEqual(load["host"]["VmHWM_mb"],
+                         {"value": 612.5, "unit": "MB"})
+        # Wall time in any unit becomes ms; the rate is rows per wall
+        # second, not google-benchmark's per-CPU-second items_per_second.
+        self.assertEqual(recover["iterations"], 3)
+        self.assertAlmostEqual(recover["host"]["wall_ms"]["value"], 400.0)
+        self.assertAlmostEqual(recover["host"]["rows_per_s"]["value"], 2.5e6)
+
+    def test_rows_of_one_sha_differ_by_benchmark(self):
+        with tempfile.TemporaryDirectory() as root:
+            path = bench_record.bench_path(root, "storage-1m")
+            for row in bench_record.storage_rows("aaa", self.REPORT):
+                bench_record.append_row(path, row)
+            rows = bench_record.append_row(
+                path, bench_record.storage_rows("aaa", self.REPORT)[0])
+        self.assertTrue(path.endswith("BENCH_storage-1m.json"))
+        self.assertEqual([(r["sha"], r["benchmark"]) for r in rows],
+                         [("aaa", "BM_ChunkedRecover"),
+                          ("aaa", "BM_ChunkedBulkLoadAndCheckpoint")])
+
+
 if __name__ == "__main__":
     unittest.main()
